@@ -68,9 +68,9 @@ let ring_micro_tests =
                 ignore (Bamboo_util.Ring.drain bench_ring (fun _ -> ()) : int))))
        ring_batches
   @ [
-      (* The baseline this PR replaces: per-message mutex lock/unlock on
-         both sides plus a condvar signal, exactly chan_transport's
-         send/recv handoff. *)
+      (* The baseline the ring replaced: per-message mutex lock/unlock on
+         both sides plus a condvar signal, the send/recv handoff of the
+         earlier mutex/condvar in-process transport. *)
       Test.make ~name:"mutex_queue_push_pop_batch_1" (Staged.stage (fun () ->
           Mutex.lock bench_queue_mutex;
           Queue.push 0 bench_queue;

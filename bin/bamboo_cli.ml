@@ -202,20 +202,8 @@ let clients_t =
 let series_t =
   Arg.(value & flag & info [ "series" ] ~doc:"Also print the committed-throughput time series.")
 
-let verify_jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "verify-jobs" ] ~docv:"N"
-        ~doc:
-          "Run the intra-cell parallel signature audit on $(docv) domains: \
-           every fresh delivered message's certificates are fully verified \
-           on the domain pool, batched per delivery window. Observe-only — \
-           simulation output is byte-identical with or without it and at \
-           any $(docv).")
-
 let run_cmd =
-  let run config rate clients series verify_jobs =
+  let run config rate clients series =
     match Bamboo.Config.validate config with
     | Error e ->
         Printf.eprintf "invalid configuration: %s\n" e;
@@ -253,7 +241,7 @@ let run_cmd =
               in
               (Some (path, oc), t)
         in
-        let r = Bamboo.Runtime.run ~config ~workload ~trace ?verify_jobs () in
+        let r = Bamboo.Runtime.run ~config ~workload ~trace () in
         (match trace_oc with
         | None -> ()
         | Some (path, oc) ->
@@ -295,7 +283,7 @@ let run_cmd =
         if r.any_violation || not r.consistent then exit 1
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate one configuration and print metrics.")
-    Term.(const run $ common_t $ rate_t $ clients_t $ series_t $ verify_jobs_t)
+    Term.(const run $ common_t $ rate_t $ clients_t $ series_t)
 
 (* --- metrics --- *)
 
@@ -316,7 +304,7 @@ let metrics_out_t =
         ~doc:"Write the export to $(docv) instead of stdout.")
 
 let metrics_cmd =
-  let run config rate clients format out verify_jobs =
+  let run config rate clients format out =
     match Bamboo.Config.validate config with
     | Error e ->
         Printf.eprintf "invalid configuration: %s\n" e;
@@ -336,9 +324,7 @@ let metrics_cmd =
               Bamboo.Workload.open_loop ~rate ()
         in
         let registry = Bamboo_metrics.Registry.create () in
-        let r =
-          Bamboo.Runtime.run ~config ~workload ~metrics:registry ?verify_jobs ()
-        in
+        let r = Bamboo.Runtime.run ~config ~workload ~metrics:registry () in
         let snapshot = r.Bamboo.Runtime.metrics in
         let rendered =
           match format with
@@ -370,7 +356,7 @@ let metrics_cmd =
           snapshot (counters, gauges, latency histograms).")
     Term.(
       const run $ common_t $ rate_t $ clients_t $ metrics_format_t
-      $ metrics_out_t $ verify_jobs_t)
+      $ metrics_out_t)
 
 (* --- model --- *)
 

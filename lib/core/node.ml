@@ -52,8 +52,6 @@ type t = {
   mutable rejected_txs : int;
   mutable violation : bool;
   (* observe-only tallies for the metrics layer *)
-  mutable qc_cache_hits : int;
-  mutable qc_cache_misses : int;
   mutable view_changes : int;
   mutable timeouts_fired : int;
 }
@@ -129,8 +127,6 @@ let create ~config ~self ~registry ?(verify_sigs = true) ?(root = `Merkle)
     proposed_through = 0;
     rejected_txs = 0;
     violation = false;
-    qc_cache_hits = 0;
-    qc_cache_misses = 0;
     view_changes = 0;
     timeouts_fired = 0;
   }
@@ -154,18 +150,12 @@ let verify_qc t qc =
   || Qc.is_genesis qc
   ||
   let key = Qc.cache_key qc in
-  if Hashtbl.mem t.verified_qcs key then begin
-    t.qc_cache_hits <- t.qc_cache_hits + 1;
+  if Hashtbl.mem t.verified_qcs key then true
+  else if Qc.verify t.registry ~quorum:(Quorum.quorum_size t.quorum) qc then begin
+    Hashtbl.add t.verified_qcs key ();
     true
   end
-  else begin
-    t.qc_cache_misses <- t.qc_cache_misses + 1;
-    if Qc.verify t.registry ~quorum:(Quorum.quorum_size t.quorum) qc then begin
-      Hashtbl.add t.verified_qcs key ();
-      true
-    end
-    else false
-  end
+  else false
 
 let do_commit t out target ~trigger_view =
   match Forest.commit t.forest target with
@@ -538,8 +528,6 @@ let locked t = t.safety.Safety.locked ()
 let committed_count t = Forest.committed_count t.forest - 1
 let rejected_txs t = t.rejected_txs
 let safety_violation t = t.violation
-let qc_cache_hits t = t.qc_cache_hits
-let qc_cache_misses t = t.qc_cache_misses
 let view_changes t = t.view_changes
 let timeouts_fired t = t.timeouts_fired
 let mempool_stats t = Mempool.stats t.mempool

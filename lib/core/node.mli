@@ -5,7 +5,7 @@
     transactions) and produces {!output}s (messages to transmit, timers to
     arm, commit/fork notifications). It performs no I/O and never reads a
     clock, so the same engine runs unchanged under the discrete-event
-    simulator, the threaded channel transport and the TCP transport. *)
+    simulator, the in-process ring transport and the TCP transport. *)
 
 open Bamboo_types
 
@@ -118,14 +118,6 @@ val safety_violation : t -> bool
     property tests. *)
 
 (** {2 Observe-only tallies} (surfaced by the metrics layer) *)
-
-val qc_cache_hits : t -> int
-(** Certificate verifications answered from the verified-QC cache. Only
-    populated when [verify_sigs] is on (the simulator charges verification
-    virtually and never consults the cache). *)
-
-val qc_cache_misses : t -> int
-(** Certificate verifications that had to run [Qc.verify]. *)
 
 val view_changes : t -> int
 (** Successful pacemaker advances (views entered, any reason). *)

@@ -99,36 +99,6 @@ let compare_timers (r1, c1, a1) (r2, c2, a2) =
   | 0 -> ( match Int.compare c1 c2 with 0 -> Float.compare a1 a2 | c -> c)
   | c -> c
 
-(* --- intra-cell parallel signature verification --- *)
-
-(* The simulator models verification cost (nodes run [verify_sigs:false];
-   the receiver is charged t_CPU per message) without executing it. The
-   parallel-verify path re-adds the execution as a post-hoc audit: fresh
-   deliveries are buffered per delivery window and their full signature
-   checks ([Message.verify]) are fanned out over the domain Pool. Nothing
-   feeds back into the simulation — handlers already ran at delivery time —
-   so output is byte-identical with the audit on or off and at any job
-   count; batches are built in delivery order and [Pool.map] joins results
-   in submission order, so the tallies are deterministic too. *)
-type pverify = {
-  pv_jobs : int;
-  pv_registry : Bamboo_crypto.Sig.registry;
-  pv_quorum : int;
-  mutable pv_buf : Message.t list; (* buffered window, reversed *)
-  mutable pv_len : int;
-  mutable pv_window_start : float; (* sim time of the first buffered item *)
-  (* Plain per-run tallies (hot path observe-only, published once). *)
-  mutable pv_batches : int;
-  mutable pv_checked : int;
-  mutable pv_failed : int;
-  mutable pv_max_batch : int;
-}
-
-(* Deliveries within one virtual millisecond are audited as one batch;
-   bounded so a hot window cannot defer the audit indefinitely. *)
-let pverify_window_s = 1e-3
-let pverify_batch_cap = 256
-
 type st = {
   config : Config.t;
   sim : Sim.t;
@@ -152,48 +122,7 @@ type st = {
   mutable next_timer : int;
   mutable notify : (exec -> unit) option;
       (* [Some f] switches the runtime into controlled-scheduling mode *)
-  pverify : pverify option;
 }
-
-let flush_pverify st =
-  match st.pverify with
-  | None -> ()
-  | Some pv when pv.pv_len = 0 -> ()
-  | Some pv ->
-      let batch = List.rev pv.pv_buf in
-      let len = pv.pv_len in
-      pv.pv_buf <- [];
-      pv.pv_len <- 0;
-      let results =
-        Bamboo_util.Pool.map ~jobs:pv.pv_jobs
-          (fun msg -> Message.verify pv.pv_registry ~quorum:pv.pv_quorum msg)
-          batch
-      in
-      pv.pv_batches <- pv.pv_batches + 1;
-      if len > pv.pv_max_batch then pv.pv_max_batch <- len;
-      List.iter
-        (fun ok ->
-          pv.pv_checked <- pv.pv_checked + 1;
-          if not ok then pv.pv_failed <- pv.pv_failed + 1)
-        results
-
-(* Buffer a freshly delivered (non-duplicate) message for the audit. *)
-let audit_verify st msg =
-  match st.pverify with
-  | None -> ()
-  | Some pv -> (
-      match msg with
-      | Message.Request_block _ -> () (* unsigned *)
-      | Message.Proposal _ | Message.Vote _ | Message.Timeout _ ->
-          let now = Sim.now st.sim in
-          if
-            pv.pv_len > 0
-            && (pv.pv_len >= pverify_batch_cap
-               || now -. pv.pv_window_start > pverify_window_s)
-          then flush_pverify st;
-          if pv.pv_len = 0 then pv.pv_window_start <- now;
-          pv.pv_buf <- msg :: pv.pv_buf;
-          pv.pv_len <- pv.pv_len + 1)
 
 let crashed st id = Fault_engine.node_down st.eng id
 
@@ -315,10 +244,7 @@ and transmit_modeled st ~src ~dst ~bytes msg =
                       let cost =
                         if Node.seen_before st.nodes.(dst) msg then
                           duplicate_cost
-                        else begin
-                          audit_verify st msg;
-                          input_cost st.config msg
-                        end
+                        else input_cost st.config msg
                       in
                       Machine.cpu st.machines.(dst) ~duration:cost (fun () ->
                           if not (crashed st dst) then begin
@@ -751,23 +677,8 @@ let install_probe ~config ~sim ~machines ~trace ~registry =
    metrics costs nothing measurable on the simulation itself and the
    registry stays the single export surface. Skipped entirely for a
    disabled registry. *)
-let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry ~pverify =
+let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry =
   if Registry.enabled reg then begin
-    (match pverify with
-    | None -> ()
-    | Some pv ->
-        Registry.Counter.add
-          (Registry.counter reg "parallel_verify_batches")
-          pv.pv_batches;
-        Registry.Counter.add
-          (Registry.counter reg "parallel_verify_msgs")
-          pv.pv_checked;
-        Registry.Counter.add
-          (Registry.counter reg "parallel_verify_failures")
-          pv.pv_failed;
-        Registry.Gauge.set
-          (Registry.gauge reg "parallel_verify_max_batch")
-          (float_of_int pv.pv_max_batch));
     Registry.Counter.add (Registry.counter reg "sim_events_pushed")
       (Sim.pushed sim);
     Registry.Counter.add (Registry.counter reg "sim_events_fired")
@@ -791,9 +702,6 @@ let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry ~pverify =
       ns.Netmodel.fault_activations;
     Registry.Counter.add (Registry.counter reg "crypto_signs")
       (Bamboo_crypto.Sig.signs sig_registry);
-    Registry.Counter.add
-      (Registry.counter reg "crypto_verifies")
-      (Bamboo_crypto.Sig.verifies sig_registry);
     Array.iteri
       (fun i m ->
         let labels = [ ("node", string_of_int i) ] in
@@ -831,12 +739,6 @@ let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry ~pverify =
         Registry.Counter.add
           (Registry.counter reg ~labels "replica_rejected_txs")
           (Node.rejected_txs n);
-        Registry.Counter.add
-          (Registry.counter reg ~labels "crypto_qc_cache_hits")
-          (Node.qc_cache_hits n);
-        Registry.Counter.add
-          (Registry.counter reg ~labels "crypto_qc_cache_misses")
-          (Node.qc_cache_misses n);
         let ms = Node.mempool_stats n in
         Registry.Counter.add
           (Registry.counter reg ~labels "mempool_batches")
@@ -857,7 +759,7 @@ let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry ~pverify =
   end
 
 let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
-    ?(metrics = Registry.null) ?wrap_safety ?scheduler ?verify_jobs () =
+    ?(metrics = Registry.null) ?wrap_safety ?scheduler () =
   let mreg = metrics in
   (match Config.validate config with
   | Ok _ -> ()
@@ -934,24 +836,6 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       armed = Hashtbl.create 64;
       next_timer = 0;
       notify = None;
-      pverify =
-        (match verify_jobs with
-        | None -> None
-        | Some jobs ->
-            if jobs < 1 then invalid_arg "Runtime.run: verify_jobs must be >= 1";
-            Some
-              {
-                pv_jobs = jobs;
-                pv_registry = registry;
-                pv_quorum = Config.quorum_size config;
-                pv_buf = [];
-                pv_len = 0;
-                pv_window_start = 0.0;
-                pv_batches = 0;
-                pv_checked = 0;
-                pv_failed = 0;
-                pv_max_batch = 0;
-              });
     }
   in
   (* Controlled scheduling must be live before any replica boots so the
@@ -1032,10 +916,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
   done;
   let violations = Array.map Node.safety_violation nodes in
   let any_violation = Array.exists Fun.id violations in
-  (* Audit any tail still buffered when the horizon was reached. *)
-  flush_pverify st;
-  publish_metrics mreg ~sim ~net ~machines ~nodes ~sig_registry:registry
-    ~pverify:st.pverify;
+  publish_metrics mreg ~sim ~net ~machines ~nodes ~sig_registry:registry;
   {
     summary;
     series = Metrics.throughput_series metrics;

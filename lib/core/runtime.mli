@@ -101,7 +101,6 @@ val run :
   ?metrics:Bamboo_metrics.Registry.t ->
   ?wrap_safety:(Bamboo_types.Ids.replica -> Safety.t -> Safety.t) ->
   ?scheduler:(sched_view -> sched_hooks) ->
-  ?verify_jobs:int ->
   unit ->
   result
 (** [run ~config ~workload ()] simulates [config.runtime] virtual seconds.
@@ -132,15 +131,4 @@ val run :
 
     [scheduler] (model checking) installs controlled scheduling before any
     replica boots — see {!sched_hooks}. Omitting it (or passing no
-    scheduler) leaves the runtime bit-identical to the pre-hook one.
-
-    [verify_jobs] enables the intra-cell parallel signature audit: the
-    simulator charges verification cost in its CPU model without executing
-    it ([verify_sigs:false]); with [verify_jobs = Some j] every fresh
-    (non-duplicate) delivered message is buffered per delivery window
-    (1 ms of virtual time, capped at 256 messages) and its full signature
-    check ({!Bamboo_types.Message.verify}) fans out over [j] Pool domains.
-    Results join in submission (= delivery) order and nothing feeds back
-    into the simulation, so output is byte-identical with the audit on or
-    off and at any [j]; tallies surface as the [parallel_verify_*]
-    metrics. *)
+    scheduler) leaves the runtime bit-identical to the pre-hook one. *)

@@ -4,7 +4,7 @@ module Heap = Bamboo_util.Heap
 module Trace = Bamboo_obs.Trace
 module Json = Bamboo_util.Json
 
-(* This runtime drives real system threads over real sockets/channels, so
+(* This runtime drives real system threads over real sockets/rings, so
    wall-clock reads are its time base by design; reproducibility is the
    simulator's job (lib/sim + runtime.ml), not this deployment path's. *)
 [@@@lint.allow "no-ambient-nondeterminism"]
@@ -69,7 +69,7 @@ end
    time the node mutex is held while a big backlog drains. *)
 let recv_batch_max = 256
 
-module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
+module Make_batched (T : Bamboo_network.Transport.S) = struct
   type endpoint = T.t
 
   type replica_ctx = {
@@ -479,10 +479,3 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
     done;
     stop cluster
 end
-
-module Make (T : Bamboo_network.Transport.S) = Make_batched (struct
-  include T
-
-  let recv_batch t ~timeout_s ~max:_ =
-    match T.recv t ~timeout_s with None -> [] | Some m -> [ m ]
-end)

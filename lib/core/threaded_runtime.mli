@@ -1,6 +1,6 @@
 (** Wall-clock runtime: drives a cluster of {!Node}s over a real
-    {!Bamboo_network.Transport} backend (in-process channels, lock-free
-    rings or TCP sockets) with OS threads and real timers.
+    {!Bamboo_network.Transport} backend (in-process lock-free rings or TCP
+    sockets) with OS threads and real timers.
 
     This is the deployment counterpart of the simulator — same engine, no
     modelling: real SHA-256 hashing, real HMAC signature verification, real
@@ -97,13 +97,9 @@ module type RUNTIME = sig
       replicas only), [stop]. *)
 end
 
-module Make_batched (T : Bamboo_network.Transport.S_batched) :
+module Make_batched (T : Bamboo_network.Transport.S) :
   RUNTIME with type endpoint = T.t
-(** Preferred instantiation: each replica thread drains a whole batch of
-    messages per wakeup via [recv_batch] (one synchronization round per
-    batch, not per message) and fires all due timers from a min-heap
-    per pass. *)
-
-module Make (T : Bamboo_network.Transport.S) : RUNTIME with type endpoint = T.t
-(** Instantiation over a plain transport; [recv] is adapted to
-    one-message batches. *)
+(** The runtime over transport [T]: each replica thread drains a whole
+    batch of messages per wakeup via [recv_batch] (one synchronization
+    round per batch, not per message) and fires all due timers from a
+    min-heap per pass. *)

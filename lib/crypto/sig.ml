@@ -1,7 +1,6 @@
 type registry = {
   keys : string array;
   n_signs : int Atomic.t;
-  n_verifies : int Atomic.t;
 }
 
 type t = { signer : int; tag : string }
@@ -11,7 +10,7 @@ let wire_size = 64
 let setup ~n ~master =
   if n <= 0 then invalid_arg "Sig.setup: n must be positive";
   let derive i = Hmac.mac ~key:master (Printf.sprintf "bamboo-replica-key-%d" i) in
-  { keys = Array.init n derive; n_signs = Atomic.make 0; n_verifies = Atomic.make 0 }
+  { keys = Array.init n derive; n_signs = Atomic.make 0 }
 
 let size reg = Array.length reg.keys
 
@@ -23,10 +22,6 @@ let sign reg ~signer msg =
 
 let verify reg s msg =
   if s.signer < 0 || s.signer >= Array.length reg.keys then false
-  else begin
-    Atomic.incr reg.n_verifies;
-    Hmac.verify ~key:reg.keys.(s.signer) ~tag:s.tag msg
-  end
+  else Hmac.verify ~key:reg.keys.(s.signer) ~tag:s.tag msg
 
 let signs reg = Atomic.get reg.n_signs
-let verifies reg = Atomic.get reg.n_verifies

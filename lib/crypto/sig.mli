@@ -39,11 +39,7 @@ val verify : registry -> t -> string -> bool
 
 val signs : registry -> int
 (** HMAC computations performed by {!sign} on this registry. The registry
-    is a per-run value, so the tally is per run. The counters are atomic,
+    is a per-run value, so the tally is per run. The counter is atomic,
     so the registry may be shared across threads and Pool worker domains
-    (threaded runtime, parallel verification) without losing counts. *)
-
-val verifies : registry -> int
-(** HMAC recomputations performed by {!verify} on this registry
-    (out-of-range signers return false without computing and are not
-    counted). *)
+    (the threaded runtime signs from every replica thread) without
+    losing counts. *)

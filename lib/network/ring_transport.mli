@@ -1,4 +1,7 @@
-(** Lock-free ring transport: the bchan-style message plane.
+(** Lock-free ring transport: the in-process message plane, the analogue
+    of Bamboo's Go-channel transport for "single-machine simulation"
+    (paper §III-E). A whole cluster runs inside one process with one OS
+    thread per replica.
 
     Each endpoint's inbox is one bounded MPSC {!Bamboo_util.Ring}: all
     peers produce into it lock-free (an atomic slot claim + a publish
@@ -8,9 +11,9 @@
     {!Threaded_runtime.Make_batched} runs on.
 
     Blocking uses a {!Wakeup.doorbell} per endpoint: senders touch it with
-    one atomic load when the receiver is awake, and receive timeouts are
-    bounded by the cluster's 1 ms ticker (same latency floor as
-    {!Chan_transport}, same immediate wakeup on arrival/close).
+    one atomic load when the receiver is awake, a message arrival or a
+    [close] wakes a parked receiver immediately, and receive timeouts are
+    honored within one tick of the cluster's 1 ms ticker.
 
     Backpressure: the inbox is bounded ([?capacity], default 4096,
     rounded to a power of two). A sender finding it full yields and
@@ -36,4 +39,4 @@ val publish_metrics : cluster -> Bamboo_metrics.Registry.t -> unit
     peak inbox depth) into [reg], once, after the cluster has stopped. The
     hot paths themselves only bump plain ints and atomics. *)
 
-include Transport.S_batched with type t := t
+include Transport.S with type t := t

@@ -64,4 +64,4 @@ val publish_metrics : t -> Bamboo_metrics.Registry.t -> unit
 (** Copies {!stats} into [tcp_transport_*] registry metrics labelled with
     this endpoint's node id. *)
 
-include Transport.S_batched with type t := t
+include Transport.S with type t := t

@@ -6,11 +6,6 @@ module type S = sig
   val send : t -> dst:int -> Bamboo_types.Message.t -> unit
   val broadcast : t -> Bamboo_types.Message.t -> unit
   val recv : t -> timeout_s:float -> Bamboo_types.Message.t option
-  val close : t -> unit
-end
-
-module type S_batched = sig
-  include S
-
   val recv_batch : t -> timeout_s:float -> max:int -> Bamboo_types.Message.t list
+  val close : t -> unit
 end

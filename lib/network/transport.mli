@@ -1,9 +1,9 @@
 (** Transport abstraction for the non-simulated runtimes.
 
     Mirrors Bamboo's network module (adopted from Paxi): a simple
-    message-passing model whose backends are an in-process channel transport
-    (single-machine deployment, {!Chan_transport}), the lock-free ring
-    transport ({!Ring_transport}) and TCP sockets ({!Tcp_transport}). The
+    message-passing model with two backends, the in-process lock-free ring
+    transport ({!Ring_transport}, the analogue of Bamboo's Go channels for
+    single-machine deployment) and TCP sockets ({!Tcp_transport}). The
     simulator does not go through this signature — it models NIC/link
     queues explicitly. *)
 
@@ -27,16 +27,12 @@ module type S = sig
   (** Blocking receive with timeout; [None] on timeout or when the
       endpoint is closed. *)
 
-  val close : t -> unit
-end
-
-module type S_batched = sig
-  include S
-
   val recv_batch : t -> timeout_s:float -> max:int -> Bamboo_types.Message.t list
   (** [recv_batch t ~timeout_s ~max] blocks like {!recv} until at least
       one message is available (or timeout/close: [[]]), then returns up
       to [max] already-queued messages in receive order in one pass —
       consumers drain a whole wakeup's worth of traffic per call instead
       of paying one synchronization round per message. *)
+
+  val close : t -> unit
 end

@@ -9,12 +9,11 @@
     nothing.
 
     The stdlib's [Condition] has no timed wait, so bounded timeouts are
-    implemented by a cluster-wide {!ticker} thread that rings every parked
-    doorbell at a fixed period. Consequently a [park] deadline (and any
+    implemented by a {!ticker} thread that rings every parked doorbell it
+    covers at a fixed period. Consequently a [park] deadline (and any
     transport [recv] timeout built on it) is honored within one tick
-    (default 1 ms) — the same latency floor the old polling loop had, but
-    paid only when idle and with immediate (sub-tick) wakeup on message
-    arrival or close. *)
+    (1 ms in both transports); the cost is paid only when idle, and a
+    message arrival or close wakes the consumer immediately. *)
 
 type doorbell
 
@@ -38,4 +37,4 @@ type ticker
 val start_ticker : period_s:float -> live:(unit -> bool) -> wake:(unit -> unit) -> ticker
 (** Background thread calling [wake ()] every [period_s] while [live ()]
     holds; exits (and is collected) the first time [live] is false. Used
-    one-per-cluster to bound park deadlines and condvar waits. *)
+    one per ring cluster or TCP endpoint to bound park deadlines. *)

@@ -24,23 +24,6 @@ let key = function
   | Timeout t -> Printf.sprintf "t|%d|%d" t.Timeout_msg.view t.Timeout_msg.sender
   | Request_block { hash; requester } -> Printf.sprintf "r|%s|%d" hash requester
 
-(* Full signature audit of a received message: every certificate and
-   signature it carries, checked against the registry. Used by the
-   runtime's parallel-verification path; pure, so it can run on any Pool
-   worker domain (the registry's tallies are atomic). *)
-let verify reg ~quorum = function
-  | Proposal { block; tc } -> (
-      Qc.verify reg ~quorum block.Block.justify
-      &&
-      match tc with
-      | None -> true
-      | Some tc ->
-          Tcert.verify reg ~quorum tc && Qc.verify reg ~quorum tc.Tcert.high_qc)
-  | Vote v -> Vote.verify reg v
-  | Timeout t ->
-      Timeout_msg.verify reg t && Qc.verify reg ~quorum t.Timeout_msg.high_qc
-  | Request_block _ -> true (* unsigned by design *)
-
 let type_label = function
   | Proposal _ -> "proposal"
   | Vote _ -> "vote"

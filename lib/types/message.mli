@@ -27,14 +27,8 @@ val key : t -> string
 (** A stable identity for de-duplication (echo suppression): proposals by
     block hash, votes by (block, voter), timeouts by (view, sender). *)
 
-val verify : Bamboo_crypto.Sig.registry -> quorum:int -> t -> bool
-(** Checks every signature the message carries: a proposal's justify QC
-    (and TC + its high-QC when present), a vote's signature, a timeout's
-    signature and high-QC. Block requests are unsigned and verify
-    trivially. Safe to call from Pool worker domains. *)
-
 val type_label : t -> string
-(** ["proposal"], ["vote"] or ["timeout"]; used by trace output and the
+(** ["proposal"], ["vote"], ["timeout"] or ["request"]; used by trace output and the
     cost model. *)
 
 val pp : Format.formatter -> t -> unit

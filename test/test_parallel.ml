@@ -50,71 +50,6 @@ let test_set_jobs_validates () =
   Alcotest.(check int) "accessor" 2 (E.jobs ());
   E.set_jobs 1
 
-(* --- intra-cell parallel signature audit --- *)
-
-module Runtime = Bamboo.Runtime
-module Workload = Bamboo.Workload
-module Snapshot = Bamboo_metrics.Snapshot
-
-let audit_config = { Config.default with runtime = 1.0; warmup = 0.2; seed = 7 }
-
-let run_audit ?verify_jobs () =
-  let metrics = Bamboo_metrics.Registry.create () in
-  let r =
-    Runtime.run ~config:audit_config
-      ~workload:(Workload.open_loop ~rate:2000.0 ())
-      ~metrics ?verify_jobs ()
-  in
-  (r, Snapshot.of_registry metrics)
-
-let fingerprint (r : Runtime.result) =
-  (r.sim_events, r.final_views, r.committed_heights, Array.map Array.to_list r.ledgers)
-
-let test_verify_audit_byte_identical () =
-  (* The audit is observe-only: the simulation's event schedule and every
-     replica's ledger must be identical with it off, serial, and fanned
-     over 4 Pool domains. *)
-  let off, _ = run_audit () in
-  let serial, _ = run_audit ~verify_jobs:1 () in
-  let par, _ = run_audit ~verify_jobs:4 () in
-  Alcotest.(check bool) "jobs=1 identical to audit off" true
-    (fingerprint off = fingerprint serial);
-  Alcotest.(check bool) "jobs=4 identical to audit off" true
-    (fingerprint off = fingerprint par);
-  Alcotest.(check bool) "committed something" true
-    (Array.exists (fun h -> h > 0) off.committed_heights)
-
-let test_verify_audit_metrics () =
-  let _, snap1 = run_audit ~verify_jobs:1 () in
-  let _, snap4 = run_audit ~verify_jobs:4 () in
-  let c name snap = Snapshot.counter_value snap name in
-  Alcotest.(check bool) "audited messages" true
-    (c "parallel_verify_msgs" snap1 > 0);
-  Alcotest.(check int) "no failures" 0 (c "parallel_verify_failures" snap1);
-  Alcotest.(check int) "msgs independent of jobs"
-    (c "parallel_verify_msgs" snap1)
-    (c "parallel_verify_msgs" snap4);
-  Alcotest.(check int) "batches independent of jobs"
-    (c "parallel_verify_batches" snap1)
-    (c "parallel_verify_batches" snap4);
-  Alcotest.(check bool) "batching happened" true
-    (c "parallel_verify_batches" snap1 > 0)
-
-let test_message_verify_tamper () =
-  let module Message = Bamboo_types.Message in
-  let reg = Helpers.registry ()
-  and quorum = Config.quorum_size { Config.default with n = 4 } in
-  let block = Helpers.child ~reg ~view:1 Bamboo_types.Block.genesis in
-  let vote = Helpers.vote_for reg ~voter:2 block in
-  Alcotest.(check bool) "honest vote verifies" true
-    (Message.verify reg ~quorum (Message.Vote vote));
-  let forged = { vote with signature = { vote.signature with tag = "bogus" } } in
-  Alcotest.(check bool) "forged signature rejected" false
-    (Message.verify reg ~quorum (Message.Vote forged));
-  let wrong_signer = { vote with voter = 3 } in
-  Alcotest.(check bool) "signer mismatch rejected" false
-    (Message.verify reg ~quorum (Message.Vote wrong_signer))
-
 let suite =
   [
     Alcotest.test_case "table2 rows identical across job counts" `Quick
@@ -124,9 +59,4 @@ let suite =
     Alcotest.test_case "sweep keeps rate order on the pool" `Quick
       test_sweep_on_pool_matches_rates;
     Alcotest.test_case "set_jobs validates" `Quick test_set_jobs_validates;
-    Alcotest.test_case "verify audit byte-identical at any jobs" `Slow
-      test_verify_audit_byte_identical;
-    Alcotest.test_case "verify audit metrics" `Slow test_verify_audit_metrics;
-    Alcotest.test_case "message verify rejects tampering" `Quick
-      test_message_verify_tamper;
   ]

@@ -1,5 +1,4 @@
 open Bamboo_types
-module Chan = Bamboo_network.Chan_transport
 module Ring_t = Bamboo_network.Ring_transport
 module Tcp = Bamboo_network.Tcp_transport
 
@@ -8,11 +7,11 @@ let reg = Helpers.registry ()
 let sample_msg ?(voter = 0) () =
   Message.Vote (Helpers.vote_for reg ~voter (Helpers.child ~reg ~view:1 Bamboo_types.Block.genesis))
 
-(* --- in-process transport conformance ---
+(* --- transport conformance ---
 
-   The same behavioural contract, run against every in-process backend:
-   the mutex/condvar channel transport and the lock-free ring transport
-   must be interchangeable under Threaded_runtime. *)
+   The same behavioural contract, run against both backends: the
+   lock-free ring transport and TCP must be interchangeable under
+   Threaded_runtime. *)
 
 module type CLUSTERED = sig
   type cluster
@@ -94,10 +93,6 @@ module Conformance (T : CLUSTERED) = struct
       Alcotest.test_case (prefix ^ " cross-thread") `Quick test_cross_thread;
     ]
 end
-
-module Chan_conformance = Conformance (struct
-  include Chan
-end)
 
 module Ring_conformance = Conformance (struct
   include Ring_t
@@ -278,8 +273,7 @@ let test_tcp_large_message () =
   Tcp.close b
 
 let suite =
-  Chan_conformance.tests "chan"
-  @ Ring_conformance.tests "ring"
+  Ring_conformance.tests "ring"
   @ Tcp_conformance.tests "tcp"
   @ [
       Alcotest.test_case "ring recv_batch" `Quick test_ring_recv_batch;

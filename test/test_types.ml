@@ -160,7 +160,9 @@ let test_vote_verify () =
   Alcotest.(check bool) "tampered view" false
     (Vote.verify reg { v with Vote.view = 4 });
   Alcotest.(check bool) "tampered voter" false
-    (Vote.verify reg { v with Vote.voter = 1 })
+    (Vote.verify reg { v with Vote.voter = 1 });
+  Alcotest.(check bool) "forged signature" false
+    (Vote.verify reg { v with signature = { v.signature with tag = "bogus" } })
 
 (* --- timeouts and TCs --- *)
 
