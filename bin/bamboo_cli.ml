@@ -666,7 +666,9 @@ let trace_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:"Merged JSONL trace (e.g. bamboo cluster run's merged.jsonl).")
+          ~doc:
+            "JSONL trace: a simulator run's (run --trace-format jsonl) or a \
+             cluster's (cluster run's merged.jsonl).")
   in
   let byz_no_t =
     Arg.(
@@ -684,7 +686,7 @@ let trace_cmd =
              timestamp.")
   in
   let run file byz_no commit_after =
-    let events, skipped = Bamboo_cluster.Harness.read_trace_file file in
+    let events, skipped = Bamboo_obs.Trace.read_jsonl file in
     if skipped > 0 then
       Printf.printf "skipped %d unparseable line(s)\n" skipped;
     Printf.printf "%d events\n" (List.length events);
@@ -698,9 +700,9 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run the hash-keyed deployment-trace monitors (agreement, \
-          certification uniqueness, vote safety, optional liveness) over a \
-          JSONL trace file; exit 1 on any violation.")
+         "Run the hash-keyed trace monitors (agreement, certification \
+          uniqueness, vote safety, optional liveness) over any JSONL trace, \
+          simulator or cluster; exit 1 on any violation.")
     Term.(const run $ file_t $ byz_no_t $ commit_after_t)
 
 let check_cmd =

@@ -4,6 +4,7 @@ module Runtime = Bamboo.Runtime
 module Config = Bamboo.Config
 module Ids = Bamboo_types.Ids
 module Tx = Bamboo_types.Tx
+module Json = Bamboo_util.Json
 
 type invariant = Agreement | Cert_unique | Vote_safety | Liveness
 
@@ -88,75 +89,14 @@ let check_agreement ~(ledgers : Runtime.ledger array) ~local_conflicts =
   done;
   List.rev !out
 
-(* --- certification uniqueness --- *)
-
-let check_certification events =
-  let by_view : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let out = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.kind = Trace.Qc_formed && e.span <> 0 then
-        match Hashtbl.find_opt by_view e.view with
-        | None -> Hashtbl.add by_view e.view e.span
-        | Some span when span = e.span -> ()
-        | Some span ->
-            Hashtbl.replace by_view e.view e.span;
-            out :=
-              {
-                invariant = Cert_unique;
-                detail =
-                  Printf.sprintf
-                    "two different blocks certified in view %d (spans %d \
-                     and %d)"
-                    e.view span e.span;
-              }
-              :: !out)
-    events;
-  List.rev !out
-
-(* --- vote safety --- *)
-
-let check_vote_safety ~byz_no events =
-  let voted : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let abandoned : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
-  let add detail = out := { invariant = Vote_safety; detail } :: !out in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.node >= byz_no then
-        match e.kind with
-        | Trace.Timeout_fired ->
-            let prev =
-              match Hashtbl.find_opt abandoned e.node with
-              | None -> 0
-              | Some v -> v
-            in
-            Hashtbl.replace abandoned e.node (max prev e.view)
-        | Trace.Vote_sent ->
-            (match Hashtbl.find_opt abandoned e.node with
-            | Some av when e.view <= av ->
-                add
-                  (Printf.sprintf
-                     "replica %d voted in view %d after abandoning view %d"
-                     e.node e.view av)
-            | Some _ | None -> ());
-            if Hashtbl.mem voted (e.node, e.view) then
-              add
-                (Printf.sprintf "replica %d voted twice in view %d" e.node
-                   e.view)
-            else Hashtbl.add voted (e.node, e.view) ()
-        (* Enumerated so that adding a Trace.kind forces a decision about
-           whether vote safety must observe it. *)
-        | Trace.Proposal_sent | Trace.Proposal_received | Trace.Vote_received
-        | Trace.Qc_formed | Trace.Timeout_received | Trace.View_change
-        | Trace.Commit | Trace.Fork_prune | Trace.Tx_enqueue
-        | Trace.Tx_dequeue | Trace.Service | Trace.Gauge | Trace.Fault_inject
-        | Trace.Fault_heal ->
-            ())
-    events;
-  List.rev !out
-
 (* --- bounded liveness --- *)
+
+(* The one liveness rule: some replica commits in [(after, until]]. *)
+let commit_within ~after ~until events =
+  List.exists
+    (fun (e : Trace.event) ->
+      e.kind = Trace.Commit && e.ts > after && e.ts <= until)
+    events
 
 (* Whether the scenario leaves the bounded-liveness guarantee meaningful:
    partial synchrony only promises progress once at most f replicas are
@@ -244,12 +184,7 @@ let check_liveness ?(opts = default_opts) ~(config : Config.t) events =
              "horizon too short: last heal at %.2fs + %d-view budget ends \
               at %.2fs, past the %.2fs runtime"
              heal opts.recover_views deadline config.Config.runtime)
-      else if
-        List.exists
-          (fun (e : Trace.event) ->
-            e.kind = Trace.Commit && e.ts > heal && e.ts <= deadline)
-          events
-      then Ok []
+      else if commit_within ~after:heal ~until:deadline events then Ok []
       else
         Ok
           [
@@ -263,14 +198,13 @@ let check_liveness ?(opts = default_opts) ~(config : Config.t) events =
             };
           ]
 
-(* --- deployment traces (merged multi-process JSONL) --- *)
+(* --- hash-keyed trace checks (every plane) --- *)
 
-(* Cluster traces have no shared span counter and no end-of-run ledger
-   extraction, so these checks key on the block hash carried in event
-   [args] instead. Events lacking the expected args (e.g. simulator
-   traces) are skipped rather than misread. *)
+(* Span ids are per-process counters, so these checks key on the block
+   hash that both runtimes put in event [args]; events lacking the
+   expected args are skipped rather than misread. *)
 
-module Json = Bamboo_util.Json
+let restart_arg = ("restart", Json.Bool true)
 
 let arg_string key (e : Trace.event) =
   match List.assoc_opt key e.args with
@@ -282,15 +216,8 @@ let arg_int key (e : Trace.event) =
   | Some (Json.Int i) -> Some i
   | Some _ | None -> None
 
-let by_time (a : Trace.event) (b : Trace.event) =
-  let c = Float.compare a.ts b.ts in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.node b.node in
-    if c <> 0 then c else Int.compare a.seq b.seq
-
 let check_trace ?(byz_no = 0) ?expect_commit_after events =
-  let events = List.sort by_time events in
+  let events = List.sort Trace.chronological events in
   let out = ref [] in
   let add invariant detail = out := { invariant; detail } :: !out in
   (* agreement: per-node height -> hash from Commit events; conflicts
@@ -302,12 +229,13 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
   (* cert uniqueness: view -> certified hash from Qc_formed events. *)
   let certified : (int, string) Hashtbl.t = Hashtbl.create 256 in
   (* vote safety: (node, view) -> voted hash; node -> highest abandoned
-     view. A [Fault_heal] event for a node marks its crash-recovery
-     restart and resets that node's vote state: a recovered replica
-     re-votes benignly while it catches up. *)
+     view. Only a process restart (a [Fault_heal] carrying [restart_arg])
+     resets a node's vote state: the restarted replica lost its vote
+     history and re-votes benignly while it catches up. Other heals
+     (a simulated crash keeps its state; slow, clock skew) do not. *)
   let voted : (int * int, string) Hashtbl.t = Hashtbl.create 1024 in
   let abandoned : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let heal node =
+  let restart node =
     Hashtbl.remove abandoned node;
     (* Collecting dead keys into a list is order-insensitive: the same
        set is removed whatever order the buckets are visited in. *)
@@ -318,14 +246,10 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
     in
     List.iter (Hashtbl.remove voted) stale
   in
-  let saw_commit_after = ref false in
   List.iter
     (fun (e : Trace.event) ->
       match e.kind with
       | Trace.Commit -> (
-          (match expect_commit_after with
-          | Some t when e.ts > t -> saw_commit_after := true
-          | Some _ | None -> ());
           match (arg_string "hash" e, arg_int "height" e) with
           | Some hash, Some height -> (
               (match Hashtbl.find_opt commits (e.node, height) with
@@ -407,9 +331,10 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
                           and %s)"
                          e.node e.view prev hash))
           end
-      | Trace.Fault_heal -> heal e.node
+      | Trace.Fault_heal ->
+          if List.mem restart_arg e.args then restart e.node
       (* Enumerated so that adding a Trace.kind forces a decision about
-         whether the deployment checks must observe it. *)
+         whether the trace checks must observe it. *)
       | Trace.Proposal_sent | Trace.Proposal_received | Trace.Vote_received
       | Trace.Timeout_received | Trace.View_change | Trace.Fork_prune
       | Trace.Tx_enqueue | Trace.Tx_dequeue | Trace.Service | Trace.Gauge
@@ -417,10 +342,10 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
           ())
     events;
   (match expect_commit_after with
-  | Some t when not !saw_commit_after ->
+  | Some after when not (commit_within ~after ~until:infinity events) ->
       add Liveness
         (Printf.sprintf "no commit after t=%.2fs (expected the cluster to \
-                         keep committing)" t)
+                         keep committing)" after)
   | Some _ | None -> ());
   { violations = List.rev !out; skipped = [] }
 
@@ -432,11 +357,17 @@ let evaluate ?(opts = default_opts) ~config ~(result : Runtime.result) ~events
     check_agreement ~ledgers:result.Runtime.ledgers
       ~local_conflicts:result.Runtime.violations
   in
-  let certification = check_certification events in
-  let votes = check_vote_safety ~byz_no:config.Config.byz_no events in
+  (* The ledger comparison subsumes the trace's per-commit agreement
+     check (it also compares whole prefixes and tx order), so only the
+     trace's certification and vote-safety findings are kept. *)
+  let traced =
+    List.filter
+      (fun v -> v.invariant <> Agreement)
+      (check_trace ~byz_no:config.Config.byz_no events).violations
+  in
   let liveness, skipped =
     match check_liveness ~opts ~config events with
     | Ok v -> (v, [])
     | Error reason -> ([], [ (Liveness, reason) ])
   in
-  { violations = agreement @ certification @ votes @ liveness; skipped }
+  { violations = agreement @ traced @ liveness; skipped }

@@ -3,27 +3,28 @@
 
     The paper's forking and silence attacks "degrade performance without
     violating safety" — which is only meaningful if safety actually holds
-    in the implementation. These monitors verify it after a run, consuming
-    two zero-cost-when-disabled sources: the {!Bamboo_obs.Trace} event
-    stream (a ring sink attached only when checking) and the per-replica
-    end-of-run ledgers that {!Bamboo.Runtime} extracts from the block
-    forests. Nothing here runs inside the simulation, so an unchecked run
-    is bit-identical to a checked one.
+    in the implementation. These monitors verify it after a run. Nothing
+    here runs inside the simulation, so an unchecked run is bit-identical
+    to a checked one.
 
-    Four invariants:
-    - {e agreement}: every pair of replicas' committed chains are
-      prefix-compatible (same block hash at every common height) and the
-      committed transaction order over the common prefix is identical; no
-      replica ever saw a commit conflict with its finalized prefix.
+    One monitor family, {!check_trace}, judges every plane: simulator
+    runs (a ring sink, or a [--trace-format jsonl] file) and merged
+    cluster traces alike. Both runtimes trace node outputs through
+    {!Bamboo.Node_trace}, so events name blocks by hash the same way
+    everywhere. It checks:
+    - {e agreement}: no two commits of one height name different blocks;
     - {e certification uniqueness}: at most one block is certified per
       view — two QCs for different blocks in one view require an honest
-      quorum overlap to have double-voted.
-    - {e vote safety}: no honest replica votes twice in a view, and no
-      honest replica votes in a view it abandoned by broadcasting a
-      timeout.
-    - {e bounded liveness}: with at most [f] permanently faulty or
-      Byzantine replicas and a healed network, commits resume within a
-      configurable number of views of the last heal. *)
+      quorum overlap to have double-voted;
+    - {e vote safety}: no honest replica votes for two blocks in a view,
+      and none votes in a view it abandoned by broadcasting a timeout;
+    - {e liveness}: a commit lands in a window [(after, until]].
+
+    A simulator run adds one strictly stronger check, {!check_agreement},
+    over the per-replica end-of-run ledgers that {!Bamboo.Runtime}
+    extracts from the block forests: full-prefix and committed-tx-order
+    agreement. {!evaluate} combines the two and derives the liveness
+    window from the fault schedule ({!check_liveness}). *)
 
 type invariant = Agreement | Cert_unique | Vote_safety | Liveness
 
@@ -61,25 +62,52 @@ val check_agreement :
 (** Pairwise prefix compatibility and committed-tx-order identity across
     all replica ledgers, plus any replica's local commit-conflict flag. *)
 
-val check_certification : Bamboo_obs.Trace.event list -> violation list
-(** At most one certified block (trace span) per view across all
-    [Qc_formed] events. *)
-
-val check_vote_safety :
-  byz_no:int -> Bamboo_obs.Trace.event list -> violation list
-(** Double votes and votes in abandoned views, from [Vote_sent] /
-    [Timeout_fired] events of honest replicas (ids [>= byz_no]). *)
-
 val check_liveness :
   ?opts:opts ->
   config:Bamboo.Config.t ->
   Bamboo_obs.Trace.event list ->
   (violation list, string) result
-(** [Ok violations] when the bounded-liveness check applies; [Error
+(** A commit must land in [(heal, heal + budget]], where [heal] is the
+    last fault heal of the schedule and the budget [recover_views] view
+    timeouts (stretched by the largest clock skew).
+
+    [Ok violations] when the bounded-liveness check applies; [Error
     reason] when the scenario makes it vacuous (more than [f] replicas
     permanently faulty, a never-healed partition, permanent delays at the
     timeout scale, backoff timers under faults, or a horizon too short to
     contain the recovery budget). *)
+
+val restart_arg : string * Bamboo_util.Json.t
+(** [("restart", Bool true)]: the arg marking a [Fault_heal] event as a
+    process restart, after which the replica has lost its vote history.
+    The cluster trace merge puts it on its synthetic restart markers. *)
+
+val check_trace :
+  ?byz_no:int ->
+  ?expect_commit_after:float ->
+  Bamboo_obs.Trace.event list ->
+  report
+(** The hash-keyed checks over any trace, simulator or merged cluster
+    JSONL. Events are keyed by the block hash carried in their [args]
+    (span ids are per-process counters) and read in
+    {!Bamboo_obs.Trace.chronological} order:
+
+    - {e agreement}: no replica re-commits a height with a different
+      block, and no two replicas commit different blocks at the same
+      height ([Commit] events);
+    - {e certification uniqueness}: one certified block per view
+      ([Qc_formed] events);
+    - {e vote safety}: no honest replica (id [>= byz_no]) votes for two
+      different blocks in one view or votes in a view it abandoned.
+      Re-sending the same vote is benign (retransmits, restart
+      catch-up). A [Fault_heal] carrying {!restart_arg} resets that
+      node's vote state; any other heal (a simulated crash keeps the
+      replica's state) does not;
+    - {e liveness}: when [expect_commit_after] is given, a commit must
+      land in [(expect_commit_after, ∞)] — {!check_liveness}'s rule with
+      an open end.
+
+    Events lacking the expected args are skipped, not misread. *)
 
 val evaluate :
   ?opts:opts ->
@@ -88,32 +116,7 @@ val evaluate :
   events:Bamboo_obs.Trace.event list ->
   unit ->
   report
-(** Runs all four monitors over one finished run. *)
-
-val check_trace :
-  ?byz_no:int ->
-  ?expect_commit_after:float ->
-  Bamboo_obs.Trace.event list ->
-  report
-(** Deployment-trace variant of the monitors, for merged multi-process
-    JSONL traces ([bamboo cluster]) where span ids are per-process
-    counters and no ledger extraction exists. Events are keyed by the
-    block hash carried in their [args]:
-
-    - {e agreement}: no replica re-commits a height with a different
-      block, and no two replicas commit different blocks at the same
-      height ([Commit] events);
-    - {e certification uniqueness}: one certified block per view
-      ([Qc_formed] events carrying a ["hash"] arg);
-    - {e vote safety}: no honest replica (id [>= byz_no]) votes for two
-      different blocks in one view or votes in a view it abandoned.
-      Re-sending the same vote is benign (retransmits, restart
-      catch-up), and a [Fault_heal] event for a node — injected by the
-      trace merge at process restart — resets that node's vote state,
-      since a recovered replica legitimately re-votes while catching up;
-    - {e liveness}: when [expect_commit_after] is given, at least one
-      commit must land after that timestamp (e.g. after the last
-      restart in a chaos schedule).
-
-    Events lacking the expected args (simulator traces) are skipped, not
-    misread; events are sorted by [(ts, node, seq)] before checking. *)
+(** One finished simulator run: {!check_agreement} over the ledgers, the
+    certification-uniqueness and vote-safety findings of {!check_trace}
+    (its commit-event agreement is subsumed by the ledgers), then
+    {!check_liveness}. *)

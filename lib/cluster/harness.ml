@@ -84,28 +84,6 @@ let write_json_file path json =
   output_char oc '\n';
   close_out oc
 
-(** Tolerant JSONL trace reader: a SIGKILLed node leaves a torn final
-    line, which must not poison the merge. Returns the parsed events in
-    file order plus the number of lines skipped as unparseable. *)
-let read_trace_file path =
-  match open_in path with
-  | exception Sys_error _ -> ([], 0)
-  | ic ->
-      let events = ref [] and skipped = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if not (String.equal (String.trim line) "") then
-             match Json.of_string line with
-             | exception Json.Parse_error _ -> incr skipped
-             | j -> (
-                 match Trace.event_of_json j with
-                 | Ok e -> events := e :: !events
-                 | Error _ -> incr skipped)
-         done
-       with End_of_file -> close_in ic);
-      (List.rev !events, !skipped)
-
 (* ------------------------------------------------------------------ *)
 (* Child: one replica process                                         *)
 (* ------------------------------------------------------------------ *)
@@ -381,8 +359,10 @@ let terminate_children children ~grace_s =
     !pending
 
 (* Merge per-node JSONL traces: tolerant parse, synthetic
-   Fault_inject/Fault_heal markers at the observed kill/restart times,
-   then a stable (ts, node, seq) sort and a global re-sequencing. *)
+   Fault_inject/Fault_heal markers at the observed kill/restart times
+   (restart heals carry {!Monitor.restart_arg}: the process lost its
+   vote history), then a stable (ts, node, seq) sort and a global
+   re-sequencing. *)
 let merge_traces ~outdir ~timeline =
   let files =
     Sys.readdir outdir
@@ -397,7 +377,7 @@ let merge_traces ~outdir ~timeline =
   let events =
     List.concat_map
       (fun f ->
-        let evs, sk = read_trace_file (Filename.concat outdir f) in
+        let evs, sk = Trace.read_jsonl (Filename.concat outdir f) in
         skipped := !skipped + sk;
         evs)
       files
@@ -412,19 +392,13 @@ let merge_traces ~outdir ~timeline =
           view = 0;
           kind = (if a.fa_restart then Trace.Fault_heal else Trace.Fault_inject);
           span = 0;
-          args = [ ("fault", Json.String "crash") ];
+          args =
+            ("fault", Json.String "crash")
+            :: (if a.fa_restart then [ Monitor.restart_arg ] else []);
         })
       timeline
   in
-  let by_time (a : Trace.event) (b : Trace.event) =
-    match Float.compare a.ts b.ts with
-    | 0 -> (
-        match Int.compare a.node b.node with
-        | 0 -> Int.compare a.seq b.seq
-        | c -> c)
-    | c -> c
-  in
-  let merged = List.stable_sort by_time (events @ synthetic) in
+  let merged = List.stable_sort Trace.chronological (events @ synthetic) in
   let merged = List.mapi (fun i e -> { e with Trace.seq = i }) merged in
   (merged, !skipped)
 

@@ -179,19 +179,6 @@ let trace_receive st ~dst msg =
         Trace.Timeout_received
   | Message.Request_block _ -> ()
 
-let trace_sent st ~src msg =
-  let ts = Sim.now st.sim in
-  match msg with
-  | Message.Vote v when v.Vote.voter = src ->
-      Trace.emit st.trace ~ts ~node:src ~view:v.Vote.view
-        ~span:(span_of st v.Vote.block) Trace.Vote_sent
-  | Message.Timeout tm when tm.Timeout_msg.sender = src ->
-      Trace.emit st.trace ~ts ~node:src ~view:tm.Timeout_msg.view
-        Trace.Timeout_fired
-  | Message.Proposal _ | Message.Vote _ | Message.Timeout _
-  | Message.Request_block _ ->
-      () (* original proposals are traced via the Proposed output *)
-
 (* [bytes] is the precomputed wire size of [msg]: a broadcast serializes
    the same message to every peer, so the caller sizes it once and shares
    the result across all n-1 transmissions instead of re-walking the
@@ -318,19 +305,19 @@ and process_outputs st id outs =
   let now = Sim.now st.sim in
   List.iter
     (fun out ->
+      if tracing then
+        Node_trace.output st.trace ~span:(span_of st) ~ts:now ~node:id out;
       match out with
       | Node.Send { dst; msg } ->
           creation := !creation +. output_cost st.config ~self:id msg;
-          sends := (dst, msg, Message.wire_size msg) :: !sends;
-          if tracing then trace_sent st ~src:id msg
+          sends := (dst, msg, Message.wire_size msg) :: !sends
       | Node.Broadcast msg ->
           creation := !creation +. output_cost st.config ~self:id msg;
           (* Encode/size once, share across all n-1 recipients. *)
           let bytes = Message.wire_size msg in
           for dst = 0 to st.config.n - 1 do
             if dst <> id then sends := (dst, msg, bytes) :: !sends
-          done;
-          if tracing then trace_sent st ~src:id msg
+          done
       | Node.Set_timer { timer; after } -> (
           (* Clock-skew faults stretch or shrink the replica's local timer
              durations; the factor is exactly 1.0 when no skew is active. *)
@@ -361,20 +348,6 @@ and process_outputs st id outs =
                     process_outputs st id outs
                   end))
       | Node.Committed { blocks; trigger_view } ->
-          if tracing then
-            List.iter
-              (fun (b : Block.t) ->
-                Trace.emit st.trace ~ts:now ~node:id ~view:b.view
-                  ~span:(span_of st b.hash)
-                  ~args:
-                    [
-                      ("hash", Json.String (Ids.short b.hash));
-                      ("height", Json.Int b.height);
-                      ("txs", Json.Int (List.length b.txs));
-                      ("triggerView", Json.Int trigger_view);
-                    ]
-                  Trace.Commit)
-              blocks;
           List.iter
             (fun (b : Block.t) -> List.iter (complete_tx st id) b.txs)
             blocks;
@@ -424,32 +397,12 @@ and process_outputs st id outs =
               ~hash:b.Block.hash
       | Node.Proposed b ->
           proposed := b :: !proposed;
-          if tracing then begin
-            let span = span_of st b.Block.hash in
-            Trace.emit st.trace ~ts:now ~node:id ~view:b.Block.view ~span
-              ~args:
-                [
-                  ("hash", Json.String (Ids.short b.Block.hash));
-                  ("height", Json.Int b.Block.height);
-                  ("txs", Json.Int (List.length b.Block.txs));
-                ]
-              Trace.Proposal_sent;
-            if b.Block.txs <> [] then
-              Trace.emit st.trace ~ts:now ~node:id ~view:b.Block.view ~span
-                ~args:[ ("count", Json.Int (List.length b.Block.txs)) ]
-                Trace.Tx_dequeue
-          end
-      | Node.Qc_formed qc ->
-          if tracing then
-            Trace.emit st.trace ~ts:now ~node:id ~view:qc.Qc.view
-              ~span:(span_of st qc.Qc.block)
-              ~args:[ ("height", Json.Int qc.Qc.height) ]
-              Trace.Qc_formed
-      | Node.Entered_view { view; reason } ->
-          if tracing then
-            Trace.emit st.trace ~ts:now ~node:id ~view
-              ~args:[ ("reason", Json.String reason) ]
-              Trace.View_change)
+          if tracing && b.Block.txs <> [] then
+            Trace.emit st.trace ~ts:now ~node:id ~view:b.Block.view
+              ~span:(span_of st b.Block.hash)
+              ~args:[ ("count", Json.Int (List.length b.Block.txs)) ]
+              Trace.Tx_dequeue
+      | Node.Qc_formed _ | Node.Entered_view _ -> ())
     outs;
   let sends = List.rev !sends in
   if Option.is_some st.notify then

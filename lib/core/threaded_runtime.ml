@@ -2,7 +2,6 @@ open Bamboo_types
 module Forest = Bamboo_forest.Forest
 module Heap = Bamboo_util.Heap
 module Trace = Bamboo_obs.Trace
-module Json = Bamboo_util.Json
 
 (* This runtime drives real system threads over real sockets/rings, so
    wall-clock reads are its time base by design; reproducibility is the
@@ -95,56 +94,25 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
 
   let timer_cmp (a, _) (b, _) = Float.compare a b
 
-  (* Trace the consensus-level meaning of an outgoing message. Events
-     carry the block hash in [args] so that monitors over a merged
-     multi-process trace can correlate by block identity (span ids are
-     per-process counters and meaningless across traces). *)
-  let trace_sent ctx ~ts msg =
-    match msg with
-    | Message.Vote v when v.Vote.voter = ctx.id ->
-        Trace.emit ctx.trace ~ts ~node:ctx.id ~view:v.Vote.view
-          ~args:[ ("hash", Json.String (Ids.short v.Vote.block)) ]
-          Trace.Vote_sent
-    | Message.Timeout tm when tm.Timeout_msg.sender = ctx.id ->
-        Trace.emit ctx.trace ~ts ~node:ctx.id ~view:tm.Timeout_msg.view
-          Trace.Timeout_fired
-    | Message.Proposal _ | Message.Vote _ | Message.Timeout _
-    | Message.Request_block _ ->
-        () (* original proposals are traced via the Proposed output *)
-
   (* Apply node outputs: transmit messages, arm timers, record commits and
      execute committed transactions. Called with [ctx.node_mutex] held. *)
   let apply_outputs shared ctx outs =
     let tracing = Trace.enabled ctx.trace in
     List.iter
       (fun out ->
+        (* No span lookup: span ids would be per-process counters, so
+           monitors over a merged trace correlate by the block hash. *)
+        if tracing then
+          Node_trace.output ctx.trace
+            ~ts:(Unix.gettimeofday () -. ctx.epoch)
+            ~node:ctx.id out;
         match out with
-        | Node.Send { dst; msg } ->
-            if tracing then
-              trace_sent ctx ~ts:(Unix.gettimeofday () -. ctx.epoch) msg;
-            T.send ctx.endpoint ~dst msg
-        | Node.Broadcast msg ->
-            if tracing then
-              trace_sent ctx ~ts:(Unix.gettimeofday () -. ctx.epoch) msg;
-            T.broadcast ctx.endpoint msg
+        | Node.Send { dst; msg } -> T.send ctx.endpoint ~dst msg
+        | Node.Broadcast msg -> T.broadcast ctx.endpoint msg
         | Node.Set_timer { timer; after } ->
             Heap.push ctx.timers (Unix.gettimeofday () +. after, timer)
-        | Node.Committed { blocks; trigger_view } ->
+        | Node.Committed { blocks; _ } ->
             let now = Unix.gettimeofday () in
-            if tracing then
-              List.iter
-                (fun (b : Block.t) ->
-                  Trace.emit ctx.trace ~ts:(now -. ctx.epoch) ~node:ctx.id
-                    ~view:b.Block.view
-                    ~args:
-                      [
-                        ("hash", Json.String (Ids.short b.Block.hash));
-                        ("height", Json.Int b.Block.height);
-                        ("txs", Json.Int (List.length b.Block.txs));
-                        ("triggerView", Json.Int trigger_view);
-                      ]
-                    Trace.Commit)
-                blocks;
             List.iter
               (fun (b : Block.t) ->
                 List.iter
@@ -168,36 +136,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
                   b.txs)
               blocks;
             Mutex.unlock shared.mutex
-        | Node.Proposed b ->
-            if tracing then
-              Trace.emit ctx.trace
-                ~ts:(Unix.gettimeofday () -. ctx.epoch)
-                ~node:ctx.id ~view:b.Block.view
-                ~args:
-                  [
-                    ("hash", Json.String (Ids.short b.Block.hash));
-                    ("height", Json.Int b.Block.height);
-                    ("txs", Json.Int (List.length b.Block.txs));
-                  ]
-                Trace.Proposal_sent
-        | Node.Qc_formed qc ->
-            if tracing then
-              Trace.emit ctx.trace
-                ~ts:(Unix.gettimeofday () -. ctx.epoch)
-                ~node:ctx.id ~view:qc.Qc.view
-                ~args:
-                  [
-                    ("hash", Json.String (Ids.short qc.Qc.block));
-                    ("height", Json.Int qc.Qc.height);
-                  ]
-                Trace.Qc_formed
-        | Node.Entered_view { view; reason } ->
-            if tracing then
-              Trace.emit ctx.trace
-                ~ts:(Unix.gettimeofday () -. ctx.epoch)
-                ~node:ctx.id ~view
-                ~args:[ ("reason", Json.String reason) ]
-                Trace.View_change
+        | Node.Proposed _ | Node.Qc_formed _ | Node.Entered_view _
         | Node.Forked _ | Node.Voted _ -> ())
       outs
 

@@ -156,6 +156,33 @@ let event_of_json json =
         Error (Printf.sprintf "malformed trace event: %s" msg))
   | _ -> Error "trace event is not a JSON object"
 
+let chronological a b =
+  match Float.compare a.ts b.ts with
+  | 0 -> (
+      match Int.compare a.node b.node with
+      | 0 -> Int.compare a.seq b.seq
+      | c -> c)
+  | c -> c
+
+let read_jsonl path =
+  match open_in path with
+  | exception Sys_error _ -> ([], 0)
+  | ic ->
+      let events = ref [] and skipped = ref 0 in
+      (try
+         while true do
+           let line = input_line ic in
+           if not (String.equal (String.trim line) "") then
+             match Json.of_string line with
+             | exception Json.Parse_error _ -> incr skipped
+             | j -> (
+                 match event_of_json j with
+                 | Ok e -> events := e :: !events
+                 | Error _ -> incr skipped)
+         done
+       with End_of_file -> close_in ic);
+      (List.rev !events, !skipped)
+
 (* --- Chrome trace_event output ---
 
    One "process" per replica and one "thread" per logical resource:

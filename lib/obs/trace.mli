@@ -112,3 +112,15 @@ val event_of_json : Bamboo_util.Json.t -> (event, string) result
 (** Inverse of {!event_to_json}, for re-reading JSONL traces (e.g. when
     merging per-node cluster traces). Tolerates a missing or null [args]
     member; any other shape mismatch is an [Error]. *)
+
+val chronological : event -> event -> int
+(** Orders events by [(ts, node, seq)]: the order in which monitors read
+    a trace, and the order a merge of per-process traces is written in. *)
+
+val read_jsonl : string -> event list * int
+(** Reads a JSONL trace file — a simulator run's [--trace-format jsonl]
+    output or a cluster's per-node or merged trace. Tolerant: a
+    SIGKILLed process leaves a torn final line, so unparseable lines are
+    counted and skipped instead of failing the read. Returns the events
+    in file order and the number of lines skipped; a missing file reads
+    as [([], 0)]. *)

@@ -29,60 +29,64 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* Trace events as both runtimes emit them: blocks named by hash. *)
+let dev ?(node = 0) ?(view = 0) ?(ts = 0.0) ?(args = []) kind =
+  { Trace.seq = 0; ts; node; view; kind; span = 0; args }
+
+let harg h = [ ("hash", Bamboo_util.Json.String h) ]
+let qc ?ts ~view h = dev ?ts ~view ~args:(harg h) Trace.Qc_formed
+let vote ?ts ~node ~view h = dev ?ts ~node ~view ~args:(harg h) Trace.Vote_sent
+
 (* --- certification uniqueness on synthetic traces --- *)
 
 let test_cert_unique () =
   let ok =
-    Monitor.check_certification
+    Monitor.check_trace
       [
-        ev ~view:1 ~span:7 Trace.Qc_formed;
-        ev ~view:1 ~span:7 Trace.Qc_formed;
+        qc ~ts:1.0 ~view:1 "aa";
+        qc ~ts:1.1 ~view:1 "aa";
         (* duplicate QC observations of the same block are fine *)
-        ev ~view:2 ~span:9 Trace.Qc_formed;
-        ev ~view:3 ~span:0 Trace.Qc_formed;
-        (* span 0 = unknown block; ignored *)
-        ev ~view:3 ~span:0 Trace.Qc_formed;
+        qc ~ts:1.2 ~view:2 "bb";
+        dev ~ts:1.3 ~view:2 Trace.Qc_formed;
+        (* no hash = unknown block; ignored *)
       ]
   in
-  Alcotest.(check (list string)) "unique certs pass" [] (names ok);
-  let bad =
-    Monitor.check_certification
-      [
-        ev ~view:4 ~span:7 Trace.Qc_formed;
-        ev ~view:4 ~span:8 Trace.Qc_formed;
-      ]
-  in
+  Alcotest.(check (list string)) "unique certs pass" [] (names ok.Monitor.violations);
+  let bad = Monitor.check_trace [ qc ~ts:1.0 ~view:4 "aa"; qc ~ts:1.1 ~view:4 "bb" ] in
   Alcotest.(check (list string)) "conflicting certs flagged" [ "cert_unique" ]
-    (names bad)
+    (names bad.Monitor.violations)
 
 (* --- vote safety on synthetic traces --- *)
 
 let test_vote_safety () =
   let ok =
-    Monitor.check_vote_safety ~byz_no:1
+    Monitor.check_trace ~byz_no:1
       [
-        ev ~node:1 ~view:1 Trace.Vote_sent;
-        ev ~node:1 ~view:2 Trace.Vote_sent;
-        ev ~node:1 ~view:3 Trace.Timeout_fired;
-        ev ~node:1 ~view:4 Trace.Vote_sent;
+        vote ~ts:1.0 ~node:1 ~view:1 "aa";
+        vote ~ts:1.1 ~node:1 ~view:2 "bb";
+        dev ~ts:1.2 ~node:1 ~view:3 Trace.Timeout_fired;
+        vote ~ts:1.3 ~node:1 ~view:4 "cc";
         (* the Byzantine replica (id < byz_no) may double-vote freely *)
-        ev ~node:0 ~view:5 Trace.Vote_sent;
-        ev ~node:0 ~view:5 Trace.Vote_sent;
+        vote ~ts:1.4 ~node:0 ~view:5 "dd";
+        vote ~ts:1.5 ~node:0 ~view:5 "ee";
       ]
   in
-  Alcotest.(check (list string)) "clean votes pass" [] (names ok);
+  Alcotest.(check (list string)) "clean votes pass" [] (names ok.Monitor.violations);
   let double =
-    Monitor.check_vote_safety ~byz_no:0
-      [ ev ~node:2 ~view:7 Trace.Vote_sent; ev ~node:2 ~view:7 Trace.Vote_sent ]
+    Monitor.check_trace
+      [ vote ~ts:1.0 ~node:2 ~view:7 "aa"; vote ~ts:1.1 ~node:2 ~view:7 "bb" ]
   in
   Alcotest.(check (list string)) "double vote flagged" [ "vote_safety" ]
-    (names double);
+    (names double.Monitor.violations);
   let abandoned =
-    Monitor.check_vote_safety ~byz_no:0
-      [ ev ~node:2 ~view:7 Trace.Timeout_fired; ev ~node:2 ~view:7 Trace.Vote_sent ]
+    Monitor.check_trace
+      [
+        dev ~ts:1.0 ~node:2 ~view:7 Trace.Timeout_fired;
+        vote ~ts:1.1 ~node:2 ~view:7 "aa";
+      ]
   in
   Alcotest.(check (list string)) "vote in abandoned view flagged"
-    [ "vote_safety" ] (names abandoned)
+    [ "vote_safety" ] (names abandoned.Monitor.violations)
 
 (* --- agreement on synthetic ledgers --- *)
 
@@ -343,12 +347,7 @@ let fuzz_jobs_invariant =
       in
       run 1 = run 4)
 
-(* --- deployment-trace monitors (merged multi-process JSONL) --- *)
-
-let dev ?(node = 0) ?(view = 0) ?(ts = 0.0) ?(args = []) kind =
-  { Trace.seq = 0; ts; node; view; kind; span = 0; args }
-
-let harg h = [ ("hash", Bamboo_util.Json.String h) ]
+(* --- hash-keyed trace checks: merged cluster traces and simulator runs --- *)
 
 let test_check_trace_agreement () =
   let height h hash =
@@ -394,17 +393,52 @@ let test_check_trace_vote_safety_and_heal () =
   in
   Alcotest.(check bool) "resend benign" true
     (Monitor.pass (Monitor.check_trace resend));
-  (* a Fault_heal (process restart) resets the node's vote state: the
-     recovered replica may re-vote across the restart boundary *)
-  let healed =
+  (* the cluster merge's restart marker resets the node's vote state:
+     the restarted process lost its vote history and may re-vote across
+     the restart boundary *)
+  let across heal_args =
     [
-      dev ~node:1 ~view:3 ~ts:1.0 ~args:(harg "aa") Trace.Vote_sent;
-      dev ~node:1 ~ts:2.0 Trace.Fault_heal;
-      dev ~node:1 ~view:3 ~ts:3.0 ~args:(harg "bb") Trace.Vote_sent;
+      vote ~ts:1.0 ~node:1 ~view:3 "aa";
+      dev ~node:1 ~ts:2.0 ~args:heal_args Trace.Fault_heal;
+      vote ~ts:3.0 ~node:1 ~view:3 "bb";
     ]
   in
-  Alcotest.(check bool) "heal resets vote state" true
-    (Monitor.pass (Monitor.check_trace healed))
+  let crash = ("fault", Bamboo_util.Json.String "crash") in
+  Alcotest.(check bool) "restart marker resets vote state" true
+    (Monitor.pass (Monitor.check_trace (across [ crash; Monitor.restart_arg ])));
+  (* a simulator crash heal keeps the replica's state (and so do slow and
+     clock-skew heals): the conflicting vote is still flagged *)
+  Alcotest.(check (list string))
+    "simulator crash heal does not reset" [ "vote_safety" ]
+    (names (Monitor.check_trace (across [ crash ])).Monitor.violations);
+  Alcotest.(check (list string))
+    "slow heal does not reset" [ "vote_safety" ]
+    (names
+       (Monitor.check_trace
+          (across [ ("fault", Bamboo_util.Json.String "slow") ]))
+         .Monitor.violations)
+
+(* An honest simulator run names every voted and certified block by hash,
+   so the same hash-keyed pass the cluster uses judges it. *)
+let test_simulator_trace_hash_keyed () =
+  let config =
+    { Config.default with n = 4; timeout = 0.05; runtime = 1.5; warmup = 0.2; seed = 42 }
+  in
+  let trace = Trace.ring ~capacity:(1 lsl 20) in
+  ignore (Runtime.run ~config ~workload:(Workload.open_loop ~rate:800.0 ()) ~trace ());
+  let events = Trace.events trace in
+  let of_kind k = List.filter (fun (e : Trace.event) -> e.kind = k) events in
+  List.iter
+    (fun (k, label) ->
+      let evs = of_kind k in
+      Alcotest.(check bool) (label ^ " events traced") true (evs <> []);
+      Alcotest.(check bool) ("every " ^ label ^ " carries a hash") true
+        (List.for_all
+           (fun (e : Trace.event) -> List.mem_assoc "hash" e.args)
+           evs))
+    [ (Trace.Vote_sent, "vote_sent"); (Trace.Qc_formed, "qc_formed") ];
+  Alcotest.(check (list string)) "check_trace passes" []
+    (names (Monitor.check_trace events).Monitor.violations)
 
 let test_check_trace_liveness () =
   let commit ts =
@@ -433,6 +467,8 @@ let suite =
       test_check_trace_vote_safety_and_heal;
     Alcotest.test_case "deployment trace liveness" `Quick
       test_check_trace_liveness;
+    Alcotest.test_case "simulator trace is hash-keyed" `Quick
+      test_simulator_trace_hash_keyed;
     Alcotest.test_case "combined adversaries" `Slow test_combined_adversaries;
     Alcotest.test_case "generated scenarios healthy" `Slow
       test_generated_scenarios_healthy;
