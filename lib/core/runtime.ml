@@ -24,17 +24,26 @@ type ledger = ledger_block array
 
 (* The committed chain as a flat, genesis-free array: one entry per height
    1..committed_height, lowest first. The committed prefix is contiguous
-   by construction (prefix finalization), so every height is present. *)
-let ledger_of_forest forest =
+   by construction (prefix finalization), so every height is present.
+   [memo] shares one entry per block hash across the replicas of a run,
+   which commit the same (physically shared) blocks. *)
+let ledger_of_forest memo forest =
   Array.init (Forest.committed_height forest) (fun i ->
       match Forest.committed_at forest (i + 1) with
-      | Some (b : Block.t) ->
-          {
-            l_height = b.height;
-            l_hash = b.hash;
-            l_view = b.view;
-            l_txs = List.map (fun (tx : Tx.t) -> tx.Tx.id) b.txs;
-          }
+      | Some (b : Block.t) -> (
+          match Hashtbl.find_opt memo b.hash with
+          | Some l -> l
+          | None ->
+              let l =
+                {
+                  l_height = b.height;
+                  l_hash = b.hash;
+                  l_view = b.view;
+                  l_txs = List.map (fun (tx : Tx.t) -> tx.Tx.id) b.txs;
+                }
+              in
+              Hashtbl.add memo b.hash l;
+              l)
       | None -> assert false)
 
 type result = {
@@ -53,27 +62,6 @@ type result = {
   metrics : Snapshot.t;
       (* merged aggregate metrics; [Snapshot.empty] unless the run was
          given an enabled registry *)
-}
-
-type tx_record = {
-  target : int; (* replica the client sent the tx to; -1 = broadcast *)
-  issued_at : float;
-  client : int; (* logical client; 0 = open-loop *)
-  mutable completed : bool;
-  mutable counted : bool;
-      (* already counted in the observer's committed-tx metrics; under
-         broadcast submission a tx can legitimately appear in two
-         committed blocks, but must be counted once *)
-  (* Latency-decomposition stages, all measured at the target replica and
-     only for single-target submissions; negative = not reached yet. *)
-  mutable submit_wire : float; (* client -> replica one-way *)
-  mutable ingest_wait : float; (* CPU-queue wait of the ingest charge *)
-  mutable ingest_service : float;
-  mutable arrived_at : float; (* entered the mempool *)
-  mutable batched_at : float; (* batched into a proposal *)
-  mutable propose_wait : float; (* CPU-queue wait of block creation *)
-  mutable propose_service : float;
-  mutable nic_ser : float; (* outbound NIC backlog of the broadcast *)
 }
 
 (* --- controlled scheduling (the bamboo_explore model checker) --- *)
@@ -107,7 +95,9 @@ type st = {
   nodes : Node.t array;
   metrics : Metrics.t;
   observer : int;
-  records : (Tx.id, tx_record) Hashtbl.t;
+  records : Tx_records.t;
+      (* latency-decomposition stamps are measured at the target replica
+         and only for single-target submissions *)
   workload_rng : Rng.t;
   eng : Fault_engine.t;
   trace : Trace.t;
@@ -254,31 +244,36 @@ and transmit_modeled st ~src ~dst ~bytes msg =
   end
 
 and complete_tx st replica (tx : Tx.t) =
-  match Hashtbl.find_opt st.records tx.Tx.id with
-  | Some rec_
-    when (rec_.target = replica || rec_.target = -1) && not rec_.completed ->
-      rec_.completed <- true;
+  let r = st.records in
+  let slot = Tx_records.find r tx in
+  if slot >= 0 then begin
+    let target = Tx_records.target r slot in
+    if (target = replica || target = -1) && not (Tx_records.completed r slot)
+    then begin
+      Tx_records.set_completed r slot;
+      let stamp = Tx_records.stamp r slot in
+      let issued_at = stamp Issued_at in
       let response = Netmodel.client_rtt st.net ~now:(Sim.now st.sim) /. 2.0 in
       let done_at = Sim.now st.sim +. response in
-      Metrics.record_latency st.metrics ~now:done_at ~issued_at:rec_.issued_at
-        ~latency:(done_at -. rec_.issued_at);
+      Metrics.record_latency st.metrics ~now:done_at ~issued_at
+        ~latency:(done_at -. issued_at);
       (* Stage decomposition, over the same measurement window as
          [record_latency]; only single-target submissions have a
          well-defined path (the target replica batches, proposes and
          commits the transaction itself). *)
       if
-        rec_.target = replica
-        && rec_.arrived_at >= 0.0
-        && rec_.batched_at >= 0.0
-        && rec_.issued_at >= st.config.Config.warmup
+        target = replica
+        && stamp Arrived_at >= 0.0
+        && stamp Batched_at >= 0.0
+        && issued_at >= st.config.Config.warmup
         && done_at < st.config.Config.runtime
       then begin
-        let total = done_at -. rec_.issued_at in
-        let client_wire = rec_.submit_wire +. response in
-        let cpu_queue = rec_.ingest_wait +. rec_.propose_wait in
-        let cpu_service = rec_.ingest_service +. rec_.propose_service in
-        let mempool_wait = rec_.batched_at -. rec_.arrived_at in
-        let nic_serialization = rec_.nic_ser in
+        let total = done_at -. issued_at in
+        let client_wire = stamp Submit_wire +. response in
+        let cpu_queue = stamp Ingest_wait +. stamp Propose_wait in
+        let cpu_service = stamp Ingest_service +. stamp Propose_service in
+        let mempool_wait = stamp Batched_at -. stamp Arrived_at in
+        let nic_serialization = stamp Nic_ser in
         let consensus_wait =
           total -. client_wire -. cpu_queue -. cpu_service -. mempool_wait
           -. nic_serialization
@@ -294,8 +289,10 @@ and complete_tx st replica (tx : Tx.t) =
           }
           ~total
       end;
-      if rec_.client > 0 then st.reissue ~client:rec_.client ~after:response
-  | Some _ | None -> ()
+      let client = Tx_records.client r slot in
+      if client > 0 then st.reissue ~client ~after:response
+    end
+  end
 
 and process_outputs st id outs =
   let sends = ref [] in
@@ -353,12 +350,13 @@ and process_outputs st id outs =
             blocks;
           if id = st.observer then begin
             let count_fresh acc (tx : Tx.t) =
-              match Hashtbl.find_opt st.records tx.Tx.id with
-              | Some r when not r.counted ->
-                  r.counted <- true;
-                  acc + 1
-              | Some _ -> acc
-              | None -> acc + 1
+              let slot = Tx_records.find st.records tx in
+              if slot < 0 then acc + 1
+              else if Tx_records.counted st.records slot then acc
+              else begin
+                Tx_records.set_counted st.records slot;
+                acc + 1
+              end
             in
             let ntxs =
               List.fold_left
@@ -417,17 +415,18 @@ and process_outputs st id outs =
        let cpu_wait =
          Float.max 0.0 (Machine.cpu_busy_until st.machines.(id) -. now)
        in
+       let r = st.records in
        List.iter
          (fun (b : Block.t) ->
            List.iter
              (fun (tx : Tx.t) ->
-               match Hashtbl.find_opt st.records tx.Tx.id with
-               | Some r when r.target = id ->
-                   r.batched_at <- now;
-                   r.propose_wait <- cpu_wait;
-                   r.propose_service <- !creation;
-                   r.nic_ser <- 0.0
-               | Some _ | None -> ())
+               let slot = Tx_records.find r tx in
+               if slot >= 0 && Tx_records.target r slot = id then begin
+                 Tx_records.set r slot Batched_at now;
+                 Tx_records.set r slot Propose_wait cpu_wait;
+                 Tx_records.set r slot Propose_service !creation;
+                 Tx_records.set r slot Nic_ser 0.0
+               end)
              b.txs)
          !proposed);
     Machine.cpu st.machines.(id) ~duration:!creation (fun () ->
@@ -441,13 +440,14 @@ and process_outputs st id outs =
              Float.max 0.0
                (Machine.nic_out_busy_until st.machines.(id) -. nic_before)
            in
+           let r = st.records in
            List.iter
              (fun (b : Block.t) ->
                List.iter
                  (fun (tx : Tx.t) ->
-                   match Hashtbl.find_opt st.records tx.Tx.id with
-                   | Some r when r.target = id -> r.nic_ser <- ser
-                   | Some _ | None -> ())
+                   let slot = Tx_records.find r tx in
+                   if slot >= 0 && Tx_records.target r slot = id then
+                     Tx_records.set r slot Nic_ser ser)
                  b.txs)
              !proposed))
   end
@@ -456,23 +456,9 @@ and process_outputs st id outs =
 
 (* [record_target = -1] means any replica's commit completes the tx
    (broadcast submission). *)
-let record_tx st ~client ~record_target (tx : Tx.t) =
-  Hashtbl.replace st.records tx.Tx.id
-    {
-      target = record_target;
-      issued_at = Sim.now st.sim;
-      client;
-      completed = false;
-      counted = false;
-      submit_wire = 0.0;
-      ingest_wait = 0.0;
-      ingest_service = 0.0;
-      arrived_at = -1.0;
-      batched_at = -1.0;
-      propose_wait = 0.0;
-      propose_service = 0.0;
-      nic_ser = 0.0;
-    }
+let record_tx st ~record_target (tx : Tx.t) =
+  Tx_records.record st.records tx ~target:record_target
+    ~issued_at:(Sim.now st.sim)
 
 let send_batch st ~target txs =
   let now = Sim.now st.sim in
@@ -487,15 +473,16 @@ let send_batch st ~target txs =
         Machine.cpu st.machines.(target) ~duration:cost (fun () ->
             if not (crashed st target) then begin
               let entered = Sim.now st.sim in
+              let r = st.records in
               List.iter
                 (fun (tx : Tx.t) ->
-                  match Hashtbl.find_opt st.records tx.Tx.id with
-                  | Some r when r.target = target ->
-                      r.submit_wire <- one_way;
-                      r.ingest_wait <- wait;
-                      r.ingest_service <- cost;
-                      r.arrived_at <- entered
-                  | Some _ | None -> ())
+                  let slot = Tx_records.find r tx in
+                  if slot >= 0 && Tx_records.target r slot = target then begin
+                    Tx_records.set r slot Submit_wire one_way;
+                    Tx_records.set r slot Ingest_wait wait;
+                    Tx_records.set r slot Ingest_service cost;
+                    Tx_records.set r slot Arrived_at entered
+                  end)
                 txs;
               if Trace.enabled st.trace then
                 Trace.emit st.trace ~ts:entered ~node:target
@@ -506,10 +493,10 @@ let send_batch st ~target txs =
             end)
       end)
 
-let issue_txs st ~client txs_by_target =
+let issue_txs st txs_by_target =
   List.iter
     (fun (target, txs) ->
-      List.iter (record_tx st ~client ~record_target:target) txs;
+      List.iter (record_tx st ~record_target:target) txs;
       send_batch st ~target txs)
     txs_by_target
 
@@ -530,7 +517,7 @@ let start_open_loop st ~rate ~broadcast =
           (* Every transaction goes to every replica; any replica's commit
              completes it. *)
           let txs = List.init k (fun _ -> fresh_tx st ~client:0) in
-          List.iter (record_tx st ~client:0 ~record_target:(-1)) txs;
+          List.iter (record_tx st ~record_target:(-1)) txs;
           for target = 0 to st.config.n - 1 do
             send_batch st ~target txs
           done
@@ -550,7 +537,7 @@ let start_open_loop st ~rate ~broadcast =
           (* Walk targets in replica order rather than folding the table:
              the batch list's order reaches the trace sink via issue_txs,
              so it must not depend on bucket layout. *)
-          issue_txs st ~client:0
+          issue_txs st
             (List.filter_map
                (fun tgt ->
                  Option.map
@@ -568,7 +555,7 @@ let issue_one st ~client =
   if Sim.now st.sim < st.config.runtime then begin
     let target = Rng.int st.workload_rng st.config.n in
     let tx = fresh_tx st ~client in
-    issue_txs st ~client [ (target, [ tx ]) ]
+    issue_txs st [ (target, [ tx ]) ]
   end
 
 let start_closed_loop st ~clients =
@@ -776,7 +763,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       nodes;
       metrics;
       observer;
-      records = Hashtbl.create 4096;
+      records = Tx_records.create ();
       workload_rng;
       eng =
         Fault_engine.create ~n:config.Config.n ~rng:fault_rng
@@ -855,7 +842,8 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
      common prefix, checked hash-by-hash at each height (paper §III-A).
      The per-replica ledgers double as the [bamboo_check] oracle's input
      for the full agreement check (prefix compatibility + tx order). *)
-  let ledgers = Array.map (fun n -> ledger_of_forest (Node.forest n)) nodes in
+  let memo = Hashtbl.create 1024 in
+  let ledgers = Array.map (fun n -> ledger_of_forest memo (Node.forest n)) nodes in
   let min_height =
     Array.fold_left (fun acc l -> min acc (Array.length l)) max_int ledgers
   in

@@ -7,7 +7,12 @@
     are rejected so that client back-pressure can be modelled. Transactions
     batched into a proposal stay out of the pool unless explicitly returned
     ([requeue_front]) when their block is overwritten by a fork, or dropped
-    for good ([forget]) once a block commits. *)
+    for good ([forget]) once a block commits.
+
+    Memory is bounded by the pool's window, not by the run: only queued
+    and in-flight ids are kept per tx, and each client's committed ids are
+    a contiguous run of sequence numbers plus a sparse bitmap of the
+    commits that arrived out of order. *)
 
 open Bamboo_types
 
@@ -42,7 +47,8 @@ val batch : t -> max:int -> Tx.t list
 
 val forget : t -> Tx.t list -> unit
 (** [forget t txs] marks transactions as durably committed: they will never
-    be accepted or re-queued again. *)
+    be accepted or re-queued again. A tx need not have been added first
+    (client-broadcast mode commits txs other replicas proposed). *)
 
 val contains : t -> Tx.id -> bool
 (** Whether the id is queued or in flight (not yet forgotten). *)

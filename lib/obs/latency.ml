@@ -1,4 +1,3 @@
-module Stats = Bamboo_util.Stats
 module Json = Bamboo_util.Json
 
 type components = {
@@ -10,14 +9,13 @@ type components = {
   consensus_wait : float;
 }
 
+(* Running means only: [summarize] reads nothing else, so no sample is
+   stored. Each mean takes the update [Stats.add] applies, which keeps the
+   printed decomposition bit-identical to a sample-storing one. *)
 type t = {
-  client_wire : Stats.t;
-  cpu_queue : Stats.t;
-  cpu_service : Stats.t;
-  mempool_wait : Stats.t;
-  nic_serialization : Stats.t;
-  consensus_wait : Stats.t;
-  total : Stats.t;
+  mutable n : int;
+  means : Float.Array.t;
+      (* the six components in declaration order, then the total *)
 }
 
 type summary = {
@@ -31,36 +29,34 @@ type summary = {
   total : float;
 }
 
-let create () =
-  {
-    client_wire = Stats.create ();
-    cpu_queue = Stats.create ();
-    cpu_service = Stats.create ();
-    mempool_wait = Stats.create ();
-    nic_serialization = Stats.create ();
-    consensus_wait = Stats.create ();
-    total = Stats.create ();
-  }
+let create () = { n = 0; means = Float.Array.make 7 0.0 }
 
 let record (t : t) (c : components) ~total =
-  Stats.add t.client_wire c.client_wire;
-  Stats.add t.cpu_queue c.cpu_queue;
-  Stats.add t.cpu_service c.cpu_service;
-  Stats.add t.mempool_wait c.mempool_wait;
-  Stats.add t.nic_serialization c.nic_serialization;
-  Stats.add t.consensus_wait c.consensus_wait;
-  Stats.add t.total total
+  t.n <- t.n + 1;
+  let n = float_of_int t.n in
+  let add slot x =
+    let mean = Float.Array.get t.means slot in
+    Float.Array.set t.means slot (mean +. ((x -. mean) /. n))
+  in
+  add 0 c.client_wire;
+  add 1 c.cpu_queue;
+  add 2 c.cpu_service;
+  add 3 c.mempool_wait;
+  add 4 c.nic_serialization;
+  add 5 c.consensus_wait;
+  add 6 total
 
 let summarize (t : t) =
+  let mean = Float.Array.get t.means in
   {
-    samples = Stats.count t.total;
-    client_wire = Stats.mean t.client_wire;
-    cpu_queue = Stats.mean t.cpu_queue;
-    cpu_service = Stats.mean t.cpu_service;
-    mempool_wait = Stats.mean t.mempool_wait;
-    nic_serialization = Stats.mean t.nic_serialization;
-    consensus_wait = Stats.mean t.consensus_wait;
-    total = Stats.mean t.total;
+    samples = t.n;
+    client_wire = mean 0;
+    cpu_queue = mean 1;
+    cpu_service = mean 2;
+    mempool_wait = mean 3;
+    nic_serialization = mean 4;
+    consensus_wait = mean 5;
+    total = mean 6;
   }
 
 let components_sum (s : summary) =

@@ -136,6 +136,195 @@ let no_duplicate_batches_prop =
       let ids b = List.map (fun (t : Tx.t) -> t.Tx.id) b in
       List.for_all (fun i -> not (List.mem i (ids b2))) (ids b1))
 
+(* --- model test: the pool against the status-table pool it replaced ---
+
+   [Reference] keeps one status per id forever, [Committed] included; the
+   pool under test keeps only live ids and a compacted committed set. Both
+   must answer every operation identically. *)
+
+module Reference = struct
+  type status = Queued | In_flight | Committed
+
+  type t = {
+    queue : Tx.t Bamboo_util.Deque.t;
+    status : status Tx.Id_tbl.t;
+    cap : int;
+    mutable rejected_full : int;
+    mutable rejected_dup : int;
+  }
+
+  let create cap =
+    {
+      queue = Bamboo_util.Deque.create ();
+      status = Tx.Id_tbl.create 16;
+      cap;
+      rejected_full = 0;
+      rejected_dup = 0;
+    }
+
+  let add t (tx : Tx.t) =
+    if Bamboo_util.Deque.length t.queue >= t.cap then begin
+      t.rejected_full <- t.rejected_full + 1;
+      false
+    end
+    else if Tx.Id_tbl.mem t.status tx.id then begin
+      t.rejected_dup <- t.rejected_dup + 1;
+      false
+    end
+    else begin
+      Tx.Id_tbl.add t.status tx.id Queued;
+      Bamboo_util.Deque.push_back t.queue tx;
+      true
+    end
+
+  let requeue_front t txs =
+    let count = ref 0 in
+    List.iter
+      (fun (tx : Tx.t) ->
+        match Tx.Id_tbl.find_opt t.status tx.id with
+        | Some Committed | Some Queued | None -> ()
+        | Some In_flight ->
+            if Bamboo_util.Deque.length t.queue < t.cap then begin
+              Tx.Id_tbl.replace t.status tx.id Queued;
+              Bamboo_util.Deque.push_front t.queue tx;
+              incr count
+            end
+            else Tx.Id_tbl.remove t.status tx.id)
+      (List.rev txs);
+    !count
+
+  let batch t ~max =
+    let rec take acc k =
+      if k = 0 then List.rev acc
+      else
+        match Bamboo_util.Deque.pop_front t.queue with
+        | None -> List.rev acc
+        | Some tx -> (
+            match Tx.Id_tbl.find_opt t.status tx.Tx.id with
+            | Some Committed -> take acc k
+            | Some Queued | Some In_flight | None ->
+                Tx.Id_tbl.replace t.status tx.Tx.id In_flight;
+                take (tx :: acc) (k - 1))
+    in
+    take [] max
+
+  let forget t txs =
+    List.iter
+      (fun (tx : Tx.t) -> Tx.Id_tbl.replace t.status tx.Tx.id Committed)
+      txs
+
+  let contains t id =
+    match Tx.Id_tbl.find_opt t.status id with
+    | Some Queued | Some In_flight -> true
+    | Some Committed | None -> false
+end
+
+type op =
+  | Add of Tx.t
+  | Batch of int
+  | Forget of Tx.t list
+  | Requeue of Tx.t list
+  | Contains of Tx.t
+
+let pp_op = function
+  | Add t -> "add " ^ Tx.id_to_string t.id
+  | Batch k -> "batch " ^ string_of_int k
+  | Forget l ->
+      "forget [" ^ String.concat ";" (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id) l) ^ "]"
+  | Requeue l ->
+      "requeue [" ^ String.concat ";" (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id) l) ^ "]"
+  | Contains t -> "contains " ^ Tx.id_to_string t.id
+
+(* Two clients, seqs clustered in a small range (with a few negatives) so
+   duplicates, out-of-order and forget-before-add are common, plus seqs
+   256 apart, which share a live-table bucket and sit far above the
+   committed run; capacities down to 1 keep the pool full often. *)
+let op_gen =
+  let open QCheck.Gen in
+  let seq =
+    frequency
+      [
+        (3, int_range (-3) 60);
+        (1, map2 (fun hi lo -> (hi * 256) + lo) (int_range 1 4) (int_range 0 3));
+      ]
+  in
+  let a_tx = map2 (fun client seq -> tx ~client seq) (int_range 0 1) seq in
+  let txs = list_size (int_range 0 8) a_tx in
+  frequency
+    [
+      (5, map (fun t -> Add t) a_tx);
+      (2, map (fun k -> Batch k) (int_range 0 6));
+      (3, map (fun l -> Forget l) txs);
+      (2, map (fun l -> Requeue l) txs);
+      (1, map (fun t -> Contains t) a_tx);
+    ]
+
+let model_prop =
+  let open QCheck in
+  let gen = Gen.pair (Gen.int_range 1 12) (Gen.list_size (Gen.int_range 0 150) op_gen) in
+  Test.make ~name:"pool agrees with the status-table reference" ~count:500
+    (make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "cap %d: %s" cap (String.concat ", " (List.map pp_op ops)))
+       gen)
+    (fun (cap, ops) ->
+      let p = Mempool.create ~capacity:cap () and r = Reference.create cap in
+      let ids l = List.map (fun (t : Tx.t) -> t.Tx.id) l in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Add t -> Bool.equal (Mempool.add p t) (Reference.add r t)
+            | Batch k ->
+                List.equal ( = ) (ids (Mempool.batch p ~max:k))
+                  (ids (Reference.batch r ~max:k))
+            | Forget l ->
+                Mempool.forget p l;
+                Reference.forget r l;
+                true
+            | Requeue l -> Int.equal (Mempool.requeue_front p l) (Reference.requeue_front r l)
+            | Contains t ->
+                Bool.equal (Mempool.contains p t.id) (Reference.contains r t.id)
+          in
+          let s = Mempool.stats p in
+          same
+          && Mempool.length p = Bamboo_util.Deque.length r.Reference.queue
+          && s.Mempool.rejected_full = r.Reference.rejected_full
+          && s.Mempool.rejected_dup = r.Reference.rejected_dup)
+        ops)
+
+(* The committed set compacts: 100k forgotten ids of two clients,
+   committed in shuffled order (half of them never added, as in broadcast
+   mode), leave a pool a few hundred words bigger than a fresh one, not
+   one entry per tx. *)
+let test_forgotten_pool_stays_small () =
+  let count = 100_000 in
+  let order = Array.init count Fun.id in
+  let rng = Random.State.make [| 15 |] in
+  for i = count - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let p = Mempool.create ~capacity:count () in
+  Array.iteri
+    (fun i seq ->
+      let t = tx ~client:(seq * 2 / count) seq in
+      if i land 1 = 0 then begin
+        ignore (Mempool.add p t);
+        ignore (Mempool.batch p ~max:1)
+      end;
+      Mempool.forget p [ t ])
+    order;
+  Alcotest.(check bool) "every id is known" false (Mempool.add p (tx ~client:1 99_999));
+  Alcotest.(check int) "nothing queued" 0 (Mempool.length p);
+  let words p = Obj.reachable_words (Obj.repr p) in
+  let fresh = words (Mempool.create ~capacity:count ()) in
+  if words p > fresh + 500 then
+    Alcotest.failf "pool holds %d words after forgetting, a fresh one %d" (words p)
+      fresh
+
 let suite =
   [
     Alcotest.test_case "add/batch FIFO" `Quick test_add_and_batch_fifo;
@@ -154,4 +343,7 @@ let suite =
       test_batch_skips_committed_in_queue;
     Alcotest.test_case "requeue capacity" `Quick test_requeue_respects_capacity;
     QCheck_alcotest.to_alcotest no_duplicate_batches_prop;
+    QCheck_alcotest.to_alcotest model_prop;
+    Alcotest.test_case "forgotten pool stays small" `Quick
+      test_forgotten_pool_stays_small;
   ]

@@ -286,6 +286,41 @@ let safety_prop =
       let r = run config 3000.0 in
       r.consistent && not r.any_violation)
 
+(* Pinned fingerprints of the submission modes the benchmark does not
+   gate: committed txs, views, simulator events, p50/p95 and the latency
+   decomposition, printed round-trip exact. Any drift is a behavioural
+   change of the tx path (records, mempool dedup, requeue of forked
+   txs). *)
+let fingerprint (r : Runtime.result) =
+  let s = r.summary and d = r.decomposition in
+  Printf.sprintf
+    "txs %d views %d events %d p50 %.17g p95 %.17g | %d: %.17g %.17g %.17g \
+     %.17g %.17g %.17g %.17g"
+    s.committed_txs s.views r.sim_events s.latency_p50 s.latency_p95
+    d.samples d.client_wire d.cpu_queue d.cpu_service d.mempool_wait
+    d.nic_serialization d.consensus_wait d.total
+
+let check_fingerprint name expected workload config =
+  Alcotest.(check string) name expected
+    (fingerprint (Runtime.run ~config ~workload ()))
+
+let test_fingerprint_broadcast () =
+  check_fingerprint "broadcast open loop"
+    "txs 23934 views 573 events 49017 p50 0.0084775332909360346 p95 0.0096171428574949314 | 0: 0 0 0 0 0 0 0"
+    (Workload.open_loop ~broadcast:true ~rate:20000.0 ())
+    base
+
+let test_fingerprint_closed_loop () =
+  check_fingerprint "closed loop, 200 clients"
+    "txs 18901 views 613 events 94714 p50 0.012591639501572688 p95 0.016063158863642062 | 18710: 0.0010005199597655282 0.00012386185499596819 0.00031638401924104936 0.0044971097594874079 2.1726926777139873e-05 0.0067272959800177426 0.012686898500284819"
+    (Workload.closed_loop ~clients:200) base
+
+let test_fingerprint_fork_attacker () =
+  check_fingerprint "fork attacker"
+    "txs 5381 views 827 events 86834 p50 0.023141339104988834 p95 0.035037368429339105 | 5332: 0.00099883610645173492 0.00041803872540347381 0.00030639928732182985 0.011014400966655406 3.8484831207788342e-05 0.01033163193988468 0.023107791856924954"
+    (Workload.open_loop ~rate:4000.0 ())
+    { byz_base with strategy = Config.Fork }
+
 let suite =
   [
     Alcotest.test_case "happy path, all protocols" `Quick
@@ -316,5 +351,11 @@ let suite =
       test_backoff_restores_liveness;
     Alcotest.test_case "cpu utilization" `Quick test_cpu_utilization_reported;
     Alcotest.test_case "invalid config" `Quick test_invalid_config_rejected;
+    Alcotest.test_case "fingerprint: broadcast" `Quick
+      test_fingerprint_broadcast;
+    Alcotest.test_case "fingerprint: closed loop" `Quick
+      test_fingerprint_closed_loop;
+    Alcotest.test_case "fingerprint: fork attacker" `Quick
+      test_fingerprint_fork_attacker;
     QCheck_alcotest.to_alcotest safety_prop;
   ]
