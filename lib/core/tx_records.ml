@@ -27,59 +27,74 @@ let recorded = 1
 let completed_bit = 2
 let counted_bit = 4
 
-type t = {
-  mutable cap : int;
-  mutable client : int array;
-  mutable target : int array;
-  mutable flags : Bytes.t;
-  mutable stamps : Float.Array.t array; (* indexed by [column] *)
+(* Slots live in fixed-size chunks, allocated as the seqs reach them:
+   growing never copies a slot or leaves a discarded array behind, and a
+   run holds at most one partly used chunk. A chunk is small enough for
+   the allocator to hand a finished run's chunks to the next run. *)
+let chunk_bits = 10
+let chunk_slots = 1 lsl chunk_bits
+let offset_mask = chunk_slots - 1
+
+type chunk = {
+  client : int array;
+  target : int array;
+  flags : Bytes.t;
+  stamps : Float.Array.t; (* [columns] columns of [chunk_slots] stamps *)
 }
 
-let create () =
-  let cap = 1024 in
+type t = {
+  mutable chunks : chunk array; (* chunk [i] holds slots from [i lsl chunk_bits] *)
+  mutable used : int; (* chunks allocated, a prefix of [chunks] *)
+}
+
+let new_chunk () =
   {
-    cap;
-    client = Array.make cap 0;
-    target = Array.make cap 0;
-    flags = Bytes.make cap '\000';
-    stamps = Array.init columns (fun _ -> Float.Array.make cap 0.0);
+    client = Array.make chunk_slots 0;
+    target = Array.make chunk_slots 0;
+    flags = Bytes.make chunk_slots '\000';
+    stamps = Float.Array.make (columns * chunk_slots) 0.0;
   }
 
-let grow t ~slot =
-  let cap = max (2 * t.cap) (slot + 1) in
-  let ints a =
-    let b = Array.make cap 0 in
-    Array.blit a 0 b 0 t.cap;
-    b
-  in
-  let floats a =
-    let b = Float.Array.make cap 0.0 in
-    Float.Array.blit a 0 b 0 t.cap;
-    b
-  in
-  let flags = Bytes.make cap '\000' in
-  Bytes.blit t.flags 0 flags 0 t.cap;
-  t.client <- ints t.client;
-  t.target <- ints t.target;
-  t.flags <- flags;
-  t.stamps <- Array.map floats t.stamps;
-  t.cap <- cap
+(* Fills the directory past [used]: a slot there has no storage, so
+   reading or writing it raises. *)
+let absent =
+  { client = [||]; target = [||]; flags = Bytes.empty; stamps = Float.Array.create 0 }
 
-let flags t slot = Char.code (Bytes.unsafe_get t.flags slot)
+let create () = { chunks = [||]; used = 0 }
+
+let add_chunk t =
+  if t.used = Array.length t.chunks then begin
+    let chunks = Array.make (max 16 (2 * t.used)) absent in
+    Array.blit t.chunks 0 chunks 0 t.used;
+    t.chunks <- chunks
+  end;
+  t.chunks.(t.used) <- new_chunk ();
+  t.used <- t.used + 1
+
+let chunk t slot = t.chunks.(slot lsr chunk_bits)
+let offset slot = slot land offset_mask
+let flags c off = Char.code (Bytes.get c.flags off)
 
 let set_flag t slot bit =
-  Bytes.unsafe_set t.flags slot (Char.unsafe_chr (flags t slot lor bit))
+  let c = chunk t slot and off = offset slot in
+  Bytes.set c.flags off (Char.unsafe_chr (flags c off lor bit))
 
-let set t slot s v = Float.Array.set t.stamps.(column s) slot v
-let stamp t slot s = Float.Array.get t.stamps.(column s) slot
+let set t slot s v =
+  Float.Array.set (chunk t slot).stamps ((column s lsl chunk_bits) + offset slot) v
+
+let stamp t slot s =
+  Float.Array.get (chunk t slot).stamps ((column s lsl chunk_bits) + offset slot)
 
 let record t (tx : Tx.t) ~target ~issued_at =
   let slot = tx.id.seq in
   if slot < 0 then invalid_arg "Tx_records.record: negative seq";
-  if slot >= t.cap then grow t ~slot;
-  t.client.(slot) <- tx.id.client;
-  t.target.(slot) <- target;
-  Bytes.set t.flags slot (Char.chr recorded);
+  while slot lsr chunk_bits >= t.used do
+    add_chunk t
+  done;
+  let c = chunk t slot and off = offset slot in
+  c.client.(off) <- tx.id.client;
+  c.target.(off) <- target;
+  Bytes.set c.flags off (Char.chr recorded);
   set t slot Issued_at issued_at;
   set t slot Submit_wire 0.0;
   set t slot Ingest_wait 0.0;
@@ -92,16 +107,16 @@ let record t (tx : Tx.t) ~target ~issued_at =
 
 let find t (tx : Tx.t) =
   let slot = tx.id.seq in
-  if
-    slot >= 0 && slot < t.cap
-    && flags t slot land recorded <> 0
-    && t.client.(slot) = tx.id.client
-  then slot
+  if slot >= 0 && slot lsr chunk_bits < t.used then begin
+    let c = chunk t slot and off = offset slot in
+    if flags c off land recorded <> 0 && c.client.(off) = tx.id.client then slot
+    else -1
+  end
   else -1
 
-let target t slot = t.target.(slot)
-let client t slot = t.client.(slot)
-let completed t slot = flags t slot land completed_bit <> 0
+let target t slot = (chunk t slot).target.(offset slot)
+let client t slot = (chunk t slot).client.(offset slot)
+let completed t slot = flags (chunk t slot) (offset slot) land completed_bit <> 0
 let set_completed t slot = set_flag t slot completed_bit
-let counted t slot = flags t slot land counted_bit <> 0
+let counted t slot = flags (chunk t slot) (offset slot) land counted_bit <> 0
 let set_counted t slot = set_flag t slot counted_bit

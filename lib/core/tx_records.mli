@@ -3,9 +3,11 @@
     decomposition is built from.
 
     The runtime hands out transaction sequence numbers densely from 0, so
-    records live in slot [tx.id.seq] of flat columns: unboxed floats for
-    the stamps, ints for target and client, one flag byte. A lookup is an
-    array index and stamping allocates nothing. A slot matches a tx only
+    records live in slot [tx.id.seq] of flat arrays: unboxed floats for
+    the stamps, ints for target and client, one flag byte. The arrays come
+    in fixed-size chunks added as the seqs grow, so growing copies
+    nothing. A lookup is two array indexes and stamping allocates
+    nothing. A slot matches a tx only
     if it was recorded for the same client, so a tx the runtime never
     issued has no record. *)
 

@@ -321,6 +321,50 @@ let test_fingerprint_fork_attacker () =
     (Workload.open_loop ~rate:4000.0 ())
     { byz_base with strategy = Config.Fork }
 
+(* Records sit in fixed-size chunks: seqs on both sides of chunk
+   boundaries keep their own stamps and flags, a slot past the last
+   recorded chunk or recorded for another client has no record, and
+   recording a seq far ahead allocates the chunks before it. *)
+let test_tx_records_chunks () =
+  let module R = Bamboo.Tx_records in
+  let module Tx = Bamboo_types.Tx in
+  let r = R.create () in
+  let tx seq = Tx.make ~client:0 ~seq ~payload_len:0 in
+  let seqs = [ 0; 1023; 1024; 1025; 4095; 4096; 70_000 ] in
+  List.iter
+    (fun seq ->
+      R.record r (tx seq) ~target:(seq mod 4) ~issued_at:(float_of_int seq))
+    seqs;
+  List.iter
+    (fun seq ->
+      let slot = R.find r (tx seq) in
+      Alcotest.(check int) "slot is the seq" seq slot;
+      R.set r slot R.Batched_at (float_of_int (2 * seq)))
+    seqs;
+  R.set_completed r (R.find r (tx 1024));
+  List.iter
+    (fun seq ->
+      let slot = R.find r (tx seq) in
+      Alcotest.(check int) "target" (seq mod 4) (R.target r slot);
+      Alcotest.(check (float 0.0)) "issued" (float_of_int seq)
+        (R.stamp r slot R.Issued_at);
+      Alcotest.(check (float 0.0)) "batched" (float_of_int (2 * seq))
+        (R.stamp r slot R.Batched_at);
+      Alcotest.(check (float 0.0)) "arrived unset" (-1.0)
+        (R.stamp r slot R.Arrived_at);
+      Alcotest.(check bool) "completed" (seq = 1024) (R.completed r slot);
+      Alcotest.(check bool) "not counted" false (R.counted r slot))
+    seqs;
+  Alcotest.(check int) "gap in a used chunk" (-1) (R.find r (tx 2000));
+  Alcotest.(check int) "past the last chunk" (-1) (R.find r (tx 1_000_000));
+  Alcotest.(check int) "other client" (-1)
+    (R.find r (Tx.make ~client:3 ~seq:1024 ~payload_len:0));
+  R.record r (tx 1024) ~target:2 ~issued_at:9.0;
+  let slot = R.find r (tx 1024) in
+  Alcotest.(check bool) "re-record clears flags" false (R.completed r slot);
+  Alcotest.(check (float 0.0)) "re-record resets stamps" (-1.0)
+    (R.stamp r slot R.Batched_at)
+
 let suite =
   [
     Alcotest.test_case "happy path, all protocols" `Quick
@@ -357,5 +401,6 @@ let suite =
       test_fingerprint_closed_loop;
     Alcotest.test_case "fingerprint: fork attacker" `Quick
       test_fingerprint_fork_attacker;
+    Alcotest.test_case "tx records across chunks" `Quick test_tx_records_chunks;
     QCheck_alcotest.to_alcotest safety_prop;
   ]
