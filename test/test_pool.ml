@@ -56,6 +56,21 @@ let test_invalid_jobs () =
 let test_recommended_positive () =
   Alcotest.(check bool) ">= 1" true (Pool.recommended_jobs () >= 1)
 
+(* Parallel workers run with an 8 MB minor heap or more; the calling
+   domain's own size is back once [map] returns, also after a failure. *)
+let test_worker_minor_heap () =
+  let size () = (Gc.get ()).Gc.minor_heap_size in
+  let before = size () in
+  let sizes = Pool.map ~jobs:2 (fun _ -> size ()) (List.init 8 Fun.id) in
+  List.iter
+    (fun s -> Alcotest.(check bool) "worker minor heap" true (s >= 1 lsl 20))
+    sizes;
+  Alcotest.(check int) "caller restored" before (size ());
+  (match Pool.map ~jobs:2 (fun x -> if x = 3 then raise (Boom x)) (List.init 8 Fun.id) with
+  | _ -> Alcotest.fail "expected exception"
+  | exception Boom 3 -> ());
+  Alcotest.(check int) "caller restored after failure" before (size ())
+
 let suite =
   [
     Alcotest.test_case "matches List.map at any job count" `Quick
@@ -67,4 +82,5 @@ let suite =
     Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "recommended_jobs positive" `Quick
       test_recommended_positive;
+    Alcotest.test_case "worker minor heap" `Quick test_worker_minor_heap;
   ]
