@@ -1,28 +1,36 @@
 let block_size = 64
 
-let normalize_key key =
+(* Both contexts have absorbed exactly one block, the padded key XORed
+   with ipad or opad, and are never fed again: [mac_with] feeds copies.
+   One prepared key can therefore be shared by every thread and domain
+   that signs with it. *)
+type key = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+let prepare key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  if String.length key = block_size then key
-  else key ^ String.make (block_size - String.length key) '\x00'
+  let absorb_pad byte =
+    let ctx = Sha256.init () in
+    Sha256.feed ctx
+      (String.init block_size (fun i ->
+           let k = if i < String.length key then Char.code key.[i] else 0 in
+           Char.chr (k lxor byte)));
+    ctx
+  in
+  { inner = absorb_pad 0x36; outer = absorb_pad 0x5c }
 
-let xor_pad key byte =
-  String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor byte))
-
-let mac ~key msg =
-  let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.feed inner (xor_pad key 0x36);
+let mac_with k msg =
+  let inner = Sha256.copy k.inner in
   Sha256.feed inner msg;
-  let inner_digest = Sha256.finalize inner in
-  let outer = Sha256.init () in
-  Sha256.feed outer (xor_pad key 0x5c);
-  Sha256.feed outer inner_digest;
+  let outer = Sha256.copy k.outer in
+  Sha256.feed outer (Sha256.finalize inner);
   Sha256.finalize outer
+
+let mac ~key msg = mac_with (prepare key) msg
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)
 
-let verify ~key ~tag msg =
-  let expected = mac ~key msg in
+let verify_with k ~tag msg =
+  let expected = mac_with k msg in
   if String.length expected <> String.length tag then false
   else begin
     let diff = ref 0 in
@@ -31,3 +39,5 @@ let verify ~key ~tag msg =
       expected;
     !diff = 0
   end
+
+let verify ~key ~tag msg = verify_with (prepare key) ~tag msg

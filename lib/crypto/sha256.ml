@@ -22,7 +22,7 @@ type ctx = {
   h : int32 array; (* 8 working hash values *)
   block : Bytes.t; (* 64-byte input buffer *)
   mutable fill : int; (* bytes buffered in [block] *)
-  mutable total : int64; (* total message bytes absorbed *)
+  mutable total : int; (* total message bytes absorbed *)
   w : int32 array; (* 64-entry message schedule, reused *)
 }
 
@@ -35,7 +35,19 @@ let init () =
       |];
     block = Bytes.create 64;
     fill = 0;
-    total = 0L;
+    total = 0;
+    w = Array.make 64 0l;
+  }
+
+(* The schedule is scratch space, so the copy gets its own: a context
+   that is only ever copied (an absorbed HMAC pad) is only ever read, and
+   copies of it may be taken concurrently from several domains. *)
+let copy ctx =
+  {
+    h = Array.copy ctx.h;
+    block = Bytes.copy ctx.block;
+    fill = ctx.fill;
+    total = ctx.total;
     w = Array.make 64 0l;
   }
 
@@ -94,7 +106,7 @@ let compress ctx =
 let feed_sub ctx s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Sha256.feed_sub: range out of bounds";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and remaining = ref len in
   while !remaining > 0 do
     let take = min !remaining (64 - ctx.fill) in
@@ -111,7 +123,7 @@ let feed_sub ctx s ~pos ~len =
 let feed ctx s = feed_sub ctx s ~pos:0 ~len:(String.length s)
 
 let finalize ctx =
-  let bitlen = Int64.mul ctx.total 8L in
+  let bitlen = Int64.mul (Int64.of_int ctx.total) 8L in
   (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
   Bytes.set ctx.block ctx.fill '\x80';
   ctx.fill <- ctx.fill + 1;
@@ -134,9 +146,16 @@ let digest s =
   feed ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let c = Char.code c in
+      Bytes.set out (2 * i) hex_digits.[c lsr 4];
+      Bytes.set out ((2 * i) + 1) hex_digits.[c land 15])
+    s;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex (digest s)

@@ -14,6 +14,12 @@ val feed : ctx -> string -> unit
 
 val feed_sub : ctx -> string -> pos:int -> len:int -> unit
 
+val copy : ctx -> ctx
+(** [copy ctx] is an independent context in the same state: feeding
+    either one leaves the other unchanged. [copy] only reads [ctx], so
+    one absorbed prefix (an HMAC key's pad) can be shared read-only and
+    copied from several threads or domains at once. *)
+
 val finalize : ctx -> string
 (** [finalize ctx] is the 32-byte raw digest. The context must not be used
     afterwards. *)

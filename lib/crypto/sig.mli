@@ -14,7 +14,10 @@
     this does not affect any experiment. *)
 
 type registry
-(** Public registry of per-replica keys for a cluster of [n] replicas. *)
+(** Public registry of per-replica keys for a cluster of [n] replicas.
+    Each key is prepared once at {!setup} ({!Hmac.prepare}), so a
+    signature costs two SHA-256 compressions. The prepared keys are never
+    mutated after {!setup}. *)
 
 type t = { signer : int; tag : string }
 (** A signature: the signing replica id and its 32-byte tag. *)

@@ -4,7 +4,8 @@ module Tbl = Bamboo_util.Tbl
 type t = {
   blocks : (Ids.hash, Block.t) Hashtbl.t; (* uncommitted vertices *)
   children : (Ids.hash, Ids.hash list) Hashtbl.t;
-  mutable committed : Block.t list; (* newest first, genesis last *)
+  mutable head : Block.t; (* last committed block *)
+  mutable committed_count : int; (* committed blocks, genesis included *)
   mutable committed_by_hash : (Ids.hash, Block.t) Hashtbl.t;
   mutable committed_by_height : (Ids.height, Block.t) Hashtbl.t;
 }
@@ -21,7 +22,8 @@ let create () =
     {
       blocks = Hashtbl.create 64;
       children = Hashtbl.create 64;
-      committed = [ Block.genesis ];
+      head = Block.genesis;
+      committed_count = 1;
       committed_by_hash = Hashtbl.create 64;
       committed_by_height = Hashtbl.create 64;
     }
@@ -30,14 +32,11 @@ let create () =
   Hashtbl.add t.committed_by_height 0 Block.genesis;
   t
 
-let last_committed t =
-  match t.committed with
-  | head :: _ -> head
-  | [] -> assert false
+let last_committed t = t.head
 
-let committed_height t = (last_committed t).Block.height
+let committed_height t = t.head.Block.height
 
-let committed_count t = List.length t.committed
+let committed_count t = t.committed_count
 
 let committed_at t h = Hashtbl.find_opt t.committed_by_height h
 
@@ -126,9 +125,10 @@ let commit t target =
               Hashtbl.remove t.blocks b.hash;
               Hashtbl.add t.committed_by_hash b.hash b;
               Hashtbl.add t.committed_by_height b.height b;
-              t.committed <- b :: t.committed)
+              t.head <- b;
+              t.committed_count <- t.committed_count + 1)
             newly;
-          let new_head = last_committed t in
+          let new_head = t.head in
           (* Prune: every surviving vertex must descend from the new head.
              Walk parents; reaching any other committed block (or a removed
              one) means the branch is dead. *)
@@ -142,23 +142,25 @@ let commit t target =
             in
             walk b.Block.hash
           in
-          (* Snapshot in hash order, then stable-sort by height: the
-             pruned-block list reaches the Fork_prune trace events, so
-             equal-height ties must not fall back to bucket order. *)
+          (* Only the dead blocks (usually none) are sorted, by height
+             then hash: the pruned-block list reaches the Fork_prune trace
+             events, so equal-height ties must not fall back to bucket
+             order. *)
+          let by_height_then_hash (a : Block.t) (b : Block.t) =
+            let c = Int.compare a.height b.height in
+            if c <> 0 then c else String.compare a.hash b.hash
+          in
           let dead =
-            List.filter_map
-              (fun (_, b) -> if descends_from_head b then None else Some b)
-              (Tbl.sorted_bindings ~compare:String.compare t.blocks)
+            Tbl.sorted_filter_map ~compare:by_height_then_hash
+              (fun _ b -> if descends_from_head b then None else Some b)
+              t.blocks
           in
           List.iter
             (fun (b : Block.t) ->
               Hashtbl.remove t.blocks b.hash;
               Hashtbl.remove t.children b.hash)
             dead;
-          let by_height (a : Block.t) (b : Block.t) =
-            Int.compare a.height b.height
-          in
-          Ok (newly, List.stable_sort by_height dead))
+          Ok (newly, dead))
 
 (* Callers receive the uncommitted vertices in block-hash order so that
    anything they accumulate (e.g. byzantine equivocation targets) is
@@ -175,8 +177,7 @@ let tip_candidates t =
       (fun (h, b) -> if children t h = [] then Some b else None)
       (Tbl.sorted_bindings ~compare:String.compare t.blocks)
   in
-  let head = last_committed t in
-  let leaves = if leaves = [] then [ head ] else leaves in
+  let leaves = if leaves = [] then [ t.head ] else leaves in
   (* Stable sort on top of the hash-ordered snapshot: equal-height tips
      tie-break on hash, deterministically. *)
   List.stable_sort

@@ -56,7 +56,7 @@ val last_committed : t -> Block.t
 val committed_height : t -> Ids.height
 
 val committed_count : t -> int
-(** Committed blocks including genesis. *)
+(** Committed blocks including genesis; O(1). *)
 
 val committed_at : t -> Ids.height -> Block.t option
 (** Main-chain block at the given height, if committed; this backs the
@@ -71,7 +71,8 @@ val commit :
 (** [commit t h] finalizes block [h] and all its uncommitted ancestors.
     Returns [(newly_committed, forked)]: the first list is ordered by
     increasing height; the second holds all pruned conflicting blocks whose
-    transactions must be returned to the mempool. *)
+    transactions must be returned to the mempool, ordered by height and
+    then by block hash. *)
 
 val fold_uncommitted : t -> ('a -> Block.t -> 'a) -> 'a -> 'a
 (** Folds over all uncommitted blocks in block-hash order, so the result

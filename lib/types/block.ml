@@ -10,16 +10,29 @@ type t = {
 }
 
 (* Leaves commit to both the id and the payload bytes so that an executed
-   command cannot be substituted after certification. *)
-let leaf_preimage (tx : Tx.t) = Tx.id_to_string tx.id ^ "|" ^ tx.data
+   command cannot be substituted after certification. Hashes feed their
+   parts into a context instead of building the concatenated string; the
+   digest is that of the concatenation. *)
+let feed_leaf ctx (tx : Tx.t) =
+  Bamboo_crypto.Sha256.feed ctx (Tx.id_to_string tx.id);
+  Bamboo_crypto.Sha256.feed ctx "|";
+  Bamboo_crypto.Sha256.feed ctx tx.data
+
+let leaf_hash tx =
+  let ctx = Bamboo_crypto.Sha256.init () in
+  feed_leaf ctx tx;
+  Bamboo_crypto.Sha256.finalize ctx
+
+let node_hash a b =
+  let ctx = Bamboo_crypto.Sha256.init () in
+  Bamboo_crypto.Sha256.feed ctx a;
+  Bamboo_crypto.Sha256.feed ctx b;
+  Bamboo_crypto.Sha256.finalize ctx
 
 let merkle_root txs =
   match txs with
   | [] -> Bamboo_crypto.Sha256.digest ""
   | _ ->
-      let leaves =
-        List.map (fun tx -> Bamboo_crypto.Sha256.digest (leaf_preimage tx)) txs
-      in
       let rec level nodes =
         match nodes with
         | [ root ] -> root
@@ -28,17 +41,25 @@ let merkle_root txs =
               | [] -> List.rev acc
               | [ last ] ->
                   (* Odd node: pair with itself (Bitcoin-style). *)
-                  List.rev (Bamboo_crypto.Sha256.digest (last ^ last) :: acc)
-              | a :: b :: rest ->
-                  pair (Bamboo_crypto.Sha256.digest (a ^ b) :: acc) rest
+                  List.rev (node_hash last last :: acc)
+              | a :: b :: rest -> pair (node_hash a b :: acc) rest
             in
             level (pair [] nodes)
       in
-      level leaves
+      level (List.map leaf_hash txs)
 
 let header_preimage ~view ~height ~parent ~(justify : Qc.t) ~proposer ~tx_root =
-  Printf.sprintf "block|%d|%d|%s|%d|%s|%d|%s" view height parent justify.view
-    justify.block proposer tx_root
+  String.concat "|"
+    [
+      "block";
+      string_of_int view;
+      string_of_int height;
+      parent;
+      string_of_int justify.view;
+      justify.block;
+      string_of_int proposer;
+      tx_root;
+    ]
 
 let genesis =
   let tx_root = merkle_root [] in
@@ -62,13 +83,13 @@ let genesis =
 let genesis_hash = genesis.hash
 
 let flat_root txs =
-  let buf = Buffer.create 256 in
+  let ctx = Bamboo_crypto.Sha256.init () in
   List.iter
-    (fun (tx : Tx.t) ->
-      Buffer.add_string buf (leaf_preimage tx);
-      Buffer.add_char buf ',')
+    (fun tx ->
+      feed_leaf ctx tx;
+      Bamboo_crypto.Sha256.feed ctx ",")
     txs;
-  Bamboo_crypto.Sha256.digest (Buffer.contents buf)
+  Bamboo_crypto.Sha256.finalize ctx
 
 let create ?(root = `Merkle) ~view ~parent ~justify ~proposer ~txs () =
   let height = parent.height + 1 in

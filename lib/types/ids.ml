@@ -3,8 +3,9 @@ type view = int
 type height = int
 type hash = string
 
+(* Only the four bytes that make up the prefix are encoded. *)
 let short h =
-  let hex = Bamboo_crypto.Sha256.hex h in
-  if String.length hex >= 8 then String.sub hex 0 8 else hex
+  Bamboo_crypto.Sha256.hex
+    (if String.length h > 4 then String.sub h 0 4 else h)
 
 let pp_hash fmt h = Format.pp_print_string fmt (short h)

@@ -20,9 +20,12 @@ let wire_size = function
 
 let key = function
   | Proposal { block; _ } -> "p|" ^ block.Block.hash
-  | Vote v -> Printf.sprintf "v|%s|%d" v.Vote.block v.Vote.voter
-  | Timeout t -> Printf.sprintf "t|%d|%d" t.Timeout_msg.view t.Timeout_msg.sender
-  | Request_block { hash; requester } -> Printf.sprintf "r|%s|%d" hash requester
+  | Vote v -> String.concat "|" [ "v"; v.Vote.block; string_of_int v.Vote.voter ]
+  | Timeout t ->
+      String.concat "|"
+        [ "t"; string_of_int t.Timeout_msg.view; string_of_int t.Timeout_msg.sender ]
+  | Request_block { hash; requester } ->
+      String.concat "|" [ "r"; hash; string_of_int requester ]
 
 let type_label = function
   | Proposal _ -> "proposal"

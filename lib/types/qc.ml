@@ -16,7 +16,7 @@ let max_by_view a b = if compare_by_view a b >= 0 then a else b
 let wire_size qc =
   44 + (List.length qc.sigs * Bamboo_crypto.Sig.wire_size)
 
-let signed_payload ~block ~view = Printf.sprintf "vote|%d|%s" view block
+let signed_payload ~block ~view = String.concat "|" [ "vote"; string_of_int view; block ]
 
 (* A key that pins down the certificate's entire content — block, view,
    height and every (signer, tag) pair — so a verification cache keyed on

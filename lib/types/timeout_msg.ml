@@ -5,7 +5,7 @@ type t = {
   signature : Bamboo_crypto.Sig.t;
 }
 
-let signed_payload ~view = Printf.sprintf "timeout|%d" view
+let signed_payload ~view = "timeout|" ^ string_of_int view
 
 let create reg ~sender ~view ~high_qc =
   let signature = Bamboo_crypto.Sig.sign reg ~signer:sender (signed_payload ~view) in

@@ -9,7 +9,7 @@ let make ~client ~seq ~payload_len =
 let make_with_data ~client ~seq ~data =
   { id = { client; seq }; payload_len = String.length data; data }
 
-let id_to_string id = Printf.sprintf "%d:%d" id.client id.seq
+let id_to_string id = string_of_int id.client ^ ":" ^ string_of_int id.seq
 
 let compare_id a b =
   let c = Int.compare a.client b.client in

@@ -1,18 +1,24 @@
 (* Deterministic views over hash tables. Hashtbl bucket order is
    unspecified (and differs across key insertion histories), so any
    fold/iter whose result can reach a trace sink, the ledger, or a
-   rendered table must go through [sorted_bindings] instead. This is
+   rendered table must go through these helpers instead. This is
    the one place the linter's no-order-leak rule is deliberately
    suppressed; every other module sorts by going through here. *)
 
-let sorted_bindings ~compare:cmp tbl =
-  let bindings =
+let sorted_filter_map ~compare:cmp f tbl =
+  let kept =
     (* Collecting into a list then sorting erases the bucket order. *)
     (Hashtbl.fold [@lint.allow "no-order-leak"])
-      (fun k v acc -> (k, v) :: acc)
+      (fun k v acc -> match f k v with Some x -> x :: acc | None -> acc)
       tbl []
   in
-  List.sort (fun (k1, _) (k2, _) -> cmp k1 k2) bindings
+  List.sort cmp kept
+
+let sorted_bindings ~compare:cmp tbl =
+  sorted_filter_map
+    ~compare:(fun (k1, _) (k2, _) -> cmp k1 k2)
+    (fun k v -> Some (k, v))
+    tbl
 
 let sorted_keys ~compare:cmp tbl =
   List.map fst (sorted_bindings ~compare:cmp tbl)

@@ -7,4 +7,14 @@ val sorted_bindings :
   compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings, sorted by key with [compare]. *)
 
+val sorted_filter_map :
+  compare:('a -> 'a -> int) ->
+  ('k -> 'v -> 'a option) ->
+  ('k, 'v) Hashtbl.t ->
+  'a list
+(** [sorted_filter_map ~compare f tbl] is every [Some x] that [f] returns
+    over the bindings of [tbl], sorted with [compare]. Only the kept
+    values are sorted. [compare] must not tie two distinct kept values,
+    or their relative order would leak the bucket order. *)
+
 val sorted_keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list

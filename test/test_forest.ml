@@ -78,6 +78,7 @@ let test_commit_prefix () =
             | _ -> false);
           Alcotest.(check int) "no forks" 0 (List.length forked);
           Alcotest.(check int) "committed height" 2 (Forest.committed_height f);
+          Alcotest.(check int) "committed count" 3 (Forest.committed_count f);
           Alcotest.(check bool) "b3 survives" true (Forest.mem f b3.hash);
           Alcotest.(check int) "size" 1 (Forest.size f)
       | Error _ -> Alcotest.fail "commit failed")
@@ -100,6 +101,25 @@ let test_commit_prunes_conflicting_branch () =
         | _ -> false);
       Alcotest.(check bool) "b2' gone" false (Forest.mem f b2'.hash);
       Alcotest.(check bool) "b3' gone" false (Forest.mem f b3'.hash)
+  | Error _ -> Alcotest.fail "commit failed"
+
+let test_prune_order_ties_on_hash () =
+  (* Two dead siblings of equal height, plus a child of one of them: the
+     pruned list is ordered by height, equal heights by block hash. *)
+  let f = Forest.create () in
+  let b1 = Helpers.child ~reg ~view:1 Block.genesis in
+  let b2 = Helpers.child ~reg ~view:2 b1 in
+  let s1 = Helpers.child ~reg ~view:3 b1 in
+  let s2 = Helpers.child ~reg ~view:4 b1 in
+  let s2_child = Helpers.child ~reg ~view:5 s2 in
+  Helpers.add_all f [ b1; b2; s1; s2; s2_child ];
+  let lo, hi = if String.compare s1.hash s2.hash < 0 then (s1, s2) else (s2, s1) in
+  match Forest.commit f b2.hash with
+  | Ok (_, forked) ->
+      Alcotest.(check (list string)) "height, then hash"
+        (List.map (fun (b : Block.t) -> b.hash) [ lo; hi; s2_child ])
+        (List.map (fun (b : Block.t) -> b.hash) forked);
+      Alcotest.(check int) "committed count" 3 (Forest.committed_count f)
   | Error _ -> Alcotest.fail "commit failed"
 
 let test_commit_already_committed () =
@@ -244,6 +264,8 @@ let suite =
     Alcotest.test_case "commit prefix" `Quick test_commit_prefix;
     Alcotest.test_case "commit prunes conflicts" `Quick
       test_commit_prunes_conflicting_branch;
+    Alcotest.test_case "prune order ties on hash" `Quick
+      test_prune_order_ties_on_hash;
     Alcotest.test_case "already committed" `Quick test_commit_already_committed;
     Alcotest.test_case "unknown commit" `Quick test_commit_unknown;
     Alcotest.test_case "below horizon" `Quick test_add_below_horizon;

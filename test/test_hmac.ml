@@ -1,4 +1,5 @@
 module Hmac = Bamboo_crypto.Hmac
+module Sha256 = Bamboo_crypto.Sha256
 
 (* RFC 4231 test vectors for HMAC-SHA256. *)
 let test_rfc4231_case1 () =
@@ -50,6 +51,38 @@ let test_block_sized_key () =
   let tag = Hmac.mac ~key "m" in
   Alcotest.(check bool) "verifies" true (Hmac.verify ~key ~tag "m")
 
+(* RFC 2104 written out over one-shot digests:
+   H((K xor opad) || H((K xor ipad) || m)), with K hashed when longer than
+   the 64-byte block and zero-padded to it. *)
+let reference ~key msg =
+  let key = if String.length key > 64 then Sha256.digest key else key in
+  let key = key ^ String.make (64 - String.length key) '\x00' in
+  let pad byte = String.map (fun c -> Char.chr (Char.code c lxor byte)) key in
+  Sha256.digest (pad 0x5c ^ Sha256.digest (pad 0x36 ^ msg))
+
+let bytes_of_len len = String.init len (fun i -> Char.chr (((i * 31) + len) land 0xff))
+
+(* One prepared key serves every message length in turn, so a MAC that
+   disturbed the absorbed pads would fail the later checks. *)
+let test_prepared_matches_reference () =
+  List.iter
+    (fun key_len ->
+      let key = bytes_of_len key_len in
+      let prepared = Hmac.prepare key in
+      List.iter
+        (fun msg_len ->
+          let msg = bytes_of_len msg_len in
+          let expected = Sha256.hex (reference ~key msg) in
+          let what = Printf.sprintf "key %d, msg %d" key_len msg_len in
+          Alcotest.(check string) ("prepared " ^ what) expected
+            (Sha256.hex (Hmac.mac_with prepared msg));
+          Alcotest.(check string) ("mac " ^ what) expected
+            (Sha256.hex (Hmac.mac ~key msg));
+          Alcotest.(check bool) ("verify_with " ^ what) true
+            (Hmac.verify_with prepared ~tag:(reference ~key msg) msg))
+        [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 1000 ])
+    [ 0; 1; 63; 64; 65; 200 ]
+
 let verify_prop =
   let open QCheck in
   let gen =
@@ -71,5 +104,7 @@ let suite =
     Alcotest.test_case "distinct keys" `Quick test_distinct_keys_distinct_macs;
     Alcotest.test_case "tag length" `Quick test_tag_length;
     Alcotest.test_case "block-sized key" `Quick test_block_sized_key;
+    Alcotest.test_case "prepared key = RFC 2104 reference" `Quick
+      test_prepared_matches_reference;
     QCheck_alcotest.to_alcotest verify_prop;
   ]

@@ -39,6 +39,37 @@ let test_deterministic () =
   let sa = Sig.sign a ~signer:3 "p" and sb = Sig.sign b ~signer:3 "p" in
   Alcotest.(check string) "same tag from same master" sa.Sig.tag sb.Sig.tag
 
+let test_pinned_tag () =
+  (* Pins the key derivation (master -> per-replica key) and the MAC. *)
+  let reg = Sig.setup ~n:4 ~master:"test-master" in
+  let s = Sig.sign reg ~signer:2 "vote|7|block-hash" in
+  Alcotest.(check string) "tag"
+    "034150628a2754c35d4036dd407b866cb595d715360a2800a88761aec8d8e3c6"
+    (Bamboo_crypto.Sha256.hex s.Sig.tag)
+
+(* Two domains sign through one registry, as replica threads and Pool
+   workers do. The prepared key states they share are only read. *)
+let test_shared_registry_across_domains () =
+  let n = 4 and rounds = 200 in
+  let payload i = "payload-" ^ string_of_int i in
+  let sign_all reg =
+    Array.init (n * rounds) (fun i ->
+        (Sig.sign reg ~signer:(i mod n) (payload i)).Sig.tag)
+  in
+  let expected = sign_all (Sig.setup ~n ~master:"m") in
+  let reg = Sig.setup ~n ~master:"m" in
+  let d1 = Domain.spawn (fun () -> sign_all reg) in
+  let d2 = Domain.spawn (fun () -> sign_all reg) in
+  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  Alcotest.(check (array string)) "domain 1 tags" expected t1;
+  Alcotest.(check (array string)) "domain 2 tags" expected t2;
+  Alcotest.(check int) "signs counted exactly" (2 * n * rounds) (Sig.signs reg);
+  Array.iteri
+    (fun i tag ->
+      Alcotest.(check bool) "verifies" true
+        (Sig.verify reg { Sig.signer = i mod n; tag } (payload i)))
+    t1
+
 let test_invalid_setup () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Sig.setup: n must be positive")
     (fun () -> ignore (Sig.setup ~n:0 ~master:"m"))
@@ -52,4 +83,7 @@ let suite =
     Alcotest.test_case "sizes" `Quick test_size;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "invalid setup" `Quick test_invalid_setup;
+    Alcotest.test_case "pinned tag" `Quick test_pinned_tag;
+    Alcotest.test_case "shared registry across domains" `Quick
+      test_shared_registry_across_domains;
   ]

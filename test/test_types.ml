@@ -64,6 +64,34 @@ let test_merkle_odd_duplicates_last () =
         (Block.merkle_root (Helpers.txs 3))
   | _ -> assert false
 
+(* The tree written out over concatenated strings, as a reference for the
+   streaming implementation. *)
+let reference_merkle_root txs =
+  let rec level = function
+    | [ root ] -> root
+    | nodes ->
+        let rec pair = function
+          | [] -> []
+          | [ last ] -> [ Sha256.digest (last ^ last) ]
+          | a :: b :: rest -> Sha256.digest (a ^ b) :: pair rest
+        in
+        level (pair nodes)
+  in
+  if txs = [] then Sha256.digest "" else level (List.map leaf txs)
+
+let test_merkle_matches_reference () =
+  for count = 0 to 9 do
+    let txs =
+      List.init count (fun i ->
+          if i mod 2 = 0 then Tx.make ~client:(i + 1) ~seq:(i * 100) ~payload_len:8
+          else Tx.make_with_data ~client:i ~seq:(-i) ~data:(String.make (i * 13) 'd'))
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%d leaves" count)
+      (Sha256.hex (reference_merkle_root txs))
+      (Sha256.hex (Block.merkle_root txs))
+  done
+
 let test_merkle_order_sensitive () =
   let a = Helpers.txs 4 in
   let b = List.rev a in
@@ -230,6 +258,37 @@ let test_message_keys_distinct () =
   Alcotest.(check int) "all distinct" 4
     (List.length (List.sort_uniq compare keys))
 
+(* Byte pins: these strings are signed, hashed or used as de-duplication
+   keys, so their exact bytes are part of every run's output. *)
+let test_payload_pins () =
+  Alcotest.(check string) "qc payload" "vote|12|HASH"
+    (Qc.signed_payload ~block:"HASH" ~view:12);
+  Alcotest.(check string) "timeout payload" "timeout|7"
+    (Timeout_msg.signed_payload ~view:7);
+  Alcotest.(check string) "tx id" "3:-4" (Tx.id_to_string { client = 3; seq = -4 })
+
+let test_message_key_pins () =
+  let b = { (Helpers.child ~reg ~view:1 Block.genesis) with Block.hash = "HASH" } in
+  let v = { (Helpers.vote_for reg ~voter:2 b) with Vote.block = "HASH" } in
+  let tm =
+    Timeout_msg.create reg ~sender:3 ~view:9
+      ~high_qc:(Qc.genesis ~block:Block.genesis_hash)
+  in
+  Alcotest.(check string) "proposal" "p|HASH"
+    (Message.key (Message.Proposal { block = b; tc = None }));
+  Alcotest.(check string) "vote" "v|HASH|2" (Message.key (Message.Vote v));
+  Alcotest.(check string) "timeout" "t|9|3" (Message.key (Message.Timeout tm));
+  Alcotest.(check string) "request" "r|HASH|1"
+    (Message.key (Message.Request_block { hash = "HASH"; requester = 1 }))
+
+let test_short_hash () =
+  Alcotest.(check string) "8-char prefix" "00ff10ab"
+    (Ids.short "\x00\xff\x10\xab\xcd\xef");
+  Alcotest.(check string) "short input" "0aff" (Ids.short "\x0a\xff");
+  Alcotest.(check string) "genesis prefix"
+    (String.sub (Sha256.hex Block.genesis_hash) 0 8)
+    (Ids.short Block.genesis_hash)
+
 let test_message_view_and_label () =
   let b = Helpers.child ~reg ~view:6 Block.genesis in
   Alcotest.(check int) "proposal view" 6
@@ -248,6 +307,8 @@ let suite =
     Alcotest.test_case "merkle pair" `Quick test_merkle_pair;
     Alcotest.test_case "merkle odd" `Quick test_merkle_odd_duplicates_last;
     Alcotest.test_case "merkle order-sensitive" `Quick test_merkle_order_sensitive;
+    Alcotest.test_case "merkle = concatenating reference" `Quick
+      test_merkle_matches_reference;
     Alcotest.test_case "genesis" `Quick test_genesis;
     Alcotest.test_case "block create" `Quick test_block_create;
     Alcotest.test_case "hash commits to fields" `Quick test_block_hash_commits_to_fields;
@@ -266,4 +327,7 @@ let suite =
     Alcotest.test_case "tc empty" `Quick test_tc_empty;
     Alcotest.test_case "message keys" `Quick test_message_keys_distinct;
     Alcotest.test_case "message view/label" `Quick test_message_view_and_label;
+    Alcotest.test_case "payload pins" `Quick test_payload_pins;
+    Alcotest.test_case "message key pins" `Quick test_message_key_pins;
+    Alcotest.test_case "short hash" `Quick test_short_hash;
   ]
