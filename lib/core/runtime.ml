@@ -523,27 +523,21 @@ let start_open_loop st ~rate ~broadcast =
           done
         end
         else begin
-          let by_target = Hashtbl.create 8 in
+          let by_target = Array.make st.config.n [] in
           for _ = 1 to k do
             let target = Rng.int st.workload_rng st.config.n in
             let tx = fresh_tx st ~client:0 in
-            let prev =
-              match Hashtbl.find_opt by_target target with
-              | None -> []
-              | Some l -> l
-            in
-            Hashtbl.replace by_target target (tx :: prev)
+            by_target.(target) <- tx :: by_target.(target)
           done;
-          (* Walk targets in replica order rather than folding the table:
-             the batch list's order reaches the trace sink via issue_txs,
-             so it must not depend on bucket layout. *)
-          issue_txs st
-            (List.filter_map
-               (fun tgt ->
-                 Option.map
-                   (fun txs -> (tgt, txs))
-                   (Hashtbl.find_opt by_target tgt))
-               (List.init st.config.n Fun.id))
+          (* Batches go out in replica order: the batch list's order
+             reaches the trace sink via issue_txs. *)
+          let batches = ref [] in
+          for tgt = st.config.n - 1 downto 0 do
+            match by_target.(tgt) with
+            | [] -> ()
+            | txs -> batches := (tgt, txs) :: !batches
+          done;
+          issue_txs st !batches
         end
       end;
       Sim.schedule st.sim ~delay:tick tick_fn

@@ -26,6 +26,8 @@ type shared = {
   mutable latency_total : float; [@guarded_by "mutex"]
   mutable latency_count : int; [@guarded_by "mutex"]
   mutable committed : Tx.Id_set.t; [@guarded_by "mutex"]
+  mutable committed_count : int; [@guarded_by "mutex"]
+      (* [Id_set.cardinal committed], kept so reading it is O(1) *)
   stop : bool Atomic.t;
 }
 
@@ -126,6 +128,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
                   (fun (tx : Tx.t) ->
                     if not (Tx.Id_set.mem tx.id shared.committed) then begin
                       shared.committed <- Tx.Id_set.add tx.id shared.committed;
+                      shared.committed_count <- shared.committed_count + 1;
                       match Tx.Id_tbl.find_opt shared.issue_times tx.id with
                       | Some t0 ->
                           shared.latency_total <-
@@ -220,6 +223,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         latency_total = 0.0;
         latency_count = 0;
         committed = Tx.Id_set.empty;
+        committed_count = 0;
         stop = Atomic.make false;
       }
     in
@@ -298,7 +302,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
 
   let committed_txs cluster =
     Mutex.lock cluster.shared.mutex;
-    let n = Tx.Id_set.cardinal cluster.shared.committed in
+    let n = cluster.shared.committed_count in
     Mutex.unlock cluster.shared.mutex;
     n
 
@@ -374,7 +378,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
        locking story stays uniform (and checkable) for these fields. *)
     let committed_txs, latency_mean, latency_count =
       Mutex.lock shared.mutex;
-      let committed_txs = Tx.Id_set.cardinal shared.committed in
+      let committed_txs = shared.committed_count in
       let latency_mean =
         if shared.latency_count = 0 then 0.0
         else shared.latency_total /. float_of_int shared.latency_count

@@ -122,6 +122,49 @@ let feed_sub ctx s ~pos ~len =
 
 let feed ctx s = feed_sub ctx s ~pos:0 ~len:(String.length s)
 
+let feed_char ctx c =
+  Bytes.unsafe_set ctx.block ctx.fill c;
+  ctx.total <- ctx.total + 1;
+  ctx.fill <- ctx.fill + 1;
+  if ctx.fill = 64 then begin
+    compress ctx;
+    ctx.fill <- 0
+  end
+
+(* The bytes of [string_of_int n], without the string. Digits come from
+   the non-positive [m] (the magnitude negated), so [min_int] needs no
+   special case: [m mod 10] lies in (-10, 0]. *)
+let feed_int ctx n =
+  if n < 0 then feed_char ctx '-';
+  let m = if n < 0 then n else -n in
+  let rec width m d = if m > -10 then d else width (m / 10) (d + 1) in
+  let d = width m 1 in
+  if ctx.fill + d <= 64 then begin
+    (* The digits fit in the block: write them last to first. *)
+    let m = ref m in
+    for i = ctx.fill + d - 1 downto ctx.fill do
+      Bytes.unsafe_set ctx.block i (Char.unsafe_chr (48 - (!m mod 10)));
+      m := !m / 10
+    done;
+    ctx.total <- ctx.total + d;
+    ctx.fill <- ctx.fill + d;
+    if ctx.fill = 64 then begin
+      compress ctx;
+      ctx.fill <- 0
+    end
+  end
+  else begin
+    (* They straddle a block boundary: feed them first to last. *)
+    let p = ref 1 in
+    for _ = 2 to d do
+      p := !p * 10
+    done;
+    while !p > 0 do
+      feed_char ctx (Char.unsafe_chr (48 - (m / !p mod 10)));
+      p := !p / 10
+    done
+  end
+
 let finalize ctx =
   let bitlen = Int64.mul (Int64.of_int ctx.total) 8L in
   (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)

@@ -14,6 +14,13 @@ val feed : ctx -> string -> unit
 
 val feed_sub : ctx -> string -> pos:int -> len:int -> unit
 
+val feed_char : ctx -> char -> unit
+(** [feed_char ctx c] is [feed ctx (String.make 1 c)]. *)
+
+val feed_int : ctx -> int -> unit
+(** [feed_int ctx n] is [feed ctx (string_of_int n)], without building the
+    string: the decimal digits, after a ['-'] when [n] is negative. *)
+
 val copy : ctx -> ctx
 (** [copy ctx] is an independent context in the same state: feeding
     either one leaves the other unchanged. [copy] only reads [ctx], so

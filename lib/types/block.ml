@@ -10,12 +10,15 @@ type t = {
 }
 
 (* Leaves commit to both the id and the payload bytes so that an executed
-   command cannot be substituted after certification. Hashes feed their
-   parts into a context instead of building the concatenated string; the
+   command cannot be substituted after certification. A leaf's preimage
+   is "client:seq|data". Hashes feed their parts into a context, ints as
+   their decimal digits, instead of building the concatenated string; the
    digest is that of the concatenation. *)
 let feed_leaf ctx (tx : Tx.t) =
-  Bamboo_crypto.Sha256.feed ctx (Tx.id_to_string tx.id);
-  Bamboo_crypto.Sha256.feed ctx "|";
+  Bamboo_crypto.Sha256.feed_int ctx tx.id.client;
+  Bamboo_crypto.Sha256.feed_char ctx ':';
+  Bamboo_crypto.Sha256.feed_int ctx tx.id.seq;
+  Bamboo_crypto.Sha256.feed_char ctx '|';
   Bamboo_crypto.Sha256.feed ctx tx.data
 
 let leaf_hash tx =
@@ -87,7 +90,7 @@ let flat_root txs =
   List.iter
     (fun tx ->
       feed_leaf ctx tx;
-      Bamboo_crypto.Sha256.feed ctx ",")
+      Bamboo_crypto.Sha256.feed_char ctx ',')
     txs;
   Bamboo_crypto.Sha256.finalize ctx
 

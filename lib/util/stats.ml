@@ -7,7 +7,6 @@ type t = {
   mutable total : float;
   mutable samples : float array;
   mutable len : int;
-  mutable sorted : bool;
 }
 
 let create () =
@@ -20,7 +19,6 @@ let create () =
     total = 0.0;
     samples = Array.make 64 0.0;
     len = 0;
-    sorted = true;
   }
 
 let add t x =
@@ -37,8 +35,7 @@ let add t x =
     t.samples <- buf
   end;
   t.samples.(t.len) <- x;
-  t.len <- t.len + 1;
-  t.sorted <- false
+  t.len <- t.len + 1
 
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
@@ -51,24 +48,104 @@ let min_value t = if t.n = 0 then 0.0 else t.min
 let max_value t = if t.n = 0 then 0.0 else t.max
 let total t = t.total
 
-let ensure_sorted t =
-  if not t.sorted then begin
-    let a = Array.sub t.samples 0 t.len in
-    Array.sort Float.compare a;
-    Array.blit a 0 t.samples 0 t.len;
-    t.sorted <- true
+(* Percentiles by selection: each order statistic a percentile needs is
+   found in place in expected linear time, in [Float.compare]'s total
+   order, so the values are the ones a full sort would put at those ranks.
+   [lt] is [Float.compare x y < 0] without the call: NaN sorts first. *)
+let[@inline] lt (x : float) y = x < y || (x <> x && y = y)
+
+let swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* Fallback once the partition depth runs out: an in-place heap sort of
+   [a.(l..r)] keeps the worst case at O(n log n). *)
+let rec sift (a : float array) l n i =
+  let c = (2 * i) + 1 in
+  if c < n then begin
+    let c = if c + 1 < n && lt a.(l + c) a.(l + c + 1) then c + 1 else c in
+    if lt a.(l + i) a.(l + c) then begin
+      swap a (l + i) (l + c);
+      sift a l n c
+    end
+  end
+
+let heap_sort a l r =
+  let n = r - l + 1 in
+  for i = (n / 2) - 1 downto 0 do
+    sift a l n i
+  done;
+  for m = n - 1 downto 1 do
+    swap a l (l + m);
+    sift a l m 0
+  done
+
+(* The pivot is the median of three samples at pseudo-random positions,
+   drawn from an LCG stepped once per sample. Fixed positions (first,
+   middle, last) line up with structured input: reversed or organ-pipe
+   samples, or the partitions a previous call left, would run the depth
+   out. The values found do not depend on the draws, only the time. *)
+let[@inline] next s = (s * 0x2545F4914F6CDD1D) + 0x14057B7EF767814F
+let[@inline] pick s n = (s lsr 30) mod n
+
+(* Quickselect with Hoare partitioning (scans stop on equal keys, so
+   all-equal input splits in half). Leaves the rank-[k] value at [a.(k)]
+   with no greater value left of it and no smaller value right of it. *)
+let rec select (a : float array) l r k depth seed =
+  if r <= l + 1 then begin
+    if r = l + 1 && lt a.(r) a.(l) then swap a l r
+  end
+  else if depth = 0 then heap_sort a l r
+  else begin
+    let n = r - l + 1 in
+    let s1 = next seed in
+    let s2 = next s1 in
+    let s3 = next s2 in
+    swap a l (l + pick s1 n);
+    swap a (l + 1) (l + pick s2 n);
+    swap a r (l + pick s3 n);
+    (* Order a.(l+1) <= a.(l) <= a.(r): a.(l) is the pivot, the other two
+       are sentinels for the scans. *)
+    if lt a.(r) a.(l + 1) then swap a (l + 1) r;
+    if lt a.(r) a.(l) then swap a l r;
+    if lt a.(l) a.(l + 1) then swap a l (l + 1);
+    let pivot = a.(l) in
+    let i = ref (l + 1) and j = ref r in
+    let crossed = ref false in
+    while not !crossed do
+      incr i;
+      while lt a.(!i) pivot do
+        incr i
+      done;
+      decr j;
+      while lt pivot a.(!j) do
+        decr j
+      done;
+      if !j < !i then crossed := true else swap a !i !j
+    done;
+    a.(l) <- a.(!j);
+    a.(!j) <- pivot;
+    if k < !j then select a l (!j - 1) k (depth - 1) s3
+    else if k > !j then select a (!j + 1) r k (depth - 1) s3
   end
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
   if t.len = 0 then 0.0
   else begin
-    ensure_sorted t;
+    let a = t.samples in
     let rank = p /. 100.0 *. float_of_int (t.len - 1) in
     let lo = int_of_float (Float.of_int (int_of_float rank)) in
-    let hi = min (t.len - 1) (lo + 1) in
+    let rec depth n d = if n <= 1 then d else depth (n / 2) (d + 2) in
+    select a 0 (t.len - 1) lo (depth t.len 0) 0;
+    (* Right of [lo] nothing is smaller, so the next rank is its minimum. *)
+    let hi = ref (min (t.len - 1) (lo + 1)) in
+    for i = !hi + 1 to t.len - 1 do
+      if lt a.(i) a.(!hi) then hi := i
+    done;
     let frac = rank -. float_of_int lo in
-    (t.samples.(lo) *. (1.0 -. frac)) +. (t.samples.(hi) *. frac)
+    (a.(lo) *. (1.0 -. frac)) +. (a.(!hi) *. frac)
   end
 
 let median t = percentile t 50.0

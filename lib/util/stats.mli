@@ -30,7 +30,10 @@ val total : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], by linear interpolation
-    between closest ranks; 0 when empty. *)
+    between closest ranks; 0 when empty. The two ranks are found by
+    selection in place over the retained samples (linear expected time,
+    no copy), in [Float.compare]'s order, so the value is the one a sort
+    would give. *)
 
 val median : t -> float
 

@@ -61,6 +61,28 @@ let test_digest_size () =
 let test_hex () =
   Alcotest.(check string) "hex" "00ff10" (Sha256.hex "\x00\xff\x10")
 
+(* [feed_int] and [feed_char] must absorb exactly the bytes of the string
+   they stand for, whatever the buffer fill they start at: digits that fit
+   the block and digits that straddle its end take different paths. *)
+let test_feed_int_and_char () =
+  List.iter
+    (fun n ->
+      for fill = 0 to 63 do
+        let prefix = String.make fill 'p' in
+        let a = Sha256.init () and b = Sha256.init () in
+        Sha256.feed a prefix;
+        Sha256.feed b prefix;
+        Sha256.feed_int a n;
+        Sha256.feed b (string_of_int n);
+        Sha256.feed_char a ',';
+        Sha256.feed b ",";
+        Alcotest.(check string)
+          (Printf.sprintf "%d at fill %d" n fill)
+          (Sha256.hex (Sha256.finalize b))
+          (Sha256.hex (Sha256.finalize a))
+      done)
+    [ 0; 9; 10; -1; -10; max_int; min_int ]
+
 let incremental_prop =
   let open QCheck in
   let gen =
@@ -94,6 +116,7 @@ let suite =
     Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
     Alcotest.test_case "digest size" `Quick test_digest_size;
     Alcotest.test_case "hex" `Quick test_hex;
+    Alcotest.test_case "feed_int/feed_char = feed" `Quick test_feed_int_and_char;
     QCheck_alcotest.to_alcotest incremental_prop;
     QCheck_alcotest.to_alcotest collision_resistance_smoke;
   ]

@@ -35,7 +35,7 @@ let test_percentile_interpolation () =
   Alcotest.(check (float 1e-9)) "p25" 12.5 (Stats.percentile t 25.0)
 
 let test_percentile_after_more_adds () =
-  (* Adding after a percentile query must re-sort correctly. *)
+  (* A sample added after a percentile query must count in the next one. *)
   let t = feed [ 3.0; 1.0 ] in
   ignore (Stats.median t);
   Stats.add t 2.0;
@@ -94,6 +94,66 @@ let percentile_bounds =
       let v = Stats.percentile t p in
       v >= Stats.min_value t -. 1e-9 && v <= Stats.max_value t +. 1e-9)
 
+(* The reference: a copy sorted with [Float.compare], then interpolated
+   between the two closest ranks. *)
+let reference_percentile xs p =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  let rank = p /. 100.0 *. float_of_int (n - 1) in
+  let lo = int_of_float rank in
+  let hi = min (n - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+
+type shape = Shuffled | Sorted | Reversed | All_equal
+
+let shape_name = function
+  | Shuffled -> "shuffled"
+  | Sorted -> "sorted"
+  | Reversed -> "reversed"
+  | All_equal -> "all equal"
+
+let percentile_matches_sort =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let* shape = oneofl [ Shuffled; Sorted; Reversed; All_equal ] in
+    let* n = oneof [ int_range 1 2; int_range 1 50; int_range 50 3000 ] in
+    (* Few distinct values, so most samples have duplicates. *)
+    let* distinct = int_range 1 20 in
+    let* raw = list_repeat n (map float_of_int (int_range 0 (distinct - 1))) in
+    let* scale = oneofl [ 1.0; 0.37; -2.5 ] in
+    let raw = List.map (fun x -> x *. scale) raw in
+    let xs =
+      match shape with
+      | Shuffled -> raw
+      | Sorted -> List.sort Float.compare raw
+      | Reversed -> List.rev (List.sort Float.compare raw)
+      | All_equal -> List.map (fun _ -> 1.5) raw
+    in
+    let* random_ps = list_size (int_range 1 5) (float_range 0.0 100.0) in
+    (* Query order is random too: each call sees the previous call's
+       partially reordered samples. *)
+    let* ps = shuffle_l ([ 0.0; 50.0; 95.0; 99.0; 100.0 ] @ random_ps) in
+    return (shape, xs, ps)
+  in
+  Test.make ~name:"percentiles equal the sorted reference" ~count:300
+    (make
+       ~print:(fun (shape, xs, ps) ->
+         Printf.sprintf "%s, %d samples, p = %s" (shape_name shape)
+           (List.length xs)
+           (String.concat ", " (List.map string_of_float ps)))
+       gen)
+    (fun (_, xs, ps) ->
+      let t = feed xs in
+      List.for_all
+        (fun p ->
+          Int64.equal
+            (Int64.bits_of_float (Stats.percentile t p))
+            (Int64.bits_of_float (reference_percentile xs p)))
+        ps)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -107,4 +167,5 @@ let suite =
     Alcotest.test_case "invalid percentile" `Quick test_invalid_percentile;
     QCheck_alcotest.to_alcotest welford_matches_naive;
     QCheck_alcotest.to_alcotest percentile_bounds;
+    QCheck_alcotest.to_alcotest percentile_matches_sort;
   ]

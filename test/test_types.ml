@@ -92,6 +92,30 @@ let test_merkle_matches_reference () =
       (Sha256.hex (Block.merkle_root txs))
   done
 
+(* The flat root written out as one concatenated preimage: every leaf
+   followed by a comma. *)
+let reference_flat_root txs =
+  Sha256.digest
+    (String.concat ""
+       (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id ^ "|" ^ t.data ^ ",") txs))
+
+let test_flat_matches_reference () =
+  for count = 0 to 9 do
+    let txs =
+      List.init count (fun i ->
+          if i mod 2 = 0 then Tx.make ~client:(i + 1) ~seq:(i * 100) ~payload_len:8
+          else Tx.make_with_data ~client:i ~seq:(-i) ~data:(String.make (i * 13) 'd'))
+    in
+    let b =
+      Block.create ~root:`Flat ~view:1 ~parent:Block.genesis
+        ~justify:(Helpers.qc_for reg Block.genesis) ~proposer:0 ~txs ()
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%d leaves" count)
+      (Sha256.hex (reference_flat_root txs))
+      (Sha256.hex b.tx_root)
+  done
+
 let test_merkle_order_sensitive () =
   let a = Helpers.txs 4 in
   let b = List.rev a in
@@ -309,6 +333,8 @@ let suite =
     Alcotest.test_case "merkle order-sensitive" `Quick test_merkle_order_sensitive;
     Alcotest.test_case "merkle = concatenating reference" `Quick
       test_merkle_matches_reference;
+    Alcotest.test_case "flat = concatenating reference" `Quick
+      test_flat_matches_reference;
     Alcotest.test_case "genesis" `Quick test_genesis;
     Alcotest.test_case "block create" `Quick test_block_create;
     Alcotest.test_case "hash commits to fields" `Quick test_block_hash_commits_to_fields;
