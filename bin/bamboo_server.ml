@@ -121,19 +121,8 @@ let () =
             }
           else
           let committed =
-            if List.assoc_opt "wait" params = Some "true" then begin
-              let deadline = Unix.gettimeofday () +. 5.0 in
-              let rec wait () =
-                if Runtime.tx_committed cluster tx.Tx.id then true
-                else if Unix.gettimeofday () > deadline then false
-                else begin
-                  Thread.delay 0.002;
-                  wait ()
-                end
-              in
-              wait ()
-            end
-            else false
+            List.assoc_opt "wait" params = Some "true"
+            && Runtime.wait_tx_committed cluster tx.Tx.id ~timeout_s:5.0
           in
           {
             Http.status = 200;

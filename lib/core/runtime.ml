@@ -568,7 +568,7 @@ let install_probe ~config ~sim ~machines ~trace ~registry =
   let interval = config.Config.probe_interval in
   if interval <= 0.0 then None
   else begin
-    let p = Probe.create ~trace ~registry ~interval () in
+    let p = Probe.create ~trace ~registry () in
     Array.iteri
       (fun i m ->
         Probe.add_gauge p ~node:i ~name:"cpu_queue_depth" (fun () ->

@@ -1,7 +1,9 @@
 open Bamboo_types
+module Committed = Bamboo_mempool.Committed
 module Forest = Bamboo_forest.Forest
 module Heap = Bamboo_util.Heap
 module Trace = Bamboo_obs.Trace
+module Wakeup = Bamboo_network.Wakeup
 
 (* This runtime drives real system threads over real sockets/rings, so
    wall-clock reads are its time base by design; reproducibility is the
@@ -23,13 +25,63 @@ type report = {
 type shared = {
   mutex : Mutex.t;
   issue_times : float Tx.Id_tbl.t; [@guarded_by "mutex"]
+      (* submit time of each admitted tx until it commits *)
   mutable latency_total : float; [@guarded_by "mutex"]
   mutable latency_count : int; [@guarded_by "mutex"]
-  mutable committed : Tx.Id_set.t; [@guarded_by "mutex"]
-  mutable committed_count : int; [@guarded_by "mutex"]
-      (* [Id_set.cardinal committed], kept so reading it is O(1) *)
+  committed : Committed.t; [@guarded_by "mutex"]
+  grew : Condition.t; (* broadcast when [committed] grows *)
+  mutable waiters : int; [@guarded_by "mutex"] (* threads parked on [grew] *)
+  mutable ticking : bool; [@guarded_by "mutex"]
+      (* a deadline ticker is running *)
   stop : bool Atomic.t;
 }
+
+(* Deadline resolution of the commit waits: [Condition] has no timed
+   wait, so while a waiter is parked a ticker wakes it this often to
+   check its deadline. Commits wake it at once. *)
+let wait_tick_s = 0.005
+
+(* Called by the deadline ticker before each tick: the ticker lives while
+   any waiter is parked, and says so as it exits so the next waiter
+   starts another. *)
+let ticker_live shared =
+  Mutex.lock shared.mutex;
+  let live = shared.waiters > 0 in
+  if not live then shared.ticking <- false;
+  Mutex.unlock shared.mutex;
+  live
+
+let tick shared =
+  Mutex.lock shared.mutex;
+  Condition.broadcast shared.grew;
+  Mutex.unlock shared.mutex
+
+(* Blocks until [ready] holds of the committed set or [timeout_s]
+   elapses; returns whether it held. *)
+let await shared ~timeout_s ready =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  Mutex.lock shared.mutex;
+  let rec loop () =
+    if ready shared.committed then true
+    else if Unix.gettimeofday () >= deadline then false
+    else begin
+      shared.waiters <- shared.waiters + 1;
+      if not shared.ticking then begin
+        shared.ticking <- true;
+        ignore
+          (Wakeup.start_ticker ~period_s:wait_tick_s
+             ~live:(fun () -> ticker_live shared)
+             ~wake:(fun () -> tick shared)
+            : Wakeup.ticker)
+      end;
+      Condition.wait shared.grew shared.mutex;
+      shared.waiters <- shared.waiters - 1;
+      loop ()
+    end
+  in
+  let reached = loop () in
+  Mutex.unlock shared.mutex;
+  reached
 
 module type RUNTIME = sig
   type endpoint
@@ -52,6 +104,7 @@ module type RUNTIME = sig
   val kv_get : cluster -> replica:int -> string -> string option
   val kv_state_hash : cluster -> replica:int -> string
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
+  val wait_tx_committed : cluster -> Bamboo_types.Tx.id -> timeout_s:float -> bool
   val stop : cluster -> report
 
   val run :
@@ -122,22 +175,23 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
                   b.txs)
               blocks;
             Mutex.lock shared.mutex;
+            let before = Committed.count shared.committed in
             List.iter
               (fun (b : Block.t) ->
                 List.iter
                   (fun (tx : Tx.t) ->
-                    if not (Tx.Id_set.mem tx.id shared.committed) then begin
-                      shared.committed <- Tx.Id_set.add tx.id shared.committed;
-                      shared.committed_count <- shared.committed_count + 1;
+                    if Committed.add shared.committed tx.id then
                       match Tx.Id_tbl.find_opt shared.issue_times tx.id with
                       | Some t0 ->
+                          Tx.Id_tbl.remove shared.issue_times tx.id;
                           shared.latency_total <-
                             shared.latency_total +. (now -. t0);
                           shared.latency_count <- shared.latency_count + 1
-                      | None -> ()
-                    end)
+                      | None -> ())
                   b.txs)
               blocks;
+            if shared.waiters > 0 && Committed.count shared.committed > before
+            then Condition.broadcast shared.grew;
             Mutex.unlock shared.mutex
         | Node.Proposed _ | Node.Qc_formed _ | Node.Entered_view _
         | Node.Forked _ | Node.Voted _ -> ())
@@ -222,8 +276,10 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         issue_times = Tx.Id_tbl.create 1024;
         latency_total = 0.0;
         latency_count = 0;
-        committed = Tx.Id_set.empty;
-        committed_count = 0;
+        committed = Committed.create ();
+        grew = Condition.create ();
+        waiters = 0;
+        ticking = false;
         stop = Atomic.make false;
       }
     in
@@ -266,21 +322,35 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     | -1 -> invalid_arg "Threaded_runtime: replica not owned by this cluster"
     | i -> cluster.replicas.(i)
 
+  (* Each admitted tx is stamped before the node mutex is released, so
+     before any block can carry it; a refused one is never stamped, and
+     a re-submitted one keeps its first stamp. *)
   let submit_admission cluster ~replica txs =
     let ctx = ctx_of cluster ~replica in
+    let shared = cluster.shared in
     let now = Unix.gettimeofday () in
-    Mutex.lock cluster.shared.mutex;
+    Mutex.lock ctx.node_mutex;
+    let admitted =
+      List.filter
+        (fun tx ->
+          let rejected_before = Node.rejected_txs ctx.node in
+          apply_outputs shared ctx (Node.handle ctx.node (Submit [ tx ]));
+          Node.rejected_txs ctx.node = rejected_before)
+        txs
+    in
+    Mutex.lock shared.mutex;
     List.iter
       (fun (tx : Tx.t) ->
-        Tx.Id_tbl.replace cluster.shared.issue_times tx.id now)
-      txs;
-    Mutex.unlock cluster.shared.mutex;
-    Mutex.lock ctx.node_mutex;
-    let rejected_before = Node.rejected_txs ctx.node in
-    apply cluster.shared ctx (Node.handle ctx.node (Submit txs));
-    let rejected_after = Node.rejected_txs ctx.node in
+        if
+          not
+            (Committed.mem shared.committed tx.id
+            || Tx.Id_tbl.mem shared.issue_times tx.id)
+        then Tx.Id_tbl.add shared.issue_times tx.id now)
+      admitted;
+    Mutex.unlock shared.mutex;
+    fire_due shared ctx;
     Mutex.unlock ctx.node_mutex;
-    List.length txs - (rejected_after - rejected_before)
+    List.length admitted
 
   let submit cluster ~replica txs =
     ignore (submit_admission cluster ~replica txs : int)
@@ -296,13 +366,13 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
 
   let tx_committed cluster id =
     Mutex.lock cluster.shared.mutex;
-    let c = Tx.Id_set.mem id cluster.shared.committed in
+    let c = Committed.mem cluster.shared.committed id in
     Mutex.unlock cluster.shared.mutex;
     c
 
   let committed_txs cluster =
     Mutex.lock cluster.shared.mutex;
-    let n = cluster.shared.committed_count in
+    let n = Committed.count cluster.shared.committed in
     Mutex.unlock cluster.shared.mutex;
     n
 
@@ -321,16 +391,10 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     h
 
   let wait_committed cluster ~count ~timeout_s =
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec loop () =
-      if committed_txs cluster >= count then true
-      else if Unix.gettimeofday () > deadline then false
-      else begin
-        Thread.delay 0.005;
-        loop ()
-      end
-    in
-    loop ()
+    await cluster.shared ~timeout_s (fun c -> Committed.count c >= count)
+
+  let wait_tx_committed cluster id ~timeout_s =
+    await cluster.shared ~timeout_s (fun c -> Committed.mem c id)
 
   let stop cluster =
     Atomic.set cluster.shared.stop true;
@@ -378,7 +442,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
        locking story stays uniform (and checkable) for these fields. *)
     let committed_txs, latency_mean, latency_count =
       Mutex.lock shared.mutex;
-      let committed_txs = shared.committed_count in
+      let committed_txs = Committed.count shared.committed in
       let latency_mean =
         if shared.latency_count = 0 then 0.0
         else shared.latency_total /. float_of_int shared.latency_count

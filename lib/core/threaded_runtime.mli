@@ -52,7 +52,8 @@ module type RUNTIME = sig
   val submit : cluster -> replica:int -> Bamboo_types.Tx.t list -> unit
   (** Injects client transactions at an owned replica (thread-safe).
       Transactions are tracked for latency from this call until their
-      commit. Raises [Invalid_argument] for a replica this cluster does
+      commit; only the admitted ones are tracked, and each is forgotten
+      when it commits. Raises [Invalid_argument] for a replica this cluster does
       not own. *)
 
   val submit_admission :
@@ -77,7 +78,14 @@ module type RUNTIME = sig
 
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
   (** Blocks until at least [count] distinct transactions have committed,
-      or the timeout elapses; returns whether the count was reached. *)
+      or the timeout elapses; returns whether the count was reached. The
+      waiter parks on a condition each commit signals, so it returns as
+      soon as the count is reached; the timeout is honored within a few
+      milliseconds. *)
+
+  val wait_tx_committed :
+    cluster -> Bamboo_types.Tx.id -> timeout_s:float -> bool
+  (** Like {!wait_committed}, for one transaction. *)
 
   val stop : cluster -> report
   (** Stops all threads, closes the endpoints, and reports. *)

@@ -1,0 +1,25 @@
+(** A set of committed transaction ids whose size follows the reorder
+    window, not the run.
+
+    Each client's committed sequence numbers are a contiguous run plus a
+    sparse bitmap of the seqs committed outside it, in 32-seq words. While
+    a client numbers its seqs densely and they commit nearly in order, the
+    run absorbs the bitmap and the client costs a constant; a seq that
+    never commits leaves about one table entry per 32 seqs above it.
+
+    Each {!Mempool} keeps one for deduplication, and the threaded runtime
+    keeps one for the cluster's commit count and commit waits. *)
+
+open Bamboo_types
+
+type t
+
+val create : unit -> t
+
+val mem : t -> Tx.id -> bool
+
+val add : t -> Tx.id -> bool
+(** [add t id] records [id] as committed and returns whether it was new. *)
+
+val count : t -> int
+(** Distinct ids added so far. *)

@@ -1,93 +1,6 @@
 open Bamboo_types
 module Deque = Bamboo_util.Deque
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
-(* The committed sequence numbers of one client: a contiguous run
-   [lo, hi) plus a sparse bitmap of the seqs committed outside it, in
-   32-seq words keyed by [seq asr 5]. Blocks commit each proposer's FIFO
-   slice in order, so commits arrive nearly in seq order: the run absorbs
-   the bitmap as gaps fill and the set stays the size of the reorder
-   window. A seq that never commits (a tx some pool refused) pins [hi];
-   above it a full word costs one table entry per 32 seqs. *)
-type seqs = {
-  client : int;
-  mutable lo : int;
-  mutable hi : int;
-  mutable min_seq : int;
-  mutable max_seq : int;
-      (* extremes ever added: no sparse bit lies outside them *)
-  sparse : int Int_tbl.t;
-}
-
-let word_bits = 5
-let bit s = 1 lsl (s land ((1 lsl word_bits) - 1))
-let word c k = match Int_tbl.find c.sparse k with w -> w | exception Not_found -> 0
-
-let seqs_mem c s =
-  (c.lo <= s && s < c.hi)
-  || s >= c.min_seq && s <= c.max_seq
-     && word c (s asr word_bits) land bit s <> 0
-
-(* A bitmap that empties also gives back the buckets a burst of
-   out-of-order commits grew. *)
-let set_word c k w =
-  if w <> 0 then Int_tbl.replace c.sparse k w
-  else begin
-    Int_tbl.remove c.sparse k;
-    if Int_tbl.length c.sparse = 0 then Int_tbl.reset c.sparse
-  end
-
-(* Advance [hi] over the bitmap's consecutive set bits starting at it,
-   one word at a time. *)
-let rec absorb_up c =
-  if c.hi <= c.max_seq then begin
-    let k = c.hi asr word_bits in
-    let w = word c k in
-    let off = c.hi land ((1 lsl word_bits) - 1) in
-    let rec ones x n = if x land 1 = 1 then ones (x lsr 1) (n + 1) else n in
-    let run = ones (w lsr off) 0 in
-    if run > 0 then begin
-      set_word c k (w land lnot (((1 lsl run) - 1) lsl off));
-      c.hi <- c.hi + run;
-      if c.hi land ((1 lsl word_bits) - 1) = 0 then absorb_up c
-    end
-  end
-
-let rec absorb_down c =
-  if c.lo > c.min_seq then begin
-    let s = c.lo - 1 in
-    let k = s asr word_bits in
-    let w = word c k in
-    if w land bit s <> 0 then begin
-      set_word c k (w land lnot (bit s));
-      c.lo <- s;
-      absorb_down c
-    end
-  end
-
-let seqs_add c s =
-  if not (c.lo <= s && s < c.hi) then begin
-    if s > c.max_seq then c.max_seq <- s;
-    if s < c.min_seq then c.min_seq <- s;
-    if s = c.hi && s < max_int then begin
-      c.hi <- s + 1;
-      absorb_up c
-    end
-    else if s = c.lo - 1 && c.lo > min_int then begin
-      c.lo <- s;
-      absorb_down c
-    end
-    else
-      let k = s asr word_bits in
-      set_word c k (word c k lor bit s)
-  end
-
 type status = Queued | In_flight
 
 (* Chained hash table from a queued or in-flight tx id to its status.
@@ -166,8 +79,7 @@ end
 type t = {
   queue : Tx.t Deque.t;
   live : Live.t;
-  committed : seqs Int_tbl.t; (* by client *)
-  mutable last : seqs option; (* the last client looked up *)
+  committed : Committed.t;
   cap : int;
   (* observe-only tallies, surfaced through [stats] *)
   mutable peak : int;
@@ -190,8 +102,7 @@ let create ?(capacity = 1000) () =
   {
     queue = Deque.create ();
     live = Live.create ();
-    committed = Int_tbl.create 8;
-    last = None;
+    committed = Committed.create ();
     cap = capacity;
     peak = 0;
     n_batches = 0;
@@ -213,46 +124,12 @@ let length t = Deque.length t.queue
 let is_empty t = Deque.is_empty t.queue
 let capacity t = t.cap
 
-(* [last] is [None] only while nothing has committed. *)
-let seqs_of t client =
-  match t.last with
-  | Some c when c.client = client -> t.last
-  | None -> None
-  | Some _ ->
-      let found = Int_tbl.find_opt t.committed client in
-      if Option.is_some found then t.last <- found;
-      found
-
-let is_committed t (id : Tx.id) =
-  match seqs_of t id.client with
-  | Some c -> seqs_mem c id.seq
-  | None -> false
-
-let mark_committed t (id : Tx.id) =
-  match seqs_of t id.client with
-  | Some c -> seqs_add c id.seq
-  | None ->
-      let s = id.seq in
-      let c =
-        {
-          client = id.client;
-          lo = s;
-          hi = s;
-          min_seq = s;
-          max_seq = s;
-          sparse = Int_tbl.create 16;
-        }
-      in
-      seqs_add c s;
-      Int_tbl.replace t.committed id.client c;
-      t.last <- Some c
-
 let add t (tx : Tx.t) =
   if Deque.length t.queue >= t.cap then begin
     t.n_rejected_full <- t.n_rejected_full + 1;
     false
   end
-  else if Live.mem t.live tx.id || is_committed t tx.id then begin
+  else if Live.mem t.live tx.id || Committed.mem t.committed tx.id then begin
     t.n_rejected_dup <- t.n_rejected_dup + 1;
     false
   end
@@ -315,7 +192,7 @@ let forget t txs =
   List.iter
     (fun (tx : Tx.t) ->
       Live.remove t.live tx.Tx.id;
-      mark_committed t tx.Tx.id)
+      ignore (Committed.add t.committed tx.Tx.id : bool))
     txs
 
 let contains t id = Live.mem t.live id

@@ -10,9 +10,8 @@
     for good ([forget]) once a block commits.
 
     Memory is bounded by the pool's window, not by the run: only queued
-    and in-flight ids are kept per tx, and each client's committed ids are
-    a contiguous run of sequence numbers plus a sparse bitmap of the
-    commits that arrived out of order. *)
+    and in-flight ids are kept per tx, and committed ids go to a
+    {!Committed} set. *)
 
 open Bamboo_types
 

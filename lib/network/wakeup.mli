@@ -37,4 +37,5 @@ type ticker
 val start_ticker : period_s:float -> live:(unit -> bool) -> wake:(unit -> unit) -> ticker
 (** Background thread calling [wake ()] every [period_s] while [live ()]
     holds; exits (and is collected) the first time [live] is false. Used
-    one per ring cluster or TCP endpoint to bound park deadlines. *)
+    one per ring cluster or TCP endpoint to bound park deadlines, and by
+    the threaded runtime's commit waits while a waiter is parked. *)

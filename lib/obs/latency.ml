@@ -1,5 +1,3 @@
-module Json = Bamboo_util.Json
-
 type components = {
   client_wire : float;
   cpu_queue : float;
@@ -62,19 +60,6 @@ let summarize (t : t) =
 let components_sum (s : summary) =
   s.client_wire +. s.cpu_queue +. s.cpu_service +. s.mempool_wait
   +. s.nic_serialization +. s.consensus_wait
-
-let to_json (s : summary) =
-  Json.Obj
-    [
-      ("samples", Json.Int s.samples);
-      ("clientWire", Json.Float s.client_wire);
-      ("cpuQueue", Json.Float s.cpu_queue);
-      ("cpuService", Json.Float s.cpu_service);
-      ("mempoolWait", Json.Float s.mempool_wait);
-      ("nicSerialization", Json.Float s.nic_serialization);
-      ("consensusWait", Json.Float s.consensus_wait);
-      ("total", Json.Float s.total);
-    ]
 
 let pp_summary fmt (s : summary) =
   let ms v = v *. 1000.0 in

@@ -55,6 +55,4 @@ val summarize : t -> summary
 val components_sum : summary -> float
 (** Sum of the component means; equals [total] up to float rounding. *)
 
-val to_json : summary -> Bamboo_util.Json.t
-
 val pp_summary : Format.formatter -> summary -> unit

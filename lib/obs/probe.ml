@@ -1,5 +1,4 @@
 module Stats = Bamboo_util.Stats
-module Json = Bamboo_util.Json
 module Registry = Bamboo_metrics.Registry
 
 type gauge = {
@@ -13,7 +12,6 @@ type gauge = {
 }
 
 type t = {
-  interval : float;
   trace : Trace.t;
   registry : Registry.t;
   mutable gauges : gauge list; (* reverse insertion order *)
@@ -28,11 +26,8 @@ type summary = {
   max : float;
 }
 
-let create ?(trace = Trace.null) ?(registry = Registry.null) ~interval () =
-  if interval <= 0.0 then invalid_arg "Probe.create: interval must be positive";
-  { interval; trace; registry; gauges = []; ticks = 0 }
-
-let interval t = t.interval
+let create ?(trace = Trace.null) ?(registry = Registry.null) () =
+  { trace; registry; gauges = []; ticks = 0 }
 
 let add_gauge t ~node ~name read =
   let labels = if node >= 0 then [ ("node", string_of_int node) ] else [] in
@@ -69,18 +64,6 @@ let find_summary summaries ~node ~name =
     summaries
 
 let find t ~node ~name = find_summary (summaries t) ~node ~name
-
-let summary_to_json (s : summary) =
-  Json.Obj
-    [
-      ("node", Json.Int s.node);
-      ("name", Json.String s.name);
-      ("samples", Json.Int s.samples);
-      ("mean", Json.Float s.mean);
-      ("max", Json.Float s.max);
-    ]
-
-let to_json t = Json.List (List.map summary_to_json (summaries t))
 
 let pp_summary fmt (s : summary) =
   Format.fprintf fmt "node %d %-20s mean %10.3f  max %10.3f  (%d samples)"

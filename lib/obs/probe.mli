@@ -20,19 +20,11 @@ type summary = {
 }
 
 val create :
-  ?trace:Trace.t ->
-  ?registry:Bamboo_metrics.Registry.t ->
-  interval:float ->
-  unit ->
-  t
-(** [interval] is the sampling period in virtual seconds (must be
-    positive); it is informational here — the caller schedules the
-    samples. When [registry] is given (and enabled), every {!sample} also
-    records into a registry gauge of the same name (labelled
-    [node=<id>] for node-scoped gauges), so probe summaries and metrics
-    exports report one consistent number. *)
-
-val interval : t -> float
+  ?trace:Trace.t -> ?registry:Bamboo_metrics.Registry.t -> unit -> t
+(** The caller schedules the samples. When [registry] is given (and
+    enabled), every {!sample} also records into a registry gauge of the
+    same name (labelled [node=<id>] for node-scoped gauges), so probe
+    summaries and metrics exports report one consistent number. *)
 
 val add_gauge : t -> node:int -> name:string -> (unit -> float) -> unit
 (** Gauge names must be snake_case (the metrics registry enforces it). *)
@@ -50,7 +42,5 @@ val find : t -> node:int -> name:string -> summary option
 
 val find_summary : summary list -> node:int -> name:string -> summary option
 (** Lookup in an already-extracted summary list (e.g. a run result). *)
-
-val to_json : t -> Bamboo_util.Json.t
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -24,15 +24,6 @@ let equal a b =
 
 let pp fmt t = Format.fprintf fmt "tx<%s,%dB>" (id_to_string t.id) t.payload_len
 
-module Id_ord = struct
-  type t = id
-
-  let compare = compare_id
-end
-
-module Id_set = Set.Make (Id_ord)
-module Id_map = Map.Make (Id_ord)
-
 module Id_tbl = Hashtbl.Make (struct
   type t = id
 

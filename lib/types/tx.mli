@@ -38,9 +38,6 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
-module Id_set : Set.S with type elt = id
-module Id_map : Map.S with type key = id
-
 module Id_tbl : Hashtbl.S with type key = id
 (** Hash table keyed by {!id} with a monomorphic hash/equal, so lookups
     never fall back to the polymorphic primitives on the boxed record. *)

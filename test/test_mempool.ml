@@ -293,38 +293,6 @@ let model_prop =
           && s.Mempool.rejected_dup = r.Reference.rejected_dup)
         ops)
 
-(* The committed set compacts: 100k forgotten ids of two clients,
-   committed in shuffled order (half of them never added, as in broadcast
-   mode), leave a pool a few hundred words bigger than a fresh one, not
-   one entry per tx. *)
-let test_forgotten_pool_stays_small () =
-  let count = 100_000 in
-  let order = Array.init count Fun.id in
-  let rng = Random.State.make [| 15 |] in
-  for i = count - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let x = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- x
-  done;
-  let p = Mempool.create ~capacity:count () in
-  Array.iteri
-    (fun i seq ->
-      let t = tx ~client:(seq * 2 / count) seq in
-      if i land 1 = 0 then begin
-        ignore (Mempool.add p t);
-        ignore (Mempool.batch p ~max:1)
-      end;
-      Mempool.forget p [ t ])
-    order;
-  Alcotest.(check bool) "every id is known" false (Mempool.add p (tx ~client:1 99_999));
-  Alcotest.(check int) "nothing queued" 0 (Mempool.length p);
-  let words p = Obj.reachable_words (Obj.repr p) in
-  let fresh = words (Mempool.create ~capacity:count ()) in
-  if words p > fresh + 500 then
-    Alcotest.failf "pool holds %d words after forgetting, a fresh one %d" (words p)
-      fresh
-
 let suite =
   [
     Alcotest.test_case "add/batch FIFO" `Quick test_add_and_batch_fifo;
@@ -344,6 +312,4 @@ let suite =
     Alcotest.test_case "requeue capacity" `Quick test_requeue_respects_capacity;
     QCheck_alcotest.to_alcotest no_duplicate_batches_prop;
     QCheck_alcotest.to_alcotest model_prop;
-    Alcotest.test_case "forgotten pool stays small" `Quick
-      test_forgotten_pool_stays_small;
   ]

@@ -22,7 +22,10 @@ let test_cluster_progress () =
     (Array.for_all (fun c -> c > 0) report.committed_blocks);
   Alcotest.(check bool) "consistent" true report.consistent;
   Alcotest.(check bool) "no violation" false report.any_violation;
-  Alcotest.(check bool) "latency measured" true (report.latency_count > 0);
+  (* Every committed tx went through [submit], so its stamp is read
+     exactly once: a stamp pruned before its commit would be missed. *)
+  Alcotest.(check int) "every commit has a latency" report.committed_txs
+    report.latency_count;
   Alcotest.(check bool) "latency sane" true
     (report.latency_mean > 0.0 && report.latency_mean < 1.0)
 
@@ -65,6 +68,9 @@ let test_kv_execution () =
     (Ring_runtime.wait_committed c ~count:3 ~timeout_s:5.0);
   Alcotest.(check bool) "tx_committed" true
     (Ring_runtime.tx_committed c { Bamboo_types.Tx.client = 2; seq = 1 });
+  Alcotest.(check bool) "wait_tx_committed" true
+    (Ring_runtime.wait_tx_committed c { Bamboo_types.Tx.client = 2; seq = 3 }
+       ~timeout_s:5.0);
   (* Let stragglers apply the blocks, then compare executed state. *)
   Thread.delay 0.3;
   let v = Ring_runtime.kv_get c ~replica:1 "beta" in
@@ -72,6 +78,33 @@ let test_kv_execution () =
   let report = Ring_runtime.stop c in
   Alcotest.(check bool) "kv consistent" true report.kv_consistent;
   Alcotest.(check bool) "chain consistent" true report.consistent
+
+(* With no traffic the count stays 0: a reached count returns at once,
+   and an unreachable one (or an unknown tx) times out within 50 ms of
+   its deadline. *)
+let test_commit_waits () =
+  let cluster = Ring.create_cluster ~n:4 () in
+  let endpoints = Array.init 4 (Ring.endpoint cluster) in
+  let c = Ring_runtime.start ~config ~endpoints () in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let reached, s = timed (fun () -> Ring_runtime.wait_committed c ~count:0 ~timeout_s:5.0) in
+  Alcotest.(check bool) "reached count" true reached;
+  if s > 0.05 then Alcotest.failf "a reached count took %.3f s" s;
+  let check_timeout label wait =
+    let reached, s = timed wait in
+    Alcotest.(check bool) label false reached;
+    if s < 0.2 || s > 0.25 then Alcotest.failf "%s returned after %.3f s, timeout 0.2 s" label s
+  in
+  check_timeout "unreachable count" (fun () ->
+      Ring_runtime.wait_committed c ~count:1 ~timeout_s:0.2);
+  check_timeout "unknown tx" (fun () ->
+      Ring_runtime.wait_tx_committed c { Bamboo_types.Tx.client = 2; seq = 1 }
+        ~timeout_s:0.2);
+  ignore (Ring_runtime.stop c : Bamboo.Threaded_runtime.report)
 
 let test_ring_cluster_progress () =
   (* The ring's own tallies under the runtime: replicas drain their
@@ -112,6 +145,7 @@ let suite =
     Alcotest.test_case "channel + silent byzantine" `Slow
       test_with_silent_byzantine;
     Alcotest.test_case "kv execution layer" `Slow test_kv_execution;
+    Alcotest.test_case "commit waits" `Slow test_commit_waits;
     Alcotest.test_case "ring cluster" `Slow test_ring_cluster_progress;
     Alcotest.test_case "tcp cluster" `Slow test_tcp_cluster_progress;
   ]

@@ -201,7 +201,7 @@ let test_tracing_does_not_perturb () =
 
 let test_probe_gauges () =
   let g = ref 1.0 in
-  let p = Probe.create ~interval:0.01 () in
+  let p = Probe.create () in
   Probe.add_gauge p ~node:0 ~name:"g" (fun () -> !g);
   Probe.sample p ~now:0.01;
   g := 3.0;
