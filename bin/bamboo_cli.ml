@@ -202,6 +202,20 @@ let clients_t =
 let series_t =
   Arg.(value & flag & info [ "series" ] ~doc:"Also print the committed-throughput time series.")
 
+(* The workload of [run] and [metrics]. A bad rate or client count is a
+   usage error (exit 2), like an invalid configuration. *)
+let workload_of ~config rate clients =
+  try
+    match (clients, rate) with
+    | Some clients, _ -> Bamboo.Workload.closed_loop ~clients
+    | None, Some rate -> Bamboo.Workload.open_loop ~rate ()
+    | None, None ->
+        let m = Bamboo.Model.build ~config in
+        Bamboo.Workload.open_loop ~rate:(0.5 *. m.Bamboo.Model.saturation_rate) ()
+  with Invalid_argument e ->
+    Printf.eprintf "invalid workload: %s\n" e;
+    exit 2
+
 let run_cmd =
   let run config rate clients series =
     match Bamboo.Config.validate config with
@@ -209,19 +223,7 @@ let run_cmd =
         Printf.eprintf "invalid configuration: %s\n" e;
         exit 2
     | Ok config ->
-        let workload =
-          match clients with
-          | Some clients -> Bamboo.Workload.closed_loop ~clients
-          | None ->
-              let rate =
-                match rate with
-                | Some r -> r
-                | None ->
-                    let m = Bamboo.Model.build ~config in
-                    0.5 *. m.Bamboo.Model.saturation_rate
-              in
-              Bamboo.Workload.open_loop ~rate ()
-        in
+        let workload = workload_of ~config rate clients in
         Format.printf "config: %a@.workload: %s@." Bamboo.Config.pp config
           (Bamboo.Workload.describe workload);
         let trace_oc, trace =
@@ -310,19 +312,7 @@ let metrics_cmd =
         Printf.eprintf "invalid configuration: %s\n" e;
         exit 2
     | Ok config ->
-        let workload =
-          match clients with
-          | Some clients -> Bamboo.Workload.closed_loop ~clients
-          | None ->
-              let rate =
-                match rate with
-                | Some r -> r
-                | None ->
-                    let m = Bamboo.Model.build ~config in
-                    0.5 *. m.Bamboo.Model.saturation_rate
-              in
-              Bamboo.Workload.open_loop ~rate ()
-        in
+        let workload = workload_of ~config rate clients in
         let registry = Bamboo_metrics.Registry.create () in
         let r = Bamboo.Runtime.run ~config ~workload ~metrics:registry () in
         let snapshot = r.Bamboo.Runtime.metrics in

@@ -108,7 +108,18 @@ let trace_format_of_name = function
   | "chrome" -> Ok Chrome
   | s -> Error (Printf.sprintf "unknown trace format %S" s)
 
-let validate t =
+(* Every float field, by its JSON name. NaN fails every [<] and [<=]
+   check below, so non-finite values are rejected before range checks. *)
+let float_fields t =
+  [
+    ("timeout", t.timeout); ("backoff", t.backoff); ("runtime", t.runtime);
+    ("warmup", t.warmup); ("mu", t.mu); ("sigma", t.sigma);
+    ("delay", t.extra_delay_mu); ("delaySigma", t.extra_delay_sigma);
+    ("loss", t.loss); ("bandwidth", t.bandwidth); ("cpuOp", t.cpu_op);
+    ("cpuPerTx", t.cpu_per_tx); ("probeInterval", t.probe_interval);
+  ]
+
+let check_ranges t =
   let f = (t.n - 1) / 3 in
   if t.n <= 0 then Error "n must be positive"
   else if t.byz_no < 0 then Error "byzNo must be non-negative"
@@ -140,6 +151,11 @@ let validate t =
         match Bamboo_faults.Schedule.validate ~n:t.n t.faults with
         | Ok _ -> Ok t
         | Error e -> Error ("faults: " ^ e))
+
+let validate t =
+  match List.find_opt (fun (_, v) -> not (Float.is_finite v)) (float_fields t) with
+  | Some (name, v) -> Error (Printf.sprintf "%s must be a finite number, got %g" name v)
+  | None -> check_ranges t
 
 let to_json t =
   let election =

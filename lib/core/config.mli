@@ -90,7 +90,9 @@ val default : t
 val quorum_size : t -> int
 
 val validate : t -> (t, string) result
-(** Checks cross-field invariants (e.g. [byz_no <= f], positive sizes). *)
+(** Checks cross-field invariants (e.g. [byz_no <= f], positive sizes).
+    Every float field must be finite: NaN or an infinity is an error
+    naming the field. *)
 
 val to_json : t -> Bamboo_util.Json.t
 

@@ -3,7 +3,8 @@ type t =
   | Closed_loop of { clients : int }
 
 let open_loop ?(broadcast = false) ~rate () =
-  if rate < 0.0 then invalid_arg "Workload.open_loop: rate must be >= 0";
+  if not (Float.is_finite rate && rate >= 0.0) then
+    invalid_arg "Workload.open_loop: rate must be a finite number >= 0";
   Open_loop { rate; broadcast }
 
 let closed_loop ~clients =

@@ -19,7 +19,7 @@ type t =
 val open_loop : ?broadcast:bool -> rate:float -> unit -> t
 (** Rate 0 is allowed and means no client arrivals at all — consensus on
     empty blocks only, the load model of the [bamboo_explore] cells.
-    Raises [Invalid_argument] on negative rates. *)
+    Raises [Invalid_argument] on negative, NaN or infinite rates. *)
 
 val closed_loop : clients:int -> t
 

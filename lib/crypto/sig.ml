@@ -3,7 +3,15 @@ type registry = {
   n_signs : int Atomic.t;
 }
 
-type t = { signer : int; tag : string }
+(* A tag is [Unread] from {!sign} until something reads it. The first
+   read computes the HMAC and publishes it; the prepared key is
+   immutable and the payload a string, so concurrent first reads compute
+   the same tag and whichever CAS loses simply discards its copy. *)
+type state = Tag of string | Unread of { key : Hmac.key; msg : string }
+
+type cell = state Atomic.t
+
+type t = { signer : int; cell : cell }
 
 let wire_size = 64
 
@@ -21,10 +29,20 @@ let sign reg ~signer msg =
   if signer < 0 || signer >= Array.length reg.keys then
     invalid_arg "Sig.sign: signer out of range";
   Atomic.incr reg.n_signs;
-  { signer; tag = Hmac.mac_with reg.keys.(signer) msg }
+  { signer; cell = Atomic.make (Unread { key = reg.keys.(signer); msg }) }
+
+let of_tag ~signer tag = { signer; cell = Atomic.make (Tag tag) }
+
+let tag s =
+  match Atomic.get s.cell with
+  | Tag tag -> tag
+  | Unread { key; msg } as seen ->
+      let tag = Hmac.mac_with key msg in
+      ignore (Atomic.compare_and_set s.cell seen (Tag tag) : bool);
+      tag
 
 let verify reg s msg =
   if s.signer < 0 || s.signer >= Array.length reg.keys then false
-  else Hmac.verify_with reg.keys.(s.signer) ~tag:s.tag msg
+  else Hmac.verify_with reg.keys.(s.signer) ~tag:(tag s) msg
 
 let signs reg = Atomic.get reg.n_signs

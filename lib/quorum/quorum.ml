@@ -1,14 +1,41 @@
 open Bamboo_types
 
+(* A set of replica ids in [0, n) as n bits plus its size, so a vote or
+   timeout costs one bit test and one count comparison instead of scans
+   of the member list. *)
+module Members = struct
+  type t = { bits : Bytes.t; mutable count : int }
+
+  let create ~n = { bits = Bytes.make ((n + 7) / 8) '\000'; count = 0 }
+
+  (* Adds [i]; false if it was already a member. *)
+  let add m i =
+    let byte = Char.code (Bytes.unsafe_get m.bits (i lsr 3)) in
+    let bit = 1 lsl (i land 7) in
+    if byte land bit <> 0 then false
+    else begin
+      Bytes.unsafe_set m.bits (i lsr 3) (Char.unsafe_chr (byte lor bit));
+      m.count <- m.count + 1;
+      true
+    end
+
+  (* Members in increasing order. *)
+  let iter f m =
+    for i = 0 to (8 * Bytes.length m.bits) - 1 do
+      if Char.code (Bytes.unsafe_get m.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+      then f i
+    done
+end
+
 type vote_slot = {
   mutable votes : Vote.t list; (* newest first, distinct voters *)
-  mutable voters : int list;
+  voters : Members.t;
   mutable qc : Qc.t option;
 }
 
 type timeout_slot = {
   mutable timeouts : Timeout_msg.t list;
-  mutable senders : int list;
+  senders : Members.t;
   mutable tc : Tcert.t option;
 }
 
@@ -44,35 +71,38 @@ let vote_slot t key =
   match Vote_tbl.find_opt t.vote_slots key with
   | Some s -> s
   | None ->
-      let s = { votes = []; voters = []; qc = None } in
+      let s = { votes = []; voters = Members.create ~n:t.n; qc = None } in
       Vote_tbl.add t.vote_slots key s;
       s
 
+(* Ids outside [0, n) name no replica and never count toward a quorum. *)
+let in_range t i = i >= 0 && i < t.n
+
 let voted t (v : Vote.t) =
-  let key = (v.block, v.view) in
-  let slot = vote_slot t key in
-  if List.mem v.voter slot.voters then None
-  else begin
-    slot.votes <- v :: slot.votes;
-    slot.voters <- v.voter :: slot.voters;
-    match slot.qc with
-    | Some _ -> None (* already certified; QC was reported once *)
-    | None ->
-        if List.length slot.voters >= t.quorum then begin
-          let qc =
-            Qc.
-              {
-                block = v.block;
-                view = v.view;
-                height = v.height;
-                sigs = List.map (fun (vt : Vote.t) -> vt.signature) slot.votes;
-              }
-          in
-          slot.qc <- Some qc;
-          Some qc
-        end
-        else None
-  end
+  if not (in_range t v.voter) then None
+  else
+    let slot = vote_slot t (v.block, v.view) in
+    if not (Members.add slot.voters v.voter) then None
+    else begin
+      slot.votes <- v :: slot.votes;
+      match slot.qc with
+      | Some _ -> None (* already certified; QC was reported once *)
+      | None ->
+          if slot.voters.count >= t.quorum then begin
+            let qc =
+              Qc.
+                {
+                  block = v.block;
+                  view = v.view;
+                  height = v.height;
+                  sigs = List.map (fun (vt : Vote.t) -> vt.signature) slot.votes;
+                }
+            in
+            slot.qc <- Some qc;
+            Some qc
+          end
+          else None
+    end
 
 let certified t ~block ~view =
   match Vote_tbl.find_opt t.vote_slots (block, view) with
@@ -81,37 +111,38 @@ let certified t ~block ~view =
 
 let vote_count t ~block ~view =
   match Vote_tbl.find_opt t.vote_slots (block, view) with
-  | Some slot -> List.length slot.voters
+  | Some slot -> slot.voters.count
   | None -> 0
 
 let timeout_slot t view =
   match Hashtbl.find_opt t.timeout_slots view with
   | Some s -> s
   | None ->
-      let s = { timeouts = []; senders = []; tc = None } in
+      let s = { timeouts = []; senders = Members.create ~n:t.n; tc = None } in
       Hashtbl.add t.timeout_slots view s;
       s
 
 let timed_out t (tm : Timeout_msg.t) =
-  let slot = timeout_slot t tm.view in
-  if List.mem tm.sender slot.senders then None
-  else begin
-    slot.timeouts <- tm :: slot.timeouts;
-    slot.senders <- tm.sender :: slot.senders;
-    match slot.tc with
-    | Some _ -> None
-    | None ->
-        if List.length slot.senders >= t.quorum then begin
-          let tc = Tcert.of_timeouts slot.timeouts in
-          slot.tc <- Some tc;
-          Some tc
-        end
-        else None
-  end
+  if not (in_range t tm.sender) then None
+  else
+    let slot = timeout_slot t tm.view in
+    if not (Members.add slot.senders tm.sender) then None
+    else begin
+      slot.timeouts <- tm :: slot.timeouts;
+      match slot.tc with
+      | Some _ -> None
+      | None ->
+          if slot.senders.count >= t.quorum then begin
+            let tc = Tcert.of_timeouts slot.timeouts in
+            slot.tc <- Some tc;
+            Some tc
+          end
+          else None
+    end
 
 let timeout_count t ~view =
   match Hashtbl.find_opt t.timeout_slots view with
-  | Some slot -> List.length slot.senders
+  | Some slot -> slot.senders.count
   | None -> 0
 
 let tc_for t ~view =
@@ -137,29 +168,27 @@ let fingerprint t buf =
   (* Collecting into a list before sorting is order-insensitive. *)
   let[@lint.allow "no-order-leak"] votes =
     Vote_tbl.fold
-      (fun (h, view) slot acc ->
-        (h, view, List.sort Int.compare slot.voters, Option.is_some slot.qc)
-        :: acc)
+      (fun (h, view) slot acc -> (h, view, slot) :: acc)
       t.vote_slots []
   in
   let votes =
     List.sort
-      (fun (h1, v1, _, _) (h2, v2, _, _) ->
+      (fun (h1, v1, _) (h2, v2, _) ->
         match String.compare h1 h2 with 0 -> Int.compare v1 v2 | c -> c)
       votes
   in
   List.iter
-    (fun (h, view, voters, certified) ->
+    (fun (h, view, slot) ->
       add_s h;
       add_i view;
-      List.iter add_i voters;
-      add_i (if certified then 1 else 0))
+      Members.iter add_i slot.voters;
+      add_i (if Option.is_some slot.qc then 1 else 0))
     votes;
   Buffer.add_char buf '|';
   List.iter
     (fun (view, slot) ->
       add_i view;
-      List.iter add_i (List.sort Int.compare slot.senders);
+      Members.iter add_i slot.senders;
       add_i (if Option.is_some slot.tc then 1 else 0))
     (Bamboo_util.Tbl.sorted_bindings ~compare:Int.compare t.timeout_slots)
 

@@ -4,7 +4,9 @@
 
     For [n = 3f+1] replicas the quorum size is [2f+1]; for other [n] it is
     [ceil(2n/3)] rounded to tolerate [f = floor((n-1)/3)] faults. Duplicate
-    votes from the same replica are ignored. Aggregation state below the
+    votes from the same replica are ignored, as are votes and timeouts
+    from ids outside \[0, n). Each slot keeps its voters as an n-bit set
+    with a count, so recording a vote costs O(1). Aggregation state below the
     current prune view can be garbage-collected with {!gc}. *)
 
 open Bamboo_types

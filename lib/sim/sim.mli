@@ -4,11 +4,11 @@
     scheduled for the same instant fire in scheduling order, which makes
     runs bit-reproducible for a fixed seed. Time is in seconds.
 
-    The event queue is a monomorphic float-keyed binary heap in
+    The event queue is a monomorphic float-keyed 4-ary heap in
     structure-of-arrays layout (unboxed timestamps, primitive
-    comparisons, FIFO sequence tie-break), specialized away from the
-    generic [Bamboo_util.Heap] because every simulated message hop, CPU
-    charge and timer passes through it. *)
+    comparisons, FIFO sequence tie-break, hole-moving sifts), specialized
+    away from the generic [Bamboo_util.Heap] because every simulated
+    message hop, CPU charge and timer passes through it. *)
 
 type t
 

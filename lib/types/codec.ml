@@ -43,12 +43,12 @@ let get_bytes s pos =
 
 let encode_sig buf (s : Bamboo_crypto.Sig.t) =
   put_i64 buf s.signer;
-  put_bytes buf s.tag
+  put_bytes buf (Bamboo_crypto.Sig.tag s)
 
 let decode_sig s pos : Bamboo_crypto.Sig.t =
   let signer = get_i64 s pos in
   let tag = get_bytes s pos in
-  { signer; tag }
+  Bamboo_crypto.Sig.of_tag ~signer tag
 
 let encode_sig_list buf sigs =
   put_i64 buf (List.length sigs);

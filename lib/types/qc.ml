@@ -35,7 +35,7 @@ let cache_key qc =
       Buffer.add_char b '|';
       Buffer.add_string b (string_of_int s.signer);
       Buffer.add_char b ':';
-      Buffer.add_string b s.tag)
+      Buffer.add_string b (Bamboo_crypto.Sig.tag s))
     qc.sigs;
   Buffer.contents b
 

@@ -77,6 +77,27 @@ let test_decoded_qc_still_verifies () =
         (Qc.verify reg ~quorum:3 tm'.Timeout_msg.high_qc)
   | _ -> Alcotest.fail "wrong shape"
 
+(* A vote's tag is computed on first read; here the encoder is that
+   first read. The decoded signature must carry the tag a fresh registry
+   from the same master computes, and verify. *)
+let test_unread_sig_roundtrip () =
+  let b = Helpers.child ~reg ~view:5 Block.genesis in
+  let v = Helpers.vote_for reg ~voter:3 b in
+  let reference =
+    Bamboo_crypto.Sig.tag
+      (Bamboo_crypto.Sig.sign (Helpers.registry ()) ~signer:3
+         (Qc.signed_payload ~block:b.hash ~view:b.view))
+  in
+  match roundtrip (Message.Vote v) with
+  | Message.Vote v' ->
+      Alcotest.(check int) "signer" 3 v'.Vote.signature.Bamboo_crypto.Sig.signer;
+      Alcotest.(check string) "reference tag" reference
+        (Bamboo_crypto.Sig.tag v'.Vote.signature);
+      Alcotest.(check string) "sender's tag" reference
+        (Bamboo_crypto.Sig.tag v.Vote.signature);
+      Alcotest.(check bool) "verifies" true (Vote.verify reg v')
+  | _ -> Alcotest.fail "wrong shape"
+
 let expect_decode_error name s =
   match Codec.decode s with
   | exception Codec.Decode_error _ -> ()
@@ -126,6 +147,8 @@ let suite =
     Alcotest.test_case "timeout round trip" `Quick test_timeout_roundtrip;
     Alcotest.test_case "decoded block fields" `Quick test_decoded_block_fields;
     Alcotest.test_case "decoded QC verifies" `Quick test_decoded_qc_still_verifies;
+    Alcotest.test_case "unread signature round trip" `Quick
+      test_unread_sig_roundtrip;
     Alcotest.test_case "malformed input" `Quick test_malformed;
     QCheck_alcotest.to_alcotest fuzz_decode_total;
     QCheck_alcotest.to_alcotest roundtrip_random_blocks;

@@ -46,6 +46,52 @@ let test_validation_errors () =
   expect_error { Config.default with bandwidth = 0.0 };
   expect_error { Config.default with election = Config.Static 9 }
 
+(* NaN fails every ordered comparison, so range checks alone let it
+   through; each float field must reject NaN and both infinities. *)
+let test_non_finite_rejected () =
+  let setters =
+    [
+      ("timeout", fun c v -> { c with Config.timeout = v });
+      ("backoff", fun c v -> { c with Config.backoff = v });
+      ("runtime", fun c v -> { c with Config.runtime = v });
+      ("warmup", fun c v -> { c with Config.warmup = v });
+      ("mu", fun c v -> { c with Config.mu = v });
+      ("sigma", fun c v -> { c with Config.sigma = v });
+      ("delay", fun c v -> { c with Config.extra_delay_mu = v });
+      ("delaySigma", fun c v -> { c with Config.extra_delay_sigma = v });
+      ("loss", fun c v -> { c with Config.loss = v });
+      ("bandwidth", fun c v -> { c with Config.bandwidth = v });
+      ("cpuOp", fun c v -> { c with Config.cpu_op = v });
+      ("cpuPerTx", fun c v -> { c with Config.cpu_per_tx = v });
+      ("probeInterval", fun c v -> { c with Config.probe_interval = v });
+    ]
+  in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun v ->
+          match Config.validate (set Config.default v) with
+          | Error e ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s = %g" name v)
+                (Printf.sprintf "%s must be a finite number, got %g" name v)
+                e
+          | Ok _ -> Alcotest.failf "%s = %g accepted" name v)
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    setters
+
+let test_workload_rate_rejected () =
+  List.iter
+    (fun rate ->
+      match Bamboo.Workload.open_loop ~rate () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "rate %g accepted" rate)
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0 ];
+  match Bamboo.Workload.open_loop ~rate:0.0 () with
+  | Bamboo.Workload.Open_loop { rate; _ } ->
+      Alcotest.(check (float 0.0)) "rate 0 allowed" 0.0 rate
+  | Bamboo.Workload.Closed_loop _ -> Alcotest.fail "wrong shape"
+
 let test_byz_bound_scales () =
   let c = { Config.default with n = 32; byz_no = 10 } in
   Alcotest.(check bool) "f(32)=10 ok" true (Config.validate c = Ok c);
@@ -142,6 +188,10 @@ let suite =
     Alcotest.test_case "quorum size" `Quick test_quorum_size;
     Alcotest.test_case "protocol names" `Quick test_protocol_names;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
+    Alcotest.test_case "non-finite values rejected" `Quick
+      test_non_finite_rejected;
+    Alcotest.test_case "workload rate rejected" `Quick
+      test_workload_rate_rejected;
     Alcotest.test_case "byz bound scales" `Quick test_byz_bound_scales;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     Alcotest.test_case "json defaults" `Quick test_json_defaults_fill_in;

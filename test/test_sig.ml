@@ -10,7 +10,7 @@ let test_sign_verify () =
 let test_signer_binding () =
   let reg = Sig.setup ~n:4 ~master:"m" in
   let s = Sig.sign reg ~signer:1 "p" in
-  let forged = { s with Sig.signer = 2 } in
+  let forged = Sig.of_tag ~signer:2 (Sig.tag s) in
   Alcotest.(check bool) "tag bound to signer" false (Sig.verify reg forged "p")
 
 let test_out_of_range () =
@@ -20,7 +20,7 @@ let test_out_of_range () =
       ignore (Sig.sign reg ~signer:4 "p"));
   let s = Sig.sign reg ~signer:0 "p" in
   Alcotest.(check bool) "verify out of range is false" false
-    (Sig.verify reg { s with Sig.signer = -1 } "p")
+    (Sig.verify reg (Sig.of_tag ~signer:(-1) (Sig.tag s)) "p")
 
 let test_distinct_masters () =
   let a = Sig.setup ~n:4 ~master:"alpha" in
@@ -37,7 +37,7 @@ let test_deterministic () =
   let a = Sig.setup ~n:4 ~master:"m" in
   let b = Sig.setup ~n:4 ~master:"m" in
   let sa = Sig.sign a ~signer:3 "p" and sb = Sig.sign b ~signer:3 "p" in
-  Alcotest.(check string) "same tag from same master" sa.Sig.tag sb.Sig.tag
+  Alcotest.(check string) "same tag from same master" (Sig.tag sa) (Sig.tag sb)
 
 let test_pinned_tag () =
   (* Pins the key derivation (master -> per-replica key) and the MAC. *)
@@ -45,29 +45,44 @@ let test_pinned_tag () =
   let s = Sig.sign reg ~signer:2 "vote|7|block-hash" in
   Alcotest.(check string) "tag"
     "034150628a2754c35d4036dd407b866cb595d715360a2800a88761aec8d8e3c6"
-    (Bamboo_crypto.Sha256.hex s.Sig.tag)
+    (Bamboo_crypto.Sha256.hex (Sig.tag s))
 
 (* Two domains sign through one registry, as replica threads and Pool
-   workers do. The prepared key states they share are only read. *)
+   workers do, and both read the tags of the same unread signatures, so
+   their first reads race to compute and publish each tag. The prepared
+   key states they share are only read. *)
 let test_shared_registry_across_domains () =
   let n = 4 and rounds = 200 in
   let payload i = "payload-" ^ string_of_int i in
   let sign_all reg =
-    Array.init (n * rounds) (fun i ->
-        (Sig.sign reg ~signer:(i mod n) (payload i)).Sig.tag)
+    Array.init (n * rounds) (fun i -> Sig.sign reg ~signer:(i mod n) (payload i))
   in
-  let expected = sign_all (Sig.setup ~n ~master:"m") in
+  let expected = Array.map Sig.tag (sign_all (Sig.setup ~n ~master:"m")) in
   let reg = Sig.setup ~n ~master:"m" in
-  let d1 = Domain.spawn (fun () -> sign_all reg) in
-  let d2 = Domain.spawn (fun () -> sign_all reg) in
-  let t1 = Domain.join d1 and t2 = Domain.join d2 in
+  let shared = sign_all reg in
+  let ready = Atomic.make 0 in
+  let work () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let first_reads = Array.map Sig.tag shared in
+    (first_reads, Array.map Sig.tag (sign_all reg))
+  in
+  let d1 = Domain.spawn work in
+  let d2 = Domain.spawn work in
+  let r1, t1 = Domain.join d1 and r2, t2 = Domain.join d2 in
+  Alcotest.(check (array string)) "domain 1 shared tags" expected r1;
+  Alcotest.(check (array string)) "domain 2 shared tags" expected r2;
   Alcotest.(check (array string)) "domain 1 tags" expected t1;
   Alcotest.(check (array string)) "domain 2 tags" expected t2;
-  Alcotest.(check int) "signs counted exactly" (2 * n * rounds) (Sig.signs reg);
+  Alcotest.(check (array string)) "published tags" expected
+    (Array.map Sig.tag shared);
+  Alcotest.(check int) "signs counted exactly" (3 * n * rounds) (Sig.signs reg);
   Array.iteri
     (fun i tag ->
       Alcotest.(check bool) "verifies" true
-        (Sig.verify reg { Sig.signer = i mod n; tag } (payload i)))
+        (Sig.verify reg (Sig.of_tag ~signer:(i mod n) tag) (payload i)))
     t1
 
 let test_invalid_setup () =

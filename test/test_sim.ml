@@ -273,25 +273,50 @@ let test_netmodel_effects_preserve_base_stream () =
 
 (* The monomorphic event queue against a sorted-list oracle: random delays
    drawn from a coarse grid (so equal timestamps are common) must fire in
-   (time, insertion order), i.e. a stable sort by time. *)
+   (time, insertion order). Some events schedule a follow-up when they
+   fire, so pushes and pops interleave as in the machine queues, and up
+   to 600 initial events take the queue to several hundred entries. The
+   oracle keeps pending events in a list sorted by (time, scheduling
+   order): a new event goes after every event not later than it. *)
 let firing_order_prop =
   let open QCheck in
-  Test.make ~name:"events fire in stable (time, insertion) order" ~count:300
-    (list_of_size (Gen.int_range 0 120) (int_range 0 15))
-    (fun grid ->
-      let delays = List.map (fun g -> float_of_int g /. 4.0) grid in
+  Test.make ~name:"events fire in stable (time, insertion) order" ~count:200
+    (list_of_size (Gen.int_range 0 600) (pair (int_range 0 15) (int_range (-1) 15)))
+    (fun events ->
+      let n = List.length events in
+      let delay g = float_of_int g /. 4.0 in
+      (* Event [i < n] is initial; event [n + i] is the follow-up that
+         event [i] schedules, [follow.(i)] grid steps after it fires,
+         when [follow.(i) >= 0]. *)
+      let follow = Array.of_list (List.map snd events) in
       let sim = Sim.create () in
       let fired = ref [] in
-      List.iteri
-        (fun i d -> Sim.schedule sim ~delay:d (fun () -> fired := i :: !fired))
-        delays;
-      Sim.run_to_completion sim;
-      let oracle =
-        List.mapi (fun i d -> (i, d)) delays
-        |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-        |> List.map fst
+      let rec fire i () =
+        fired := i :: !fired;
+        if i < n && follow.(i) >= 0 then
+          Sim.schedule sim ~delay:(delay follow.(i)) (fire (n + i))
       in
-      List.rev !fired = oracle)
+      List.iteri (fun i (g, _) -> Sim.schedule sim ~delay:(delay g) (fire i)) events;
+      Sim.run_to_completion sim;
+      let rec insert ((at, _) as e) = function
+        | ((at', _) as e') :: rest when at' <= at -> e' :: insert e rest
+        | rest -> e :: rest
+      in
+      let rec oracle acc = function
+        | [] -> List.rev acc
+        | (at, i) :: rest ->
+            let rest =
+              if i < n && follow.(i) >= 0 then
+                insert (at +. delay follow.(i), n + i) rest
+              else rest
+            in
+            oracle (i :: acc) rest
+      in
+      let initial =
+        List.fold_left (fun q (i, (g, _)) -> insert (delay g, i) q) []
+          (List.mapi (fun i e -> (i, e)) events)
+      in
+      List.rev !fired = oracle [] initial)
 
 let suite =
   [

@@ -214,7 +214,8 @@ let test_vote_verify () =
   Alcotest.(check bool) "tampered voter" false
     (Vote.verify reg { v with Vote.voter = 1 });
   Alcotest.(check bool) "forged signature" false
-    (Vote.verify reg { v with signature = { v.signature with tag = "bogus" } })
+    (Vote.verify reg
+       { v with signature = Bamboo_crypto.Sig.of_tag ~signer:2 "bogus" })
 
 (* --- timeouts and TCs --- *)
 
