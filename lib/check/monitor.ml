@@ -76,7 +76,8 @@ let check_agreement ~(ledgers : Runtime.ledger array) ~local_conflicts =
              order must then be identical too (independent of hashing). *)
           let txs_of (l : Runtime.ledger) =
             List.concat_map
-              (fun (b : Runtime.ledger_block) -> b.Runtime.l_txs)
+              (fun (b : Runtime.ledger_block) ->
+                List.map (fun (tx : Tx.t) -> tx.Tx.id) b.Runtime.l_txs)
               (Array.to_list (Array.sub l 0 common))
           in
           if txs_of li <> txs_of lj then

@@ -63,7 +63,7 @@ let create ~warmup ~horizon ~bucket =
 
 let in_window t ~now = now >= t.warmup && now < t.horizon
 
-let record_latency t ~now ~issued_at ~latency =
+let[@inline] record_latency t ~now ~issued_at ~latency =
   if issued_at >= t.warmup && now < t.horizon then
     Stats.add t.latencies latency
 

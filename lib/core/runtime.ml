@@ -17,7 +17,7 @@ type ledger_block = {
   l_height : int;
   l_hash : Ids.hash;
   l_view : int;
-  l_txs : Tx.id list;
+  l_txs : Tx.t list; (* the committed block's own list, shared *)
 }
 
 type ledger = ledger_block array
@@ -39,7 +39,7 @@ let ledger_of_forest memo forest =
                   l_height = b.height;
                   l_hash = b.hash;
                   l_view = b.view;
-                  l_txs = List.map (fun (tx : Tx.t) -> tx.Tx.id) b.txs;
+                  l_txs = b.txs;
                 }
               in
               Hashtbl.add memo b.hash l;
@@ -251,8 +251,7 @@ and complete_tx st replica (tx : Tx.t) =
     if (target = replica || target = -1) && not (Tx_records.completed r slot)
     then begin
       Tx_records.set_completed r slot;
-      let stamp = Tx_records.stamp r slot in
-      let issued_at = stamp Issued_at in
+      let issued_at = Tx_records.stamp r slot Issued_at in
       let response = Netmodel.client_rtt st.net ~now:(Sim.now st.sim) /. 2.0 in
       let done_at = Sim.now st.sim +. response in
       Metrics.record_latency st.metrics ~now:done_at ~issued_at
@@ -263,31 +262,31 @@ and complete_tx st replica (tx : Tx.t) =
          commits the transaction itself). *)
       if
         target = replica
-        && stamp Arrived_at >= 0.0
-        && stamp Batched_at >= 0.0
+        && Tx_records.stamp r slot Arrived_at >= 0.0
+        && Tx_records.stamp r slot Batched_at >= 0.0
         && issued_at >= st.config.Config.warmup
         && done_at < st.config.Config.runtime
       then begin
         let total = done_at -. issued_at in
-        let client_wire = stamp Submit_wire +. response in
-        let cpu_queue = stamp Ingest_wait +. stamp Propose_wait in
-        let cpu_service = stamp Ingest_service +. stamp Propose_service in
-        let mempool_wait = stamp Batched_at -. stamp Arrived_at in
-        let nic_serialization = stamp Nic_ser in
+        let client_wire = Tx_records.stamp r slot Submit_wire +. response in
+        let cpu_queue =
+          Tx_records.stamp r slot Ingest_wait
+          +. Tx_records.stamp r slot Propose_wait
+        in
+        let cpu_service =
+          Tx_records.stamp r slot Ingest_service
+          +. Tx_records.stamp r slot Propose_service
+        in
+        let mempool_wait =
+          Tx_records.stamp r slot Batched_at -. Tx_records.stamp r slot Arrived_at
+        in
+        let nic_serialization = Tx_records.stamp r slot Nic_ser in
         let consensus_wait =
           total -. client_wire -. cpu_queue -. cpu_service -. mempool_wait
           -. nic_serialization
         in
-        Latency.record st.decomp
-          {
-            client_wire;
-            cpu_queue;
-            cpu_service;
-            mempool_wait;
-            nic_serialization;
-            consensus_wait;
-          }
-          ~total
+        Latency.record st.decomp ~client_wire ~cpu_queue ~cpu_service
+          ~mempool_wait ~nic_serialization ~consensus_wait ~total
       end;
       let client = Tx_records.client r slot in
       if client > 0 then st.reissue ~client ~after:response

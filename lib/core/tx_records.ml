@@ -79,10 +79,10 @@ let set_flag t slot bit =
   let c = chunk t slot and off = offset slot in
   Bytes.set c.flags off (Char.unsafe_chr (flags c off lor bit))
 
-let set t slot s v =
+let[@inline] set t slot s v =
   Float.Array.set (chunk t slot).stamps ((column s lsl chunk_bits) + offset slot) v
 
-let stamp t slot s =
+let[@inline] stamp t slot s =
   Float.Array.get (chunk t slot).stamps ((column s lsl chunk_bits) + offset slot)
 
 let record t (tx : Tx.t) ~target ~issued_at =

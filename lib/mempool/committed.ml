@@ -14,7 +14,13 @@ end)
    the bitmap as gaps fill and the set stays the size of the reorder
    window. A seq that never commits (a tx some pool refused) pins [hi];
    above it a full word costs one table entry per 32 seqs. No sparse bit
-   lies in [lo, hi), at [hi] or at [lo - 1]: the run absorbs those. *)
+   lies in [lo, hi), at [hi] or at [lo - 1]: the run absorbs those.
+
+   The word being filled is cached in [key]/[cur] and written back to the
+   table only when another word is written, so a burst of adds to one
+   word hashes nothing. [cur] is the true value of word [key]; the
+   table's entry for [key], if any, may be stale. An empty cached word has
+   no entry. *)
 type seqs = {
   client : int;
   mutable lo : int;
@@ -23,11 +29,16 @@ type seqs = {
   mutable max_seq : int;
       (* extremes ever added: no sparse bit lies outside them *)
   sparse : int Int_tbl.t;
+  mutable key : int;
+  mutable cur : int;
 }
 
 let word_bits = 5
 let bit s = 1 lsl (s land ((1 lsl word_bits) - 1))
-let word c k = match Int_tbl.find c.sparse k with w -> w | exception Not_found -> 0
+
+let word c k =
+  if k = c.key then c.cur
+  else match Int_tbl.find c.sparse k with w -> w | exception Not_found -> 0
 
 let seqs_mem c s =
   (c.lo <= s && s < c.hi)
@@ -37,8 +48,12 @@ let seqs_mem c s =
 (* A bitmap that empties also gives back the buckets a burst of
    out-of-order commits grew. *)
 let set_word c k w =
-  if w <> 0 then Int_tbl.replace c.sparse k w
-  else begin
+  if k <> c.key then begin
+    if c.cur <> 0 then Int_tbl.replace c.sparse c.key c.cur;
+    c.key <- k
+  end;
+  c.cur <- w;
+  if w = 0 then begin
     Int_tbl.remove c.sparse k;
     if Int_tbl.length c.sparse = 0 then Int_tbl.reset c.sparse
   end
@@ -140,6 +155,8 @@ let add t (id : Tx.id) =
             min_seq = s;
             max_seq = s;
             sparse = Int_tbl.create 16;
+            key = 0;
+            cur = 0;
           }
         in
         ignore (seqs_add c s : bool);

@@ -7,6 +7,11 @@
     run absorbs the bitmap and the client costs a constant; a seq that
     never commits leaves about one table entry per 32 seqs above it.
 
+    Each client caches the bitmap word last written and writes it back to
+    its table only when another word is written, so adds that stay in one
+    word, as a block's slice of seqs does, hash nothing. The cache changes
+    no size bound: an emptied word still gives its table entry back.
+
     Each {!Mempool} keeps one for deduplication, and the threaded runtime
     keeps one for the cluster's commit count and commit waits. *)
 

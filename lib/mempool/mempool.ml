@@ -3,72 +3,125 @@ module Deque = Bamboo_util.Deque
 
 type status = Queued | In_flight
 
-(* Chained hash table from a queued or in-flight tx id to its status.
-   Hash and equality are inlined rather than passed through a functor, and
-   a lookup hands back the mutable cell, so [batch] and [requeue_front]
-   read and flip a status with one walk. *)
+(* Open-addressing table from a queued or in-flight tx id to its status,
+   over flat arrays: client and seq in two int arrays, the status in one
+   byte per slot ('\000' marks an empty slot). Adding or removing an id
+   allocates nothing, and a lookup hands back the slot, so [batch] and
+   [requeue_front] read and flip a status with one probe.
+
+   Linear probing with Robin Hood placement: an entry never sits farther
+   from its home slot than the entry it would pass over, so a lookup
+   stops at the first entry closer to home than itself, and a deletion
+   shifts the entries after it back by one until an empty slot or an
+   entry at home. The home slot keeps a client's seqs in consecutive
+   slots; a dense window of them is one cluster of entries at home,
+   which a deletion leaves after one step. Robin Hood placement keeps
+   probe runs short up to a load of 7/8, where the table doubles; the
+   initial 256 slots then hold a block of 224 txs without growing. *)
 module Live = struct
-  type cell =
-    | Nil
-    | Cell of {
-        client : int;
-        seq : int;
-        mutable status : status;
-        mutable next : cell;
-      }
+  type t = {
+    mutable clients : int array;
+    mutable seqs : int array;
+    mutable status : Bytes.t;
+    mutable size : int;
+  }
 
-  type t = { mutable buckets : cell array; mutable size : int }
+  let empty = '\000'
+  let code = function Queued -> '\001' | In_flight -> '\002'
 
-  let create () = { buckets = Array.make 256 Nil; size = 0 }
+  (* 256 slots: small enough that a fresh pool's arrays are minor-heap
+     allocations. *)
+  let create () =
+    {
+      clients = Array.make 256 0;
+      seqs = Array.make 256 0;
+      status = Bytes.make 256 empty;
+      size = 0;
+    }
 
-  let index t ~client ~seq =
-    ((client * 0x01000193) lxor seq) land (Array.length t.buckets - 1)
+  (* Every slot index below is masked, so the three arrays, all of the
+     same power-of-two length, are read without bounds checks. *)
+  let[@inline] mask t = Array.length t.seqs - 1
+  let[@inline] next t i = (i + 1) land mask t
+  let[@inline] client_at t i = Array.unsafe_get t.clients i
+  let[@inline] seq_at t i = Array.unsafe_get t.seqs i
+  let[@inline] code_at t i = Bytes.unsafe_get t.status i
 
-  let rec walk (id : Tx.id) = function
-    | Nil -> Nil
-    | Cell c as cell ->
-        if c.seq = id.seq && c.client = id.client then cell else walk id c.next
+  let[@inline] home t ~client ~seq =
+    ((client * 0x01000193) lxor seq) land mask t
 
+  (* How far the entry in occupied slot [i] sits past its home. *)
+  let[@inline] dist t i =
+    (i - home t ~client:(client_at t i) ~seq:(seq_at t i)) land mask t
+
+  (* [d] is how far [i] lies past the key's home. *)
+  let rec probe t ~client ~seq i d =
+    if code_at t i = empty then -1
+    else if seq_at t i = seq && client_at t i = client then i
+    else if dist t i < d then -1
+    else probe t ~client ~seq (next t i) (d + 1)
+
+  (* The slot holding [id], or [-1]. *)
   let find t (id : Tx.id) =
-    walk id (Array.unsafe_get t.buckets (index t ~client:id.client ~seq:id.seq))
+    probe t ~client:id.client ~seq:id.seq (home t ~client:id.client ~seq:id.seq) 0
 
-  let mem t id = match find t id with Nil -> false | Cell _ -> true
+  let mem t id = find t id >= 0
+  let status t i = if code_at t i = code Queued then Queued else In_flight
+  let set_status t i s = Bytes.unsafe_set t.status i (code s)
 
-  let rec rehash t = function
-    | Nil -> ()
-    | Cell c ->
-        let next = c.next in
-        let i = index t ~client:c.client ~seq:c.seq in
-        c.next <- t.buckets.(i);
-        t.buckets.(i) <- Cell c;
-        rehash t next
+  let set t i ~client ~seq c =
+    Array.unsafe_set t.clients i client;
+    Array.unsafe_set t.seqs i seq;
+    Bytes.unsafe_set t.status i c
+
+  (* Places an absent entry [d] slots past its home, at [i] or after,
+     taking the slot of the first entry closer to its own home and
+     carrying that entry on. *)
+  let rec place t ~client ~seq c i d =
+    if code_at t i = empty then set t i ~client ~seq c
+    else
+      let e = dist t i in
+      if e < d then begin
+        let client' = client_at t i and seq' = seq_at t i and c' = code_at t i in
+        set t i ~client ~seq c;
+        place t ~client:client' ~seq:seq' c' (next t i) (e + 1)
+      end
+      else place t ~client ~seq c (next t i) (d + 1)
+
+  let insert t ~client ~seq c = place t ~client ~seq c (home t ~client ~seq) 0
+
+  let grow t =
+    let clients = t.clients and seqs = t.seqs and status = t.status in
+    let slots = 2 * Array.length seqs in
+    t.clients <- Array.make slots 0;
+    t.seqs <- Array.make slots 0;
+    t.status <- Bytes.make slots empty;
+    for i = 0 to Array.length seqs - 1 do
+      let c = Bytes.unsafe_get status i in
+      if c <> empty then
+        insert t ~client:(Array.unsafe_get clients i) ~seq:(Array.unsafe_get seqs i) c
+    done
 
   (* [id] must be absent. *)
   let add t (id : Tx.id) status =
-    if t.size >= 2 * Array.length t.buckets then begin
-      let old = t.buckets in
-      t.buckets <- Array.make (2 * Array.length old) Nil;
-      Array.iter (rehash t) old
-    end;
-    let i = index t ~client:id.client ~seq:id.seq in
-    t.buckets.(i) <-
-      Cell { client = id.client; seq = id.seq; status; next = t.buckets.(i) };
+    if 8 * (t.size + 1) > 7 * Array.length t.seqs then grow t;
+    insert t ~client:id.client ~seq:id.seq (code status);
     t.size <- t.size + 1
 
-  let remove t (id : Tx.id) =
-    let i = index t ~client:id.client ~seq:id.seq in
-    let rec unlink prev = function
-      | Nil -> ()
-      | Cell c as cell ->
-          if c.seq = id.seq && c.client = id.client then begin
-            (match prev with
-            | Nil -> t.buckets.(i) <- c.next
-            | Cell p -> p.next <- c.next);
-            t.size <- t.size - 1
-          end
-          else unlink cell c.next
-    in
-    unlink Nil t.buckets.(i)
+  let rec shift t hole =
+    let j = next t hole in
+    if code_at t j = empty || dist t j = 0 then Bytes.unsafe_set t.status hole empty
+    else begin
+      set t hole ~client:(client_at t j) ~seq:(seq_at t j) (code_at t j);
+      shift t j
+    end
+
+  let remove t id =
+    let i = find t id in
+    if i >= 0 then begin
+      shift t i;
+      t.size <- t.size - 1
+    end
 end
 
 (* The queue holds every [Queued] tx, plus stale entries for txs
@@ -147,20 +200,17 @@ let requeue_front t txs =
   let count = ref 0 in
   List.iter
     (fun (tx : Tx.t) ->
-      match Live.find t.live tx.id with
-      | Live.Cell ({ status = In_flight; _ } as c) ->
-          if Deque.length t.queue < t.cap then begin
-            c.status <- Queued;
-            Deque.push_front t.queue tx;
-            incr count
-          end
-          else Live.remove t.live tx.id
-      | Live.Cell { status = Queued; _ } -> ()
-      | Live.Nil ->
-          (* Committed, or not from this replica's pool: the forked block
-             was proposed by another node; its proposer re-queues it
-             there. *)
-          ())
+      let i = Live.find t.live tx.id in
+      (* A miss is a tx committed, or not from this replica's pool: the
+         forked block was proposed by another node; its proposer re-queues
+         it there. *)
+      if i >= 0 && Live.status t.live i = In_flight then
+        if Deque.length t.queue < t.cap then begin
+          Live.set_status t.live i Queued;
+          Deque.push_front t.queue tx;
+          incr count
+        end
+        else Live.remove t.live tx.id)
     (List.rev txs);
   let len = Deque.length t.queue in
   if len > t.peak then t.peak <- len;
@@ -173,15 +223,16 @@ let batch t ~max =
     else
       match Deque.pop_front t.queue with
       | None -> List.rev acc
-      | Some (tx : Tx.t) -> (
+      | Some (tx : Tx.t) ->
           (* Every queued tx is live until it commits; a miss is a tx
              committed meanwhile through a block proposed elsewhere
              (client-broadcast mode), so it is dropped. *)
-          match Live.find t.live tx.id with
-          | Live.Cell c ->
-              c.status <- In_flight;
-              take (tx :: acc) (k - 1)
-          | Live.Nil -> take acc k)
+          let i = Live.find t.live tx.id in
+          if i >= 0 then begin
+            Live.set_status t.live i In_flight;
+            take (tx :: acc) (k - 1)
+          end
+          else take acc k
   in
   let taken = take [] max in
   t.n_batches <- t.n_batches + 1;

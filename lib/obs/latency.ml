@@ -1,19 +1,10 @@
-type components = {
-  client_wire : float;
-  cpu_queue : float;
-  cpu_service : float;
-  mempool_wait : float;
-  nic_serialization : float;
-  consensus_wait : float;
-}
-
 (* Running means only: [summarize] reads nothing else, so no sample is
    stored. Each mean takes the update [Stats.add] applies, which keeps the
    printed decomposition bit-identical to a sample-storing one. *)
 type t = {
   mutable n : int;
   means : Float.Array.t;
-      (* the six components in declaration order, then the total *)
+      (* the six components in [record]'s order, then the total *)
 }
 
 type summary = {
@@ -29,20 +20,23 @@ type summary = {
 
 let create () = { n = 0; means = Float.Array.make 7 0.0 }
 
-let record (t : t) (c : components) ~total =
+let[@inline] add means slot n x =
+  let mean = Float.Array.get means slot in
+  Float.Array.set means slot (mean +. ((x -. mean) /. n))
+
+(* Inlined into the caller, so the seven floats arrive unboxed. *)
+let[@inline] record (t : t) ~client_wire ~cpu_queue ~cpu_service ~mempool_wait
+    ~nic_serialization ~consensus_wait ~total =
   t.n <- t.n + 1;
   let n = float_of_int t.n in
-  let add slot x =
-    let mean = Float.Array.get t.means slot in
-    Float.Array.set t.means slot (mean +. ((x -. mean) /. n))
-  in
-  add 0 c.client_wire;
-  add 1 c.cpu_queue;
-  add 2 c.cpu_service;
-  add 3 c.mempool_wait;
-  add 4 c.nic_serialization;
-  add 5 c.consensus_wait;
-  add 6 total
+  let m = t.means in
+  add m 0 n client_wire;
+  add m 1 n cpu_queue;
+  add m 2 n cpu_service;
+  add m 3 n mempool_wait;
+  add m 4 n nic_serialization;
+  add m 5 n consensus_wait;
+  add m 6 n total
 
 let summarize (t : t) =
   let mean = Float.Array.get t.means in

@@ -23,15 +23,6 @@
     of each component over a run is compared against the analytic model's
     terms. *)
 
-type components = {
-  client_wire : float;
-  cpu_queue : float;
-  cpu_service : float;
-  mempool_wait : float;
-  nic_serialization : float;
-  consensus_wait : float;
-}
-
 type t
 
 type summary = {
@@ -47,7 +38,20 @@ type summary = {
 
 val create : unit -> t
 
-val record : t -> components -> total:float -> unit
+val record :
+  t ->
+  client_wire:float ->
+  cpu_queue:float ->
+  cpu_service:float ->
+  mempool_wait:float ->
+  nic_serialization:float ->
+  consensus_wait:float ->
+  total:float ->
+  unit
+(** [record t ~client_wire ... ~total] folds one transaction's six
+    components, in seconds, and its measured latency [total] into the
+    running means. The components are plain labelled floats, not a
+    record, so a call allocates nothing. *)
 
 val summarize : t -> summary
 (** Mean of every component, in seconds. *)

@@ -92,7 +92,7 @@ let clear_fluctuation t = t.fluctuation <- None
 (* Base one-way delay: the normal base distribution, replaced by the
    uniform draw inside a fluctuation window; the configured extra delay
    (the paper's "slow" command) composes additively with either. *)
-let base_sample t ~now =
+let[@inline] base_sample t ~now =
   let base =
     match t.fluctuation with
     | Some f when now >= f.from_t && now < f.until_t ->
@@ -214,6 +214,6 @@ let link_copies t ~src ~dst =
       t.n_duplicates <- t.n_duplicates + List.length copies;
       copies
 
-let client_rtt t ~now = 2.0 *. base_sample t ~now
+let[@inline] client_rtt t ~now = 2.0 *. base_sample t ~now
 
 let mean_one_way t = t.mu +. t.extra_mu

@@ -1,20 +1,22 @@
 let uniform rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
 
-let normal rng ~mu ~sigma =
+let[@inline] normal rng ~mu ~sigma =
   (* Box-Muller; we draw u1 in (0,1] to avoid log 0. *)
   let u1 = 1.0 -. Rng.float rng 1.0 in
   let u2 = Rng.float rng 1.0 in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mu +. (sigma *. z)
 
-let normal_pos rng ~mu ~sigma = Float.max 0.0 (normal rng ~mu ~sigma)
+let[@inline] normal_pos rng ~mu ~sigma = Float.max 0.0 (normal rng ~mu ~sigma)
 
 let exponential rng ~rate =
+  if not (Float.is_finite rate) then invalid_arg "Dist.exponential: rate must be finite";
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   let u = 1.0 -. Rng.float rng 1.0 in
   -.log u /. rate
 
 let poisson rng ~mean =
+  if not (Float.is_finite mean) then invalid_arg "Dist.poisson: mean must be finite";
   if mean < 0.0 then invalid_arg "Dist.poisson: mean must be non-negative";
   if mean = 0.0 then 0
   else if mean > 60.0 then
@@ -22,12 +24,16 @@ let poisson rng ~mean =
     let x = normal rng ~mu:mean ~sigma:(sqrt mean) in
     max 0 (int_of_float (Float.round x))
   else begin
+    (* Knuth: count the uniform factors it takes for their product to
+       drop to [exp (-mean)]. A local float ref stays unboxed. *)
     let limit = exp (-.mean) in
-    let rec loop k p =
-      let p = p *. Rng.float rng 1.0 in
-      if p <= limit then k else loop (k + 1) p
-    in
-    loop 0 1.0
+    let k = ref 0 in
+    let p = ref (Rng.float rng 1.0) in
+    while not (!p <= limit) do
+      incr k;
+      p := !p *. Rng.float rng 1.0
+    done;
+    !k
   end
 
 let order_statistic_mean rng ~n ~k ~mu ~sigma ~trials =

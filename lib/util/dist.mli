@@ -13,10 +13,13 @@ val normal_pos : Rng.t -> mu:float -> sigma:float -> float
 (** [normal] truncated below at 0; used for physical delays. *)
 
 val exponential : Rng.t -> rate:float -> float
-(** Inverse-CDF sampling; [rate] must be positive. *)
+(** Inverse-CDF sampling; [rate] must be finite and positive
+    ([Invalid_argument] otherwise). *)
 
 val poisson : Rng.t -> mean:float -> int
-(** Knuth's method for small means, normal approximation above 60. *)
+(** Knuth's method for small means, normal approximation above 60.
+    [mean] must be finite and non-negative ([Invalid_argument]
+    otherwise). *)
 
 val order_statistic_mean :
   Rng.t -> n:int -> k:int -> mu:float -> sigma:float -> trials:int -> float

@@ -1,68 +1,76 @@
 (* PCG-XSH-RR 64/32 (O'Neill 2014): 64-bit LCG state, 32-bit output with a
    random rotation. Small, fast, and passes statistical test batteries far
-   beyond what the simulator demands. *)
+   beyond what the simulator demands.
 
-type t = { mutable state : int64; incr : int64 }
+   The state and the increment live in one 16-byte buffer, read and
+   written with unboxed 64-bit loads and stores, and the 32 output bits
+   come back as a native int in [0, 2^32): a draw updates the generator
+   in place and allocates nothing. The stream is the textbook one, bit
+   for bit; the golden values in the [util.rng] tests pin it. *)
+
+type t = Bytes.t (* state at offset 0, increment at offset 8 *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let multiplier = 6364136223846793005L
 
-let step t = t.state <- Int64.add (Int64.mul t.state multiplier) t.incr
+let[@inline] step t =
+  set64 t 0 (Int64.add (Int64.mul (get64 t 0) multiplier) (get64 t 8))
 
-let output state =
-  let xorshifted =
-    Int64.to_int32
+(* The next 32 output bits, in [0, 2^32). *)
+let[@inline] next t =
+  let s = get64 t 0 in
+  step t;
+  let x =
+    Int64.to_int
       (Int64.shift_right_logical
-         (Int64.logxor (Int64.shift_right_logical state 18) state)
+         (Int64.logxor (Int64.shift_right_logical s 18) s)
          27)
+    land 0xffffffff
   in
-  let rot = Int64.to_int (Int64.shift_right_logical state 59) land 31 in
-  Int32.logor
-    (Int32.shift_right_logical xorshifted rot)
-    (Int32.shift_left xorshifted ((-rot) land 31))
+  let rot = Int64.to_int (Int64.shift_right_logical s 59) in
+  ((x lsr rot) lor (x lsl ((-rot) land 31))) land 0xffffffff
 
 let make ~state ~incr =
+  let t = Bytes.create 16 in
+  set64 t 0 0L;
   (* The increment must be odd for the LCG to have full period. *)
-  let incr = Int64.logor (Int64.shift_left incr 1) 1L in
-  let t = { state = 0L; incr } in
+  set64 t 8 (Int64.logor (Int64.shift_left incr 1) 1L);
   step t;
-  t.state <- Int64.add t.state state;
+  set64 t 0 (Int64.add (get64 t 0) state);
   step t;
   t
 
 let create ~seed =
   make ~state:(Int64.of_int seed) ~incr:0xda3e39cb94b95bdbL
 
-let bits32 t =
-  let s = t.state in
-  step t;
-  output s
-
-let copy t = { state = t.state; incr = t.incr }
+let bits32 t = Int32.of_int (next t)
+let copy = Bytes.copy
 
 let split t =
-  let hi = Int64.of_int32 (bits32 t) in
-  let lo = Int64.of_int32 (bits32 t) in
-  let mix a = Int64.logand a 0xffffffffL in
+  let hi = Int64.of_int (next t) in
+  let lo = Int64.of_int (next t) in
   make
-    ~state:(Int64.logor (Int64.shift_left (mix hi) 32) (mix lo))
-    ~incr:(Int64.add (Int64.mul (mix lo) 2654435769L) (mix hi))
+    ~state:(Int64.logor (Int64.shift_left hi 32) lo)
+    ~incr:(Int64.add (Int64.mul lo 2654435769L) hi)
+
+(* Rejection sampling against modulo bias: draws at or above [limit], the
+   largest multiple of [bound] not above 2^32, are redrawn. *)
+let rec below t bound limit =
+  let r = next t in
+  if r < limit then r mod bound else below t bound limit
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let b = Int64.of_int bound in
-  let limit = Int64.sub 4294967296L (Int64.rem 4294967296L b) in
-  let rec loop () =
-    let r = Int64.logand (Int64.of_int32 (bits32 t)) 0xffffffffL in
-    if r < limit then Int64.to_int (Int64.rem r b) else loop ()
-  in
-  loop ()
+  if bound > 1 lsl 32 then invalid_arg "Rng.int: bound above 2^32";
+  below t bound ((1 lsl 32) - ((1 lsl 32) mod bound))
 
 let int64 t bound =
   if bound <= 0L then invalid_arg "Rng.int64: bound must be positive";
   let rec loop () =
-    let hi = Int64.logand (Int64.of_int32 (bits32 t)) 0xffffffffL in
-    let lo = Int64.logand (Int64.of_int32 (bits32 t)) 0xffffffffL in
+    let hi = Int64.of_int (next t) in
+    let lo = Int64.of_int (next t) in
     let r =
       Int64.logand (Int64.logor (Int64.shift_left hi 32) lo) Int64.max_int
     in
@@ -73,11 +81,8 @@ let int64 t bound =
   in
   loop ()
 
-let float t x =
-  let r = Int64.logand (Int64.of_int32 (bits32 t)) 0xffffffffL in
-  Int64.to_float r /. 4294967296.0 *. x
-
-let bool t = Int32.logand (bits32 t) 1l = 1l
+let[@inline] float t x = float_of_int (next t) /. 4294967296.0 *. x
+let bool t = next t land 1 = 1
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -19,7 +19,9 @@ val bits32 : t -> int32
 (** Next raw 32 bits. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+(** [int t bound] is uniform in [\[0, bound)], drawn from one 32-bit
+    output by rejection sampling. [bound] must be in [\[1, 2^32\]];
+    [Invalid_argument] otherwise. *)
 
 val int64 : t -> int64 -> int64
 (** [int64 t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)

@@ -1,52 +1,55 @@
+(* The running moments sit in a flat float array, so updating them
+   stores unboxed floats and [add] allocates only when the sample buffer
+   grows. *)
 type t = {
   mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-  mutable total : float;
+  acc : Float.Array.t; (* mean, m2, min, max, total *)
   mutable samples : float array;
   mutable len : int;
 }
 
-let create () =
-  {
-    n = 0;
-    mean = 0.0;
-    m2 = 0.0;
-    min = infinity;
-    max = neg_infinity;
-    total = 0.0;
-    samples = Array.make 64 0.0;
-    len = 0;
-  }
+let mean_ = 0
+let m2_ = 1
+let min_ = 2
+let max_ = 3
+let total_ = 4
 
-let add t x =
+let create () =
+  let acc = Float.Array.make 5 0.0 in
+  Float.Array.set acc min_ infinity;
+  Float.Array.set acc max_ neg_infinity;
+  { n = 0; acc; samples = Array.make 64 0.0; len = 0 }
+
+let grow t =
+  let buf = Array.make (2 * t.len) 0.0 in
+  Array.blit t.samples 0 buf 0 t.len;
+  t.samples <- buf
+
+let[@inline] add t x =
   t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x;
-  t.total <- t.total +. x;
-  if t.len = Array.length t.samples then begin
-    let buf = Array.make (2 * t.len) 0.0 in
-    Array.blit t.samples 0 buf 0 t.len;
-    t.samples <- buf
-  end;
+  let acc = t.acc in
+  let mean = Float.Array.get acc mean_ in
+  let delta = x -. mean in
+  let mean = mean +. (delta /. float_of_int t.n) in
+  Float.Array.set acc mean_ mean;
+  Float.Array.set acc m2_ (Float.Array.get acc m2_ +. (delta *. (x -. mean)));
+  if x < Float.Array.get acc min_ then Float.Array.set acc min_ x;
+  if x > Float.Array.get acc max_ then Float.Array.set acc max_ x;
+  Float.Array.set acc total_ (Float.Array.get acc total_ +. x);
+  if t.len = Array.length t.samples then grow t;
   t.samples.(t.len) <- x;
   t.len <- t.len + 1
 
 let count t = t.n
-let mean t = if t.n = 0 then 0.0 else t.mean
+let mean t = if t.n = 0 then 0.0 else Float.Array.get t.acc mean_
 
 let variance t =
-  if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+  if t.n < 2 then 0.0 else Float.Array.get t.acc m2_ /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
-let min_value t = if t.n = 0 then 0.0 else t.min
-let max_value t = if t.n = 0 then 0.0 else t.max
-let total t = t.total
+let min_value t = if t.n = 0 then 0.0 else Float.Array.get t.acc min_
+let max_value t = if t.n = 0 then 0.0 else Float.Array.get t.acc max_
+let total t = Float.Array.get t.acc total_
 
 (* Percentiles by selection: each order statistic a percentile needs is
    found in place in expected linear time, in [Float.compare]'s total

@@ -110,7 +110,7 @@ let test_agreement () =
         (contains detail "height 2")
   | vs -> Alcotest.failf "expected one agreement violation, got %d" (List.length vs));
   (* Same hashes but diverging committed tx order is still a violation. *)
-  let t c s = { Bamboo_types.Tx.client = c; seq = s } in
+  let t c s = Bamboo_types.Tx.make ~client:c ~seq:s ~payload_len:0 in
   let diverging_txs =
     [| [| block ~txs:[ t 1 1; t 1 2 ] 1 "aa" |];
        [| block ~txs:[ t 1 2; t 1 1 ] 1 "aa" |] |]

@@ -111,6 +111,51 @@ let test_invalid_args () =
     (Invalid_argument "Dist.exponential: rate must be positive") (fun () ->
       ignore (Dist.exponential rng ~rate:0.0))
 
+let test_non_finite_args () =
+  let rng = Rng.create ~seed:1 in
+  let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) f in
+  List.iter
+    (fun mean ->
+      raises (Printf.sprintf "poisson mean %g" mean) "Dist.poisson: mean must be finite"
+        (fun () -> ignore (Dist.poisson rng ~mean)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  raises "negative mean" "Dist.poisson: mean must be non-negative" (fun () ->
+      ignore (Dist.poisson rng ~mean:(-1.0)));
+  List.iter
+    (fun rate ->
+      raises (Printf.sprintf "exponential rate %g" rate)
+        "Dist.exponential: rate must be finite" (fun () ->
+          ignore (Dist.exponential rng ~rate)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* Golden draws, continuing seed 7's stream after 8 [Rng.int 1000] and 6
+   [Rng.float 1.0] draws, recorded from the reference implementation. *)
+let test_golden () =
+  let r = Rng.create ~seed:7 in
+  for _ = 1 to 8 do
+    ignore (Rng.int r 1000)
+  done;
+  for _ = 1 to 6 do
+    ignore (Rng.float r 1.0)
+  done;
+  let floats name want got =
+    List.iter2
+      (fun w g -> if not (Float.equal w g) then Alcotest.failf "%s: %h, want %h" name g w)
+      want got
+  in
+  floats "normal_pos"
+    [ 0x1.cc610dd95066ap-11; 0x1.0818468d2da2bp-11; 0x1.a1391f51ace11p-11;
+      0x1.4c76ad10bd42ep-11; 0x0p+0; 0x1.f50fb89e682fep-10 ]
+    (List.init 6 (fun _ -> Dist.normal_pos r ~mu:0.001 ~sigma:0.0005));
+  Alcotest.(check (list int)) "poisson 2.5" [ 1; 3; 3; 0; 1; 1; 1; 3 ]
+    (List.init 8 (fun _ -> Dist.poisson r ~mean:2.5));
+  Alcotest.(check (list int)) "poisson 80" [ 90; 71; 81; 90; 90; 83; 86; 86 ]
+    (List.init 8 (fun _ -> Dist.poisson r ~mean:80.0));
+  floats "exponential"
+    [ 0x1.7edbfeafa76cp-4; 0x1.38365a0c738d7p-3; 0x1.65cf06a22a809p-1;
+      0x1.57cb071b18debp-3 ]
+    (List.init 4 (fun _ -> Dist.exponential r ~rate:4.0))
+
 let suite =
   [
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
@@ -127,4 +172,6 @@ let suite =
     Alcotest.test_case "order stat: monotone in k" `Quick
       test_order_statistic_monotone_in_k;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
+    Alcotest.test_case "non-finite arguments" `Quick test_non_finite_args;
+    Alcotest.test_case "golden draws" `Quick test_golden;
   ]

@@ -151,6 +151,9 @@ module Reference = struct
     cap : int;
     mutable rejected_full : int;
     mutable rejected_dup : int;
+    mutable peak : int;
+    mutable batches : int;
+    mutable batched : int;
   }
 
   let create cap =
@@ -160,7 +163,12 @@ module Reference = struct
       cap;
       rejected_full = 0;
       rejected_dup = 0;
+      peak = 0;
+      batches = 0;
+      batched = 0;
     }
+
+  let note_peak t = t.peak <- max t.peak (Bamboo_util.Deque.length t.queue)
 
   let add t (tx : Tx.t) =
     if Bamboo_util.Deque.length t.queue >= t.cap then begin
@@ -174,6 +182,7 @@ module Reference = struct
     else begin
       Tx.Id_tbl.add t.status tx.id Queued;
       Bamboo_util.Deque.push_back t.queue tx;
+      note_peak t;
       true
     end
 
@@ -191,6 +200,7 @@ module Reference = struct
             end
             else Tx.Id_tbl.remove t.status tx.id)
       (List.rev txs);
+    note_peak t;
     !count
 
   let batch t ~max =
@@ -206,7 +216,10 @@ module Reference = struct
                 Tx.Id_tbl.replace t.status tx.Tx.id In_flight;
                 take (tx :: acc) (k - 1))
     in
-    take [] max
+    let taken = take [] max in
+    t.batches <- t.batches + 1;
+    t.batched <- t.batched + List.length taken;
+    taken
 
   let forget t txs =
     List.iter
@@ -259,39 +272,80 @@ let op_gen =
       (1, map (fun t -> Contains t) a_tx);
     ]
 
+(* Runs [ops] on a pool and on the reference, comparing every answer,
+   the length and every stats field after each step. *)
+let agrees (cap, ops) =
+  let p = Mempool.create ~capacity:cap () and r = Reference.create cap in
+  let ids l = List.map (fun (t : Tx.t) -> t.Tx.id) l in
+  List.for_all
+    (fun op ->
+      let same =
+        match op with
+        | Add t -> Bool.equal (Mempool.add p t) (Reference.add r t)
+        | Batch k ->
+            List.equal ( = ) (ids (Mempool.batch p ~max:k))
+              (ids (Reference.batch r ~max:k))
+        | Forget l ->
+            Mempool.forget p l;
+            Reference.forget r l;
+            true
+        | Requeue l -> Int.equal (Mempool.requeue_front p l) (Reference.requeue_front r l)
+        | Contains t ->
+            Bool.equal (Mempool.contains p t.id) (Reference.contains r t.id)
+      in
+      let s = Mempool.stats p in
+      same
+      && Mempool.length p = Bamboo_util.Deque.length r.Reference.queue
+      && s.Mempool.rejected_full = r.Reference.rejected_full
+      && s.Mempool.rejected_dup = r.Reference.rejected_dup
+      && s.Mempool.peak_occupancy = r.Reference.peak
+      && s.Mempool.batches = r.Reference.batches
+      && s.Mempool.batched_txs = r.Reference.batched)
+    ops
+
+let print_ops (cap, ops) =
+  Printf.sprintf "cap %d: %s" cap (String.concat ", " (List.map pp_op ops))
+
 let model_prop =
   let open QCheck in
   let gen = Gen.pair (Gen.int_range 1 12) (Gen.list_size (Gen.int_range 0 150) op_gen) in
   Test.make ~name:"pool agrees with the status-table reference" ~count:500
-    (make
-       ~print:(fun (cap, ops) ->
-         Printf.sprintf "cap %d: %s" cap (String.concat ", " (List.map pp_op ops)))
-       gen)
-    (fun (cap, ops) ->
-      let p = Mempool.create ~capacity:cap () and r = Reference.create cap in
-      let ids l = List.map (fun (t : Tx.t) -> t.Tx.id) l in
-      List.for_all
-        (fun op ->
-          let same =
-            match op with
-            | Add t -> Bool.equal (Mempool.add p t) (Reference.add r t)
-            | Batch k ->
-                List.equal ( = ) (ids (Mempool.batch p ~max:k))
-                  (ids (Reference.batch r ~max:k))
-            | Forget l ->
-                Mempool.forget p l;
-                Reference.forget r l;
-                true
-            | Requeue l -> Int.equal (Mempool.requeue_front p l) (Reference.requeue_front r l)
-            | Contains t ->
-                Bool.equal (Mempool.contains p t.id) (Reference.contains r t.id)
-          in
-          let s = Mempool.stats p in
-          same
-          && Mempool.length p = Bamboo_util.Deque.length r.Reference.queue
-          && s.Mempool.rejected_full = r.Reference.rejected_full
-          && s.Mempool.rejected_dup = r.Reference.rejected_dup)
-        ops)
+    (make ~print:print_ops gen) agrees
+
+(* Enough distinct live ids to grow the live table past its first sizes
+   (256, then 512 slots), with seqs that share low bits across the table
+   sizes (multiples of 256 and 1024, and of clients whose hashes collide)
+   and seqs around the ends of the slot range, so probe runs and the
+   deletions that shift them back wrap around the array. *)
+let growth_op_gen =
+  let open QCheck.Gen in
+  let seq =
+    frequency
+      [
+        (6, int_range 0 800);
+        (2, map2 (fun hi lo -> (hi * 256) + lo) (int_range 0 40) (int_range (-2) 2));
+        (1, map (fun hi -> hi * 1024) (int_range (-4) 12));
+        (1, map2 (fun hi lo -> (hi * 512) - lo) (int_range 1 3) (int_range 1 8));
+      ]
+  in
+  let a_tx = map2 (fun client seq -> tx ~client seq) (oneofl [ 0; 1; 256 ]) seq in
+  let txs = list_size (int_range 0 24) a_tx in
+  frequency
+    [
+      (12, map (fun t -> Add t) a_tx);
+      (2, map (fun k -> Batch k) (int_range 0 60));
+      (2, map (fun l -> Forget l) txs);
+      (1, map (fun l -> Requeue l) txs);
+      (1, map (fun t -> Contains t) a_tx);
+    ]
+
+let growth_prop =
+  let open QCheck in
+  let gen =
+    Gen.pair (Gen.int_range 200 1500) (Gen.list_size (Gen.int_range 300 1500) growth_op_gen)
+  in
+  Test.make ~name:"pool agrees with the reference through table growth" ~count:150
+    (make ~print:print_ops gen) agrees
 
 let suite =
   [
@@ -312,4 +366,5 @@ let suite =
     Alcotest.test_case "requeue capacity" `Quick test_requeue_respects_capacity;
     QCheck_alcotest.to_alcotest no_duplicate_batches_prop;
     QCheck_alcotest.to_alcotest model_prop;
+    QCheck_alcotest.to_alcotest growth_prop;
   ]

@@ -82,6 +82,60 @@ let test_invalid_bound () =
     (Invalid_argument "Rng.int: bound must be positive") (fun () ->
       ignore (Rng.int rng 0))
 
+let test_bound_above_2_32 () =
+  let rng = Rng.create ~seed:1 in
+  Alcotest.check_raises "bound 2^33"
+    (Invalid_argument "Rng.int: bound above 2^32") (fun () ->
+      ignore (Rng.int rng (1 lsl 33)));
+  Alcotest.check_raises "bound 2^32 + 1"
+    (Invalid_argument "Rng.int: bound above 2^32") (fun () ->
+      ignore (Rng.int rng ((1 lsl 32) + 1)));
+  (* 2^32 itself is served: every 32-bit draw is accepted as is. *)
+  let r = Rng.create ~seed:3 in
+  Alcotest.(check (list int)) "bound 2^32"
+    [ 2750463884; 3707144041; 1695622604 ]
+    (List.init 3 (fun _ -> Rng.int r (1 lsl 32)))
+
+(* Golden streams: the first outputs for fixed seeds, recorded from the
+   reference PCG-XSH-RR implementation. Any rewrite of the generator must
+   reproduce them bit for bit, or every seeded experiment changes. *)
+let bits r n = List.init n (fun _ -> Rng.bits32 r)
+
+let test_golden_bits32 () =
+  Alcotest.(check (list int32)) "seed 1"
+    [ -261890997l; -1323032687l; -129830206l; -1503957611l; 1308708225l;
+      -1021577409l; 554689181l; -2092832462l ]
+    (bits (Rng.create ~seed:1) 8);
+  Alcotest.(check (list int32)) "seed 42"
+    [ 1898997482l; 1014631766l; -198958742l; 633901381l; 1139273534l;
+      -1865419252l; 1379009937l; 1407171768l ]
+    (bits (Rng.create ~seed:42) 8)
+
+let test_golden_draws () =
+  let r = Rng.create ~seed:7 in
+  Alcotest.(check (list int)) "int 1000"
+    [ 593; 489; 104; 102; 328; 515; 361; 12 ]
+    (List.init 8 (fun _ -> Rng.int r 1000));
+  let floats = List.init 6 (fun _ -> Rng.float r 1.0) in
+  List.iter2
+    (fun want got ->
+      if not (Float.equal want got) then Alcotest.failf "float: %h, want %h" got want)
+    [ 0x1.e41a9762p-1; 0x1.fb1afb44p-1; 0x1.0762e54p-1; 0x1.229364cp-6;
+      0x1.1f38de22p-1; 0x1.197e502ap-1 ]
+    floats
+
+let test_golden_split () =
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int32)) "child"
+    [ 1402637571l; 1854292248l; -1585000191l; -310633109l; -1937484298l;
+      -1027781263l ]
+    (bits child 6);
+  (* The split consumed the parent's first two outputs. *)
+  Alcotest.(check (list int32)) "parent after split"
+    [ -198958742l; 633901381l; 1139273534l ]
+    (bits parent 3)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -94,4 +148,8 @@ let suite =
     Alcotest.test_case "copy" `Quick test_copy;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "invalid bound" `Quick test_invalid_bound;
+    Alcotest.test_case "bound above 2^32" `Quick test_bound_above_2_32;
+    Alcotest.test_case "golden bits32" `Quick test_golden_bits32;
+    Alcotest.test_case "golden int and float" `Quick test_golden_draws;
+    Alcotest.test_case "golden split" `Quick test_golden_split;
   ]

@@ -80,6 +80,48 @@ let welford_matches_naive =
       in
       Float.abs (Stats.variance t -. naive) < 1e-6 *. (1.0 +. naive))
 
+(* The accumulator against a plain Welford fold over the same samples, in
+   the same order: every summary must be the same float, bit for bit. *)
+let welford_matches_fold =
+  let open QCheck in
+  let x =
+    Gen.frequency
+      [
+        (8, Gen.float_range (-1e3) 1e3);
+        (2, Gen.map (fun e -> Float.ldexp 1.0 e) (Gen.int_range (-60) 60));
+        (1, Gen.oneofl [ 0.0; -0.0; 1e300; -1e300; Float.nan; Float.infinity ]);
+      ]
+  in
+  let gen = Gen.list_size (Gen.int_range 0 200) x in
+  Test.make ~name:"summaries equal a reference Welford fold bit for bit" ~count:300
+    (make ~print:(fun xs -> String.concat "; " (List.map (Printf.sprintf "%h") xs)) gen)
+    (fun xs ->
+      let t = feed xs in
+      let n, mean, m2, mn, mx, total =
+        List.fold_left
+          (fun (n, mean, m2, mn, mx, total) x ->
+            let n = n + 1 in
+            let delta = x -. mean in
+            let mean = mean +. (delta /. float_of_int n) in
+            let m2 = m2 +. (delta *. (x -. mean)) in
+            ( n,
+              mean,
+              m2,
+              (if x < mn then x else mn),
+              (if x > mx then x else mx),
+              total +. x ))
+          (0, 0.0, 0.0, infinity, neg_infinity, 0.0)
+          xs
+      in
+      let empty = n = 0 in
+      Stats.count t = n
+      && Float.equal (Stats.mean t) (if empty then 0.0 else mean)
+      && Float.equal (Stats.variance t)
+           (if n < 2 then 0.0 else m2 /. float_of_int (n - 1))
+      && Float.equal (Stats.min_value t) (if empty then 0.0 else mn)
+      && Float.equal (Stats.max_value t) (if empty then 0.0 else mx)
+      && Float.equal (Stats.total t) total)
+
 let percentile_bounds =
   let open QCheck in
   let gen =
@@ -166,6 +208,7 @@ let suite =
     Alcotest.test_case "list helpers" `Quick test_list_helpers;
     Alcotest.test_case "invalid percentile" `Quick test_invalid_percentile;
     QCheck_alcotest.to_alcotest welford_matches_naive;
+    QCheck_alcotest.to_alcotest welford_matches_fold;
     QCheck_alcotest.to_alcotest percentile_bounds;
     QCheck_alcotest.to_alcotest percentile_matches_sort;
   ]
