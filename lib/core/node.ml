@@ -2,6 +2,7 @@ open Bamboo_types
 module Forest = Bamboo_forest.Forest
 module Mempool = Bamboo_mempool.Mempool
 module Quorum = Bamboo_quorum.Quorum
+module Hash_tbl = Ids.Hash_tbl
 
 type timer = View_timeout of Ids.view | Propose_at of Ids.view
 
@@ -34,18 +35,18 @@ type t = {
   pacemaker : Pacemaker.t;
   election : Election.t;
   safety : Safety.t;
-  certified : (Ids.hash, Qc.t) Hashtbl.t;
+  certified : Qc.t Hash_tbl.t;
   verified_qcs : (string, unit) Hashtbl.t;
       (* successful [Qc.verify] results, keyed by {!Qc.cache_key} (full
          content, not view): the same certificate arrives many times —
          embedded in proposals, timeout messages and vote quorums — and
          each verification is a whole HMAC batch. Failures are never
          cached, and a tampered copy has a different key. *)
-  pending_blocks : (Ids.hash, (Block.t * Tcert.t option) list) Hashtbl.t;
+  pending_blocks : (Block.t * Tcert.t option) list Hash_tbl.t;
       (* children waiting for a missing parent, keyed by parent hash *)
-  pending_qcs : (Ids.hash, Qc.t) Hashtbl.t; (* QCs for not-yet-seen blocks *)
-  seen : (string, unit) Hashtbl.t; (* message de-duplication / echo *)
-  requested : (Ids.hash, Ids.replica) Hashtbl.t;
+  pending_qcs : Qc.t Hash_tbl.t; (* QCs for not-yet-seen blocks *)
+  seen : Seen_tbl.t; (* message de-duplication / echo *)
+  requested : Ids.replica Hash_tbl.t;
       (* blocks asked for, with the peer last tried; retried on view
          timeout against the next peer in case request or reply was lost *)
   mutable proposed_through : Ids.view; (* highest view we proposed in *)
@@ -68,10 +69,10 @@ let create ~config ~self ~registry ?(verify_sigs = true) ?(root = `Merkle)
   if self < 0 || self >= config.Config.n then
     invalid_arg "Node.create: self out of range";
   let forest = Forest.create () in
-  let certified = Hashtbl.create 256 in
-  Hashtbl.add certified Block.genesis_hash Safety.genesis_qc;
+  let certified = Hash_tbl.create 256 in
+  Hash_tbl.add certified Block.genesis_hash Safety.genesis_qc;
   let chain =
-    Safety.{ forest; qc_of = (fun h -> Hashtbl.find_opt certified h) }
+    Safety.{ forest; qc_of = (fun h -> Hash_tbl.find_opt certified h) }
   in
   let ctx =
     Safety.
@@ -120,10 +121,10 @@ let create ~config ~self ~registry ?(verify_sigs = true) ?(root = `Merkle)
     safety;
     certified;
     verified_qcs = Hashtbl.create 64;
-    pending_blocks = Hashtbl.create 16;
-    pending_qcs = Hashtbl.create 16;
-    seen = Hashtbl.create 1024;
-    requested = Hashtbl.create 16;
+    pending_blocks = Hash_tbl.create 16;
+    pending_qcs = Hash_tbl.create 16;
+    seen = Seen_tbl.create ~n:config.Config.n;
+    requested = Hash_tbl.create 16;
     proposed_through = 0;
     rejected_txs = 0;
     violation = false;
@@ -133,13 +134,6 @@ let create ~config ~self ~registry ?(verify_sigs = true) ?(root = `Merkle)
 
 (* Outputs are accumulated in reverse and flipped once per [handle]. *)
 let emit out o = out := o :: !out
-
-let first_seen t key =
-  if Hashtbl.mem t.seen key then false
-  else begin
-    Hashtbl.add t.seen key ();
-    true
-  end
 
 (* Cached certificate verification. Byzantine-forged QCs still fail: only
    successful verifications enter the cache, under a key covering the
@@ -186,7 +180,7 @@ let rec do_propose t out view =
   (* Bucket order is irrelevant here: the fold computes a commutative OR
      over the pending QCs, so any visit order yields the same boolean. *)
   let[@lint.allow "no-order-leak"] blind_qc =
-    Hashtbl.fold
+    Hash_tbl.fold
       (fun _ (qc : Qc.t) acc -> acc || qc.view >= view - 1)
       t.pending_qcs false
   in
@@ -248,10 +242,10 @@ and try_advance t out ~to_view ~reason =
   end
 
 and register_qc t out (qc : Qc.t) =
-  if not (Hashtbl.mem t.certified qc.block) then begin
+  if not (Hash_tbl.mem t.certified qc.block) then begin
     if not (verify_qc t qc) then ()
     else if Forest.mem t.forest qc.block then begin
-      Hashtbl.add t.certified qc.block qc;
+      Hash_tbl.add t.certified qc.block qc;
       (match t.safety.Safety.on_qc qc with
       | Some target -> do_commit t out target ~trigger_view:qc.view
       | None -> ());
@@ -262,9 +256,9 @@ and register_qc t out (qc : Qc.t) =
          apply it when the block arrives; fetch the block from one of its
          voters (who must hold it). Advancing is still safe — the QC is
          evidence that its view completed. *)
-      if not (Hashtbl.mem t.pending_qcs qc.block) then begin
-        Hashtbl.add t.pending_qcs qc.block qc;
-        if not (Hashtbl.mem t.requested qc.block) then begin
+      if not (Hash_tbl.mem t.pending_qcs qc.block) then begin
+        Hash_tbl.add t.pending_qcs qc.block qc;
+        if not (Hash_tbl.mem t.requested qc.block) then begin
           let voter =
             List.find_map
               (fun (s : Bamboo_crypto.Sig.t) ->
@@ -273,7 +267,7 @@ and register_qc t out (qc : Qc.t) =
           in
           match voter with
           | Some dst ->
-              Hashtbl.replace t.requested qc.block dst;
+              Hash_tbl.replace t.requested qc.block dst;
               emit out
                 (Send
                    {
@@ -301,7 +295,7 @@ and structurally_valid t (block : Block.t) =
 
 and handle_proposal t out (block : Block.t) tc =
   let msg = Message.Proposal { block; tc } in
-  if first_seen t (Message.key msg) then begin
+  if Seen_tbl.add t.seen msg then begin
     if t.safety.Safety.echo && block.proposer <> t.self then
       emit out (Broadcast msg);
     if structurally_valid t block then begin
@@ -311,19 +305,19 @@ and handle_proposal t out (block : Block.t) tc =
       | Forest.Added -> after_block_added t out block tc
       | Forest.Missing_parent ->
           let waiting =
-            match Hashtbl.find_opt t.pending_blocks block.parent with
+            match Hash_tbl.find_opt t.pending_blocks block.parent with
             | None -> []
             | Some l -> l
           in
-          Hashtbl.replace t.pending_blocks block.parent ((block, tc) :: waiting);
+          Hash_tbl.replace t.pending_blocks block.parent ((block, tc) :: waiting);
           (* Block synchronization: fetch the missing ancestor from this
              block's proposer, which demonstrably holds it. Lost requests
              or replies are retried on view timeout. *)
           if
             block.proposer <> t.self
-            && not (Hashtbl.mem t.requested block.parent)
+            && not (Hash_tbl.mem t.requested block.parent)
           then begin
-            Hashtbl.replace t.requested block.parent block.proposer;
+            Hash_tbl.replace t.requested block.parent block.proposer;
             emit out
               (Send
                  {
@@ -333,17 +327,17 @@ and handle_proposal t out (block : Block.t) tc =
                        { hash = block.parent; requester = t.self };
                  })
           end
-      | Forest.Duplicate | Forest.Below_prune_horizon -> ()
+      | Forest.Duplicate | Forest.Below_prune_horizon | Forest.Bad_height -> ()
     end
   end
 
 and after_block_added t out (block : Block.t) tc =
-  Hashtbl.remove t.requested block.hash;
+  Hash_tbl.remove t.requested block.hash;
   (* A stashed QC for this block can now take effect. *)
-  (match Hashtbl.find_opt t.pending_qcs block.hash with
+  (match Hash_tbl.find_opt t.pending_qcs block.hash with
   | Some qc ->
-      Hashtbl.remove t.pending_qcs block.hash;
-      Hashtbl.remove t.certified block.hash;
+      Hash_tbl.remove t.pending_qcs block.hash;
+      Hash_tbl.remove t.certified block.hash;
       (* remove guard so register_qc re-runs *)
       register_qc t out qc;
       (* The arrival may unblock a proposal deferred on the blind QC. *)
@@ -378,22 +372,22 @@ and after_block_added t out (block : Block.t) tc =
     end
   end;
   (* Unblock any children that were waiting for this block. *)
-  match Hashtbl.find_opt t.pending_blocks block.hash with
+  match Hash_tbl.find_opt t.pending_blocks block.hash with
   | None -> ()
   | Some waiting ->
-      Hashtbl.remove t.pending_blocks block.hash;
+      Hash_tbl.remove t.pending_blocks block.hash;
       List.iter
         (fun (child, child_tc) ->
           match Forest.add t.forest child with
           | Forest.Added -> after_block_added t out child child_tc
           | Forest.Duplicate | Forest.Below_prune_horizon
-          | Forest.Missing_parent ->
+          | Forest.Missing_parent | Forest.Bad_height ->
               ())
         (List.rev waiting)
 
 and handle_vote t out (vote : Vote.t) =
   let msg = Message.Vote vote in
-  if first_seen t (Message.key msg) then begin
+  if Seen_tbl.add t.seen msg then begin
     if t.safety.Safety.echo && vote.voter <> t.self then
       emit out (Broadcast msg);
     if t.verify_sigs && not (Vote.verify t.registry vote) then ()
@@ -407,7 +401,7 @@ and handle_vote t out (vote : Vote.t) =
 
 and handle_timeout_msg t out (tm : Timeout_msg.t) =
   let msg = Message.Timeout tm in
-  if first_seen t (Message.key msg) then begin
+  if Seen_tbl.add t.seen msg then begin
     if t.verify_sigs && not (Timeout_msg.verify t.registry tm) then ()
     else begin
       if t.config.Config.tc_adopt_qc then register_qc t out tm.high_qc;
@@ -458,7 +452,7 @@ let handle_timer t out = function
                 if !dst = t.self then
                   dst := (!dst + 1) mod t.config.Config.n;
                 if !dst <> t.self then begin
-                  Hashtbl.replace t.requested hash !dst;
+                  Hash_tbl.replace t.requested hash !dst;
                   emit out
                     (Send
                        {
@@ -468,8 +462,7 @@ let handle_timer t out = function
                        })
                 end
               end)
-            (Bamboo_util.Tbl.sorted_bindings ~compare:String.compare
-               t.requested);
+            (Hash_tbl.sorted_bindings ~compare:String.compare t.requested);
           handle_timeout_msg t out tm)
   | Propose_at view ->
       if Pacemaker.current_view t.pacemaker = view then do_propose t out view
@@ -481,7 +474,7 @@ let handle_submit t txs =
         t.rejected_txs <- t.rejected_txs + 1)
     txs
 
-let seen_before t msg = Hashtbl.mem t.seen (Message.key msg)
+let seen_before t msg = Seen_tbl.mem t.seen msg
 
 let handle_request t out ~hash ~requester =
   if requester >= 0 && requester < t.config.Config.n && requester <> t.self
@@ -602,12 +595,12 @@ let fingerprint t buf =
     (fun (h, qc) ->
       add_s h;
       add_qc qc)
-    (Bamboo_util.Tbl.sorted_bindings ~compare:String.compare t.certified);
+    (Hash_tbl.sorted_bindings ~compare:String.compare t.certified);
   List.iter
     (fun (h, qc) ->
       add_s h;
       add_qc qc)
-    (Bamboo_util.Tbl.sorted_bindings ~compare:String.compare t.pending_qcs);
+    (Hash_tbl.sorted_bindings ~compare:String.compare t.pending_qcs);
   List.iter
     (fun (parent, waiting) ->
       add_s parent;
@@ -617,14 +610,14 @@ let fingerprint t buf =
            (fun ((b1 : Block.t), _) ((b2 : Block.t), _) ->
              String.compare b1.hash b2.hash)
            waiting))
-    (Bamboo_util.Tbl.sorted_bindings ~compare:String.compare t.pending_blocks);
+    (Hash_tbl.sorted_bindings ~compare:String.compare t.pending_blocks);
   List.iter
     (fun (h, dst) ->
       add_s h;
       add_i dst)
-    (Bamboo_util.Tbl.sorted_bindings ~compare:String.compare t.requested);
+    (Hash_tbl.sorted_bindings ~compare:String.compare t.requested);
   List.iter add_s
-    (Bamboo_util.Tbl.sorted_keys ~compare:String.compare t.seen);
+    (Seen_tbl.sorted_keys t.seen);
   add_i t.proposed_through;
   add_i (Mempool.length t.mempool);
   add_i (if t.violation then 1 else 0)

@@ -26,6 +26,9 @@ type add_result =
       (** The block conflicts with the committed prefix (its height is not
           above the committed height on a committed branch) and was
           discarded. *)
+  | Bad_height
+      (** The block's height is not its parent's plus one, so it extends
+          no valid chain; it was discarded. *)
 
 type commit_error =
   | Unknown_block
@@ -40,13 +43,15 @@ val create : unit -> t
 val add : t -> Block.t -> add_result
 
 val find : t -> Ids.hash -> Block.t option
-(** Looks up both committed and uncommitted blocks. *)
+(** Looks up both committed and uncommitted blocks. Allocates nothing. *)
 
 val mem : t -> Ids.hash -> bool
 
 val parent : t -> Block.t -> Block.t option
 
 val children : t -> Ids.hash -> Block.t list
+(** Uncommitted children. Always [[]] for a committed block other than
+    the head. *)
 
 val size : t -> int
 (** Number of uncommitted blocks currently tracked. *)

@@ -4,27 +4,21 @@ open Bamboo_types
    timeout costs one bit test and one count comparison instead of scans
    of the member list. *)
 module Members = struct
-  type t = { bits : Bytes.t; mutable count : int }
+  module Bitset = Bamboo_util.Bitset
 
-  let create ~n = { bits = Bytes.make ((n + 7) / 8) '\000'; count = 0 }
+  type t = { bits : Bitset.t; mutable count : int }
+
+  let create ~n = { bits = Bitset.create ~n; count = 0 }
 
   (* Adds [i]; false if it was already a member. *)
   let add m i =
-    let byte = Char.code (Bytes.unsafe_get m.bits (i lsr 3)) in
-    let bit = 1 lsl (i land 7) in
-    if byte land bit <> 0 then false
-    else begin
-      Bytes.unsafe_set m.bits (i lsr 3) (Char.unsafe_chr (byte lor bit));
+    if Bitset.add m.bits i then begin
       m.count <- m.count + 1;
       true
     end
+    else false
 
-  (* Members in increasing order. *)
-  let iter f m =
-    for i = 0 to (8 * Bytes.length m.bits) - 1 do
-      if Char.code (Bytes.unsafe_get m.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-      then f i
-    done
+  let iter f m = Bitset.iter f m.bits
 end
 
 type vote_slot = {
@@ -46,7 +40,7 @@ module Vote_key = struct
   type t = Ids.hash * Ids.view
 
   let equal (h1, v1) (h2, v2) = Int.equal v1 v2 && String.equal h1 h2
-  let hash (h, v) = String.hash h lxor (v * 0x9e3779b1)
+  let hash (h, v) = Ids.hash_key h lxor (v * 0x9e3779b1)
 end
 
 module Vote_tbl = Hashtbl.Make (Vote_key)
@@ -194,16 +188,22 @@ let fingerprint t buf =
 
 let gc t ~below_view =
   (* Collecting dead keys into a list is order-insensitive: the same set
-     is removed whatever order the buckets are visited in. *)
-  let[@lint.allow "no-order-leak"] dead_votes =
-    Vote_tbl.fold
-      (fun ((_, view) as key) _ acc -> if view < below_view then key :: acc else acc)
-      t.vote_slots []
-  in
-  List.iter (Vote_tbl.remove t.vote_slots) dead_votes;
-  let[@lint.allow "no-order-leak"] dead_timeouts =
-    Hashtbl.fold
-      (fun view _ acc -> if view < below_view then view :: acc else acc)
-      t.timeout_slots []
-  in
-  List.iter (Hashtbl.remove t.timeout_slots) dead_timeouts
+     is removed whatever order the buckets are visited in. A fold visits
+     every bucket, so empty tables (most replicas hold no vote slot) are
+     skipped. *)
+  if Vote_tbl.length t.vote_slots > 0 then begin
+    let[@lint.allow "no-order-leak"] dead_votes =
+      Vote_tbl.fold
+        (fun ((_, view) as key) _ acc -> if view < below_view then key :: acc else acc)
+        t.vote_slots []
+    in
+    List.iter (Vote_tbl.remove t.vote_slots) dead_votes
+  end;
+  if Hashtbl.length t.timeout_slots > 0 then begin
+    let[@lint.allow "no-order-leak"] dead_timeouts =
+      Hashtbl.fold
+        (fun view _ acc -> if view < below_view then view :: acc else acc)
+        t.timeout_slots []
+    in
+    List.iter (Hashtbl.remove t.timeout_slots) dead_timeouts
+  end

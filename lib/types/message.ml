@@ -18,12 +18,17 @@ let wire_size = function
   | Timeout t -> Timeout_msg.wire_size t
   | Request_block _ -> 48
 
+let proposal_key hash = "p|" ^ hash
+
+let vote_key ~block ~voter = String.concat "|" [ "v"; block; string_of_int voter ]
+
+let timeout_key ~view ~sender =
+  String.concat "|" [ "t"; string_of_int view; string_of_int sender ]
+
 let key = function
-  | Proposal { block; _ } -> "p|" ^ block.Block.hash
-  | Vote v -> String.concat "|" [ "v"; v.Vote.block; string_of_int v.Vote.voter ]
-  | Timeout t ->
-      String.concat "|"
-        [ "t"; string_of_int t.Timeout_msg.view; string_of_int t.Timeout_msg.sender ]
+  | Proposal { block; _ } -> proposal_key block.Block.hash
+  | Vote v -> vote_key ~block:v.Vote.block ~voter:v.Vote.voter
+  | Timeout t -> timeout_key ~view:t.Timeout_msg.view ~sender:t.Timeout_msg.sender
   | Request_block { hash; requester } ->
       String.concat "|" [ "r"; hash; string_of_int requester ]
 

@@ -25,7 +25,19 @@ val wire_size : t -> int
 
 val key : t -> string
 (** A stable identity for de-duplication (echo suppression): proposals by
-    block hash, votes by (block, voter), timeouts by (view, sender). *)
+    block hash, votes by (block, voter), timeouts by (view, sender).
+    Distinct identities give distinct keys: each kind has its own prefix,
+    and the only field that may contain ['|'] (a hash) is followed by a
+    decimal integer, which contains none. *)
+
+val proposal_key : Ids.hash -> string
+(** [key] of a proposal of the block with this hash. *)
+
+val vote_key : block:Ids.hash -> voter:Ids.replica -> string
+(** [key] of a vote. *)
+
+val timeout_key : view:Ids.view -> sender:Ids.replica -> string
+(** [key] of a timeout message. *)
 
 val type_label : t -> string
 (** ["proposal"], ["vote"], ["timeout"] or ["request"]; used by trace output and the

@@ -25,13 +25,15 @@ let poisson rng ~mean =
     max 0 (int_of_float (Float.round x))
   else begin
     (* Knuth: count the uniform factors it takes for their product to
-       drop to [exp (-mean)]. A local float ref stays unboxed. *)
+       drop to [exp (-mean)]. A local float ref stays unboxed, and each
+       factor is [Rng.float rng 1.0] built from an int draw, so no boxed
+       float crosses a call even where [Rng.float] is not inlined. *)
     let limit = exp (-.mean) in
     let k = ref 0 in
-    let p = ref (Rng.float rng 1.0) in
+    let p = ref (float_of_int (Rng.bits rng) /. 4294967296.0) in
     while not (!p <= limit) do
       incr k;
-      p := !p *. Rng.float rng 1.0
+      p := !p *. (float_of_int (Rng.bits rng) /. 4294967296.0)
     done;
     !k
   end

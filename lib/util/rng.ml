@@ -46,6 +46,7 @@ let create ~seed =
   make ~state:(Int64.of_int seed) ~incr:0xda3e39cb94b95bdbL
 
 let bits32 t = Int32.of_int (next t)
+let bits = next
 let copy = Bytes.copy
 
 let split t =

@@ -5,14 +5,15 @@
    the one place the linter's no-order-leak rule is deliberately
    suppressed; every other module sorts by going through here. *)
 
-let sorted_filter_map ~compare:cmp f tbl =
+(* Collecting into a list then sorting erases the bucket order. *)
+let filter_sorted fold ~compare:cmp f tbl =
   let kept =
-    (* Collecting into a list then sorting erases the bucket order. *)
-    (Hashtbl.fold [@lint.allow "no-order-leak"])
-      (fun k v acc -> match f k v with Some x -> x :: acc | None -> acc)
-      tbl []
+    fold (fun k v acc -> match f k v with Some x -> x :: acc | None -> acc) tbl []
   in
   List.sort cmp kept
+
+let sorted_filter_map ~compare:cmp f tbl =
+  filter_sorted (Hashtbl.fold [@lint.allow "no-order-leak"]) ~compare:cmp f tbl
 
 let sorted_bindings ~compare:cmp tbl =
   sorted_filter_map
@@ -22,3 +23,23 @@ let sorted_bindings ~compare:cmp tbl =
 
 let sorted_keys ~compare:cmp tbl =
   List.map fst (sorted_bindings ~compare:cmp tbl)
+
+module type FOLDABLE = sig
+  type key
+  type 'a t
+
+  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
+
+module Sorted (H : FOLDABLE) = struct
+  let sorted_filter_map ~compare:cmp f tbl = filter_sorted H.fold ~compare:cmp f tbl
+
+  let sorted_bindings ~compare:cmp tbl =
+    sorted_filter_map
+      ~compare:(fun (k1, _) (k2, _) -> cmp k1 k2)
+      (fun k v -> Some (k, v))
+      tbl
+
+  let sorted_keys ~compare:cmp tbl =
+    List.map fst (sorted_bindings ~compare:cmp tbl)
+end

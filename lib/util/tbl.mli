@@ -18,3 +18,21 @@ val sorted_filter_map :
     or their relative order would leak the bucket order. *)
 
 val sorted_keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
+
+(** The same views for a functorial table ([Hashtbl.Make]). *)
+module type FOLDABLE = sig
+  type key
+  type 'a t
+
+  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
+
+module Sorted (H : FOLDABLE) : sig
+  val sorted_filter_map :
+    compare:('a -> 'a -> int) -> (H.key -> 'v -> 'a option) -> 'v H.t -> 'a list
+
+  val sorted_bindings :
+    compare:(H.key -> H.key -> int) -> 'v H.t -> (H.key * 'v) list
+
+  val sorted_keys : compare:(H.key -> H.key -> int) -> 'v H.t -> H.key list
+end

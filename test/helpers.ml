@@ -51,5 +51,24 @@ let add_all forest blocks =
       | Bamboo_forest.Forest.Added -> ()
       | Duplicate -> Alcotest.fail "unexpected duplicate"
       | Missing_parent -> Alcotest.fail "unexpected missing parent"
-      | Below_prune_horizon -> Alcotest.fail "unexpected pruned add")
+      | Below_prune_horizon -> Alcotest.fail "unexpected pruned add"
+      | Bad_height -> Alcotest.fail "unexpected bad height")
     blocks
+
+(* Minor words allocated by [f ()]. Allocation pins run a hot call
+   100_000 times and allow 1000 words in total (0.01 word a call), which
+   absorbs the loop's own set-up but not one boxed value per call. *)
+let alloc_delta f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_no_alloc name f =
+  let delta =
+    alloc_delta (fun () ->
+        for i = 0 to 99_999 do
+          f i
+        done)
+  in
+  if delta > 1000.0 then
+    Alcotest.failf "%s allocated %.0f minor words in 100000 calls" name delta

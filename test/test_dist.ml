@@ -156,6 +156,11 @@ let test_golden () =
       0x1.57cb071b18debp-3 ]
     (List.init 4 (fun _ -> Dist.exponential r ~rate:4.0))
 
+let test_poisson_no_alloc () =
+  let rng = Rng.create ~seed:9 in
+  Helpers.check_no_alloc "Dist.poisson" (fun _ ->
+      ignore (Sys.opaque_identity (Dist.poisson rng ~mean:40.0)))
+
 let suite =
   [
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
@@ -174,4 +179,5 @@ let suite =
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
     Alcotest.test_case "non-finite arguments" `Quick test_non_finite_args;
     Alcotest.test_case "golden draws" `Quick test_golden;
+    Alcotest.test_case "poisson allocates nothing" `Quick test_poisson_no_alloc;
   ]

@@ -195,6 +195,86 @@ let test_fold_uncommitted () =
   let count = Forest.fold_uncommitted f (fun acc _ -> acc + 1) 0 in
   Alcotest.(check int) "folds all" 5 count
 
+let test_commit_drops_committed_children () =
+  (* genesis <- b1 <- b2 <- b3 <- b4, plus a fork b2' off b1. Committing
+     b3 prunes the fork; the new head keeps its child, and no committed
+     ancestor lists any child. *)
+  let f = Forest.create () in
+  let b1 = Helpers.child ~reg ~view:1 Block.genesis in
+  let b2 = Helpers.child ~reg ~view:2 b1 in
+  let b2' = Helpers.child ~reg ~view:3 b1 in
+  let b3 = Helpers.child ~reg ~view:4 b2 in
+  let b4 = Helpers.child ~reg ~view:5 b3 in
+  Helpers.add_all f [ b1; b2; b2'; b3; b4 ];
+  let hashes bs = List.map (fun (b : Block.t) -> b.hash) bs in
+  let head_children = hashes (Forest.children f b3.hash) in
+  (match Forest.commit f b3.hash with
+  | Ok (_, forked) ->
+      Alcotest.(check (list string)) "fork pruned" [ b2'.hash ] (hashes forked)
+  | Error _ -> Alcotest.fail "commit failed");
+  Alcotest.(check (list string)) "head's children unchanged" head_children
+    (hashes (Forest.children f b3.hash));
+  List.iter
+    (fun (b : Block.t) ->
+      Alcotest.(check (list string)) "committed ancestor" [] (hashes (Forest.children f b.hash)))
+    [ Block.genesis; b1; b2 ];
+  (match Forest.commit f b4.hash with Ok _ -> () | Error _ -> Alcotest.fail "commit b4");
+  Alcotest.(check (list string)) "old head" [] (hashes (Forest.children f b3.hash))
+
+let test_add_bad_height () =
+  let f = Forest.create () in
+  let b1 = Helpers.child ~reg ~view:1 Block.genesis in
+  Helpers.add_all f [ b1 ];
+  let b2 = Helpers.child ~reg ~view:2 b1 in
+  Alcotest.(check bool) "height skips one" true
+    (Forest.add f { b2 with Block.height = 3 } = Forest.Bad_height);
+  let head_child = Helpers.child ~reg ~view:3 Block.genesis in
+  Alcotest.(check bool) "height repeats the parent's" true
+    (Forest.add f { head_child with Block.height = 0 } = Forest.Below_prune_horizon);
+  Alcotest.(check bool) "height is the parent's" true
+    (Forest.add f { b2 with Block.height = 1 } = Forest.Bad_height);
+  Alcotest.(check int) "nothing stored" 1 (Forest.size f);
+  Alcotest.(check bool) "valid child" true (Forest.add f b2 = Forest.Added)
+
+let test_committed_at_long_chain () =
+  (* Longer than the height array's initial capacity. *)
+  let f = Forest.create () in
+  let blocks = Helpers.chain ~reg 150 in
+  Helpers.add_all f blocks;
+  (match Forest.commit f (List.nth blocks 99).Block.hash with
+  | Ok (newly, _) -> Alcotest.(check int) "newly" 100 (List.length newly)
+  | Error _ -> Alcotest.fail "commit");
+  (match Forest.commit f (List.nth blocks 149).Block.hash with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "commit");
+  List.iteri
+    (fun i (b : Block.t) ->
+      match Forest.committed_at f (i + 1) with
+      | Some c -> Alcotest.(check string) "by height" b.hash c.hash
+      | None -> Alcotest.failf "height %d missing" (i + 1))
+    blocks;
+  Alcotest.(check bool) "below genesis" true (Forest.committed_at f (-1) = None);
+  Alcotest.(check bool) "above head" true (Forest.committed_at f 151 = None);
+  Alcotest.(check int) "committed count" 151 (Forest.committed_count f)
+
+let test_lookup_alloc () =
+  let f = Forest.create () in
+  let blocks = Helpers.chain ~reg 8 in
+  Helpers.add_all f blocks;
+  (match Forest.commit f (List.nth blocks 3).Block.hash with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "commit");
+  (* Four committed and four uncommitted hashes, plus genesis. *)
+  let hashes = Array.of_list (List.map (fun (b : Block.t) -> b.hash) blocks) in
+  let hashes = Array.append [| Block.genesis_hash |] hashes in
+  let k = Array.length hashes in
+  Helpers.check_no_alloc "Forest.mem" (fun i ->
+      if not (Forest.mem f hashes.(i mod k)) then Alcotest.fail "mem");
+  Helpers.check_no_alloc "Forest.find" (fun i ->
+      match Forest.find f hashes.(i mod k) with
+      | Some _ -> ()
+      | None -> Alcotest.fail "find")
+
 (* Property: random insert/commit sequences keep invariants: committed
    chain is linear and hash-linked; uncommitted blocks all descend from
    the committed head. *)
@@ -218,7 +298,8 @@ let random_ops_prop =
             match Forest.add f b with
             | Forest.Added -> tips := b :: !tips
             | Forest.Below_prune_horizon -> ()
-            | Forest.Duplicate | Forest.Missing_parent -> ok := false
+            | Forest.Duplicate | Forest.Missing_parent | Forest.Bad_height ->
+                ok := false
           end
           else begin
             (* commit a random live tip *)
@@ -274,5 +355,11 @@ let suite =
       test_commit_conflicting_is_error;
     Alcotest.test_case "tip candidates" `Quick test_tip_candidates;
     Alcotest.test_case "fold_uncommitted" `Quick test_fold_uncommitted;
+    Alcotest.test_case "committed blocks keep no children" `Quick
+      test_commit_drops_committed_children;
+    Alcotest.test_case "bad height" `Quick test_add_bad_height;
+    Alcotest.test_case "committed_at on a long chain" `Quick
+      test_committed_at_long_chain;
+    Alcotest.test_case "mem and find allocate nothing" `Quick test_lookup_alloc;
     QCheck_alcotest.to_alcotest random_ops_prop;
   ]

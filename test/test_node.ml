@@ -436,6 +436,25 @@ let test_qc_cache_rejects_tampered () =
   Alcotest.(check bool) "verification disabled accepts" true
     (Node.verify_qc unchecked forged)
 
+(* The runtimes ask [seen_before] on every delivery; for a proposal or a
+   vote already handled it must answer without building a key string. *)
+let test_seen_before_alloc () =
+  let registry = Helpers.registry () in
+  let node = Node.create ~config:Config.default ~self:1 ~registry () in
+  let b = Helpers.child ~reg:registry ~proposer:1 ~view:1 Block.genesis in
+  let proposal = Message.Proposal { block = b; tc = None } in
+  let vote = Message.Vote (Helpers.vote_for registry ~voter:2 b) in
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) "unseen" false (Node.seen_before node msg);
+      ignore (Node.handle node (Node.Receive msg) : Node.output list);
+      Alcotest.(check bool) "seen" true (Node.seen_before node msg))
+    [ proposal; vote ];
+  Helpers.check_no_alloc "seen_before on a proposal" (fun _ ->
+      if not (Node.seen_before node proposal) then Alcotest.fail "proposal");
+  Helpers.check_no_alloc "seen_before on a vote" (fun _ ->
+      if not (Node.seen_before node vote) then Alcotest.fail "vote")
+
 let suite =
   [
     Alcotest.test_case "start: leader proposes" `Quick test_start_leader_proposes;
@@ -462,6 +481,7 @@ let suite =
     Alcotest.test_case "blind QC defers proposal" `Quick
       test_blind_qc_defers_proposal;
     Alcotest.test_case "invalid create" `Quick test_invalid_create;
+    Alcotest.test_case "seen_before allocates nothing" `Quick test_seen_before_alloc;
     Alcotest.test_case "QC cache rejects tampered certificates" `Quick
       test_qc_cache_rejects_tampered;
   ]

@@ -136,6 +136,29 @@ let test_golden_split () =
     [ -198958742l; 633901381l; 1139273534l ]
     (bits parent 3)
 
+let test_no_alloc () =
+  let rng = Rng.create ~seed:5 in
+  Helpers.check_no_alloc "Rng.int" (fun _ -> ignore (Sys.opaque_identity (Rng.int rng 1000)));
+  Helpers.check_no_alloc "Rng.bits" (fun _ -> ignore (Sys.opaque_identity (Rng.bits rng)));
+  (* A float result crosses a call boxed, 2 words, wherever the call is
+     not inlined (as in this test build); the state update is free. *)
+  let words =
+    Helpers.alloc_delta (fun () ->
+        for _ = 1 to 100_000 do
+          if Rng.float rng 2.0 >= 2.0 then Alcotest.fail "out of range"
+        done)
+  in
+  if words > 200_000.0 +. 1000.0 then
+    Alcotest.failf "Rng.float allocated %.0f minor words in 100000 calls" words
+
+let test_bits_is_float_numerator () =
+  let a = Rng.create ~seed:77 and b = Rng.create ~seed:77 in
+  for _ = 1 to 1000 do
+    let x = Rng.float a 3.5 in
+    let y = float_of_int (Rng.bits b) /. 4294967296.0 *. 3.5 in
+    if not (Float.equal x y) then Alcotest.failf "%h <> %h" x y
+  done
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -152,4 +175,7 @@ let suite =
     Alcotest.test_case "golden bits32" `Quick test_golden_bits32;
     Alcotest.test_case "golden int and float" `Quick test_golden_draws;
     Alcotest.test_case "golden split" `Quick test_golden_split;
+    Alcotest.test_case "int and bits allocate nothing, float its box" `Quick
+      test_no_alloc;
+    Alcotest.test_case "float is bits over 2^32" `Quick test_bits_is_float_numerator;
   ]

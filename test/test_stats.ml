@@ -196,6 +196,17 @@ let percentile_matches_sort =
             (Int64.bits_of_float (reference_percentile xs p)))
         ps)
 
+let test_add_no_alloc () =
+  let t = Stats.create () in
+  (* Grow the sample store first: a pin of the steady state. *)
+  for i = 0 to 199_999 do
+    Stats.add t (float_of_int i)
+  done;
+  (* A boxed sample, as a caller passes one; an unboxed local would be
+     boxed at the call in the test build. *)
+  let x = 0.5 in
+  Helpers.check_no_alloc "Stats.add" (fun _ -> Stats.add t x)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -207,6 +218,7 @@ let suite =
     Alcotest.test_case "single sample" `Quick test_single_sample;
     Alcotest.test_case "list helpers" `Quick test_list_helpers;
     Alcotest.test_case "invalid percentile" `Quick test_invalid_percentile;
+    Alcotest.test_case "add allocates nothing" `Quick test_add_no_alloc;
     QCheck_alcotest.to_alcotest welford_matches_naive;
     QCheck_alcotest.to_alcotest welford_matches_fold;
     QCheck_alcotest.to_alcotest percentile_bounds;

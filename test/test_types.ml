@@ -321,8 +321,88 @@ let test_message_view_and_label () =
   Alcotest.(check string) "label" "proposal"
     (Message.type_label (Message.Proposal { block = b; tc = None }))
 
+(* --- de-duplication set --- *)
+
+(* Short keys take the generic string hash; keys with '|' probe the
+   injectivity of [Message.key]. *)
+let seen_hashes =
+  [|
+    "";
+    "a";
+    "a|1";
+    "a|1|2";
+    "|";
+    "abcdefg";
+    "abcdefgh";
+    "abcdefgh|";
+    "abcdefgi";
+    Block.genesis_hash;
+    (Helpers.child ~reg ~view:1 Block.genesis).hash;
+  |]
+
+let seen_msg =
+  let b = Helpers.child ~reg ~view:1 Block.genesis in
+  let v = Helpers.vote_for reg ~voter:0 b in
+  let tm =
+    Timeout_msg.create reg ~sender:0 ~view:1
+      ~high_qc:(Qc.genesis ~block:Block.genesis_hash)
+  in
+  fun kind hash id view ->
+    match kind with
+    | 0 -> Message.Proposal { block = { b with Block.hash = hash; view }; tc = None }
+    | 1 -> Message.Vote { v with Vote.block = hash; voter = id; view }
+    | 2 -> Message.Timeout { tm with Timeout_msg.view; sender = id }
+    | _ -> Message.Request_block { hash; requester = id }
+
+let seen_set_prop =
+  let open QCheck in
+  let op =
+    Gen.(
+      quad (int_range 0 3)
+        (int_range 0 (Array.length seen_hashes - 1))
+        (int_range (-3) 11)
+        (pair (int_range (-2) 5) bool))
+  in
+  let gen = Gen.(pair (int_range 1 9) (list_size (int_range 1 300) op)) in
+  Test.make ~name:"de-dup set agrees with a table of Message.key strings"
+    ~count:300
+    (make ~print:(fun (n, ops) -> Printf.sprintf "n=%d, %d ops" n (List.length ops)) gen)
+    (fun (n, ops) ->
+      let seen = Seen_tbl.create ~n in
+      let reference = Hashtbl.create 16 in
+      let step (kind, h, id, (view, adding)) =
+        let msg = seen_msg kind seen_hashes.(h) id view in
+        let key = Message.key msg in
+        let known = Hashtbl.mem reference key in
+        let mem_agrees = Bool.equal (Seen_tbl.mem seen msg) known in
+        if adding then begin
+          if not known then Hashtbl.add reference key ();
+          mem_agrees && Bool.equal (Seen_tbl.add seen msg) (not known)
+        end
+        else mem_agrees
+      in
+      let steps_agree = List.for_all step ops in
+      let reference_keys =
+        List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) reference [])
+      in
+      steps_agree && List.equal String.equal (Seen_tbl.sorted_keys seen) reference_keys)
+
+let test_hash_key () =
+  let d = Block.genesis_hash in
+  Alcotest.(check int) "digest prefix"
+    (Int64.to_int (String.get_int64_le d 0) land max_int)
+    (Ids.hash_key d);
+  Alcotest.(check bool) "non-negative" true (Ids.hash_key "\xff\xff\xff\xff\xff\xff\xff\xff" >= 0);
+  Alcotest.(check int) "short key" (String.hash "abc") (Ids.hash_key "abc");
+  let t = Ids.Hash_tbl.create 4 in
+  List.iter (fun h -> Ids.Hash_tbl.replace t h (String.length h)) [ "b"; d; "a"; "" ];
+  Alcotest.(check (list string)) "sorted keys" [ ""; "a"; "b"; d ]
+    (Ids.Hash_tbl.sorted_keys ~compare:String.compare t)
+
 let suite =
   [
+    Alcotest.test_case "hash_key and Hash_tbl" `Quick test_hash_key;
+    QCheck_alcotest.to_alcotest seen_set_prop;
     Alcotest.test_case "tx basics" `Quick test_tx_basics;
     Alcotest.test_case "tx negative payload" `Quick test_tx_negative_payload;
     Alcotest.test_case "tx with data" `Quick test_tx_with_data;
