@@ -87,6 +87,38 @@ let compare_timers (r1, c1, a1) (r2, c2, a2) =
   | 0 -> ( match Int.compare c1 c2 with 0 -> Float.compare a1 a2 | c -> c)
   | c -> c
 
+(* The code packs a timer's kind with its view. *)
+let timer_code = function
+  | Node.View_timeout v -> 2 * v
+  | Node.Propose_at v -> (2 * v) + 1
+
+(* --- simulator events --- *)
+
+(* Where a message hop stands in the paper's machine model: sent through
+   the sender's outbound NIC, then on the wire, then through the
+   receiver's inbound NIC, then on its CPU. Each event marks the end of
+   one stage. *)
+type stage = Nic_out_done | Arrived | Nic_in_done | Deliver
+
+(* One [Hop] per recipient of a message, pushed again at each stage; the
+   stage is mutable so one heap value travels the whole path. A [Flush]
+   is a replica's output batch whose CPU charge (signing, batching) has
+   completed: its sends go out then. *)
+type Sim.event +=
+  | Hop of {
+      src : int;
+      dst : int;
+      bytes : int;
+      msg : Message.t;
+      mutable stage : stage;
+    }
+  | Replica_timer of { replica : int; timer : Node.timer; expiry : float }
+  | Flush of {
+      src : int;
+      sends : (int * Message.t * int) list;
+      proposed : Block.t list;
+    }
+
 type st = {
   config : Config.t;
   sim : Sim.t;
@@ -106,10 +138,6 @@ type st = {
   mutable next_seq : int;
   mutable reissue : client:int -> after:float -> unit;
       (* closed-loop continuation, installed by [run] *)
-  armed : (int, int * int * float) Hashtbl.t;
-      (* controlled mode: outstanding replica timers, timer id ->
-         (replica, timer code, absolute expiry); feeds the state hash *)
-  mutable next_timer : int;
   mutable notify : (exec -> unit) option;
       (* [Some f] switches the runtime into controlled-scheduling mode *)
 }
@@ -172,76 +200,113 @@ let trace_receive st ~dst msg =
 (* [bytes] is the precomputed wire size of [msg]: a broadcast serializes
    the same message to every peer, so the caller sizes it once and shares
    the result across all n-1 transmissions instead of re-walking the
-   transaction list per recipient. *)
+   transaction list per recipient.
+
+   In controlled-scheduling mode (the model checker) a message skips the
+   machine pipelines: it goes on the wire at once and its delivery runs
+   the receive handler the instant the scheduler fires it. Pipeline
+   contents are invisible to the replica-state fingerprint, so modelling
+   them would make distinct states collide. *)
 let rec transmit st ~src ~dst ~bytes msg =
-  match st.notify with
-  | Some notify -> transmit_controlled st notify ~src ~dst msg
-  | None -> transmit_modeled st ~src ~dst ~bytes msg
-
-(* Controlled-scheduling transmission: the model checker abstracts away
-   the machine pipelines (NIC/CPU queues) — a delivery executes its
-   receive handler synchronously at the instant the scheduler fires it.
-   Pipeline contents would be invisible to the replica-state fingerprint,
-   so keeping them would make distinct states hash-collide; the network
-   delay distribution is still applied, and the message identity
-   ({!Bamboo_types.Message.key}) tags the event for reordering. *)
-and transmit_controlled st notify ~src ~dst msg =
   if not (crashed st src) then begin
-    let now = Sim.now st.sim in
-    if not (Netmodel.blocked st.net ~src ~dst) then begin
-      let deliver delay =
-        Sim.schedule_delivery st.sim ~delay ~src ~dst ~note:(Message.key msg)
-          (fun () ->
-            if not (crashed st dst) then begin
-              notify (Exec_deliver { src; dst; note = Message.key msg });
-              if Trace.enabled st.trace then trace_receive st ~dst msg;
-              let outs = Node.handle st.nodes.(dst) (Receive msg) in
-              process_outputs st dst outs
-            end)
-      in
-      let base_drop = Netmodel.drops st.net ~now in
-      let fault_drop = Netmodel.link_drops st.net ~src ~dst in
-      if not (base_drop || fault_drop) then
-        deliver (Netmodel.one_way st.net ~now ~src ~dst);
-      List.iter deliver (Netmodel.link_copies st.net ~src ~dst)
-    end
+    let hop = Hop { src; dst; bytes; msg; stage = Nic_out_done } in
+    match st.notify with
+    | Some _ -> wire st hop
+    | None ->
+        let m = st.machines.(src) in
+        let at =
+          Machine.admit m `Nic_out ~now:(Sim.now st.sim)
+            ~duration:(Machine.wire_time m ~bytes)
+        in
+        Sim.post_at st.sim ~at hop
   end
 
-and transmit_modeled st ~src ~dst ~bytes msg =
-  if not (crashed st src) then begin
-    Machine.nic_out st.machines.(src) ~bytes (fun () ->
-        let now = Sim.now st.sim in
-        (* Partitioned links eat the message after the sender has paid its
-           NIC time — the bytes left the host and died on the wire. *)
-        if not (Netmodel.blocked st.net ~src ~dst) then begin
-          let deliver delay =
-            Sim.schedule st.sim ~delay (fun () ->
-                Machine.nic_in st.machines.(dst) ~bytes (fun () ->
-                    if not (crashed st dst) then
-                      let cost =
-                        if Node.seen_before st.nodes.(dst) msg then
-                          duplicate_cost
-                        else input_cost st.config msg
-                      in
-                      Machine.cpu st.machines.(dst) ~duration:cost (fun () ->
-                          if not (crashed st dst) then begin
-                            if Trace.enabled st.trace then
-                              trace_receive st ~dst msg;
-                            let outs =
-                              Node.handle st.nodes.(dst) (Receive msg)
-                            in
-                            process_outputs st dst outs
-                          end)))
+(* The wire. A partitioned link eats the message after the sender has
+   paid its NIC time — the bytes left the host and died on the wire.
+   Otherwise the message may be lost, and duplication faults deliver
+   extra copies with independent delays; receivers discard them as
+   echoed duplicates. The hop itself carries the primary copy. *)
+and wire st ev =
+  match ev with
+  | Hop ({ src; dst; bytes; msg; _ } as h) ->
+      let now = Sim.now st.sim in
+      if not (Netmodel.blocked st.net ~src ~dst) then begin
+        let stage = if Option.is_some st.notify then Deliver else Arrived in
+        let base_drop = Netmodel.drops st.net ~now in
+        let fault_drop = Netmodel.link_drops st.net ~src ~dst in
+        if not (base_drop || fault_drop) then begin
+          h.stage <- stage;
+          Sim.post st.sim ~delay:(Netmodel.one_way st.net ~now ~src ~dst) ev
+        end;
+        List.iter
+          (fun delay ->
+            Sim.post st.sim ~delay (Hop { src; dst; bytes; msg; stage }))
+          (Netmodel.link_copies st.net ~src ~dst)
+      end
+  | _ -> invalid_arg "Runtime.wire: not a hop"
+
+and fire st ev =
+  match ev with
+  | Hop ({ src; dst; bytes; msg; _ } as h) -> (
+      let m = st.machines.(dst) in
+      match h.stage with
+      | Nic_out_done ->
+          Machine.release st.machines.(src) `Nic_out;
+          wire st ev
+      | Arrived ->
+          h.stage <- Nic_in_done;
+          let at =
+            Machine.admit m `Nic_in ~now:(Sim.now st.sim)
+              ~duration:(Machine.wire_time m ~bytes)
           in
-          let base_drop = Netmodel.drops st.net ~now in
-          let fault_drop = Netmodel.link_drops st.net ~src ~dst in
-          if not (base_drop || fault_drop) then
-            deliver (Netmodel.one_way st.net ~now ~src ~dst);
-          (* Duplication faults deliver extra copies with independent
-             delays; receivers discard them as echoed duplicates. *)
-          List.iter deliver (Netmodel.link_copies st.net ~src ~dst)
-        end)
-  end
+          Sim.post_at st.sim ~at ev
+      | Nic_in_done ->
+          Machine.release m `Nic_in;
+          if not (crashed st dst) then begin
+            let cost =
+              if Node.seen_before st.nodes.(dst) msg then duplicate_cost
+              else input_cost st.config msg
+            in
+            h.stage <- Deliver;
+            let at = Machine.admit m `Cpu ~now:(Sim.now st.sim) ~duration:cost in
+            Sim.post_at st.sim ~at ev
+          end
+      | Deliver ->
+          let live = not (crashed st dst) in
+          (match st.notify with
+          | None -> Machine.release m `Cpu
+          | Some notify ->
+              if live then notify (Exec_deliver { src; dst; note = Message.key msg }));
+          if live then begin
+            if Trace.enabled st.trace then trace_receive st ~dst msg;
+            process_outputs st dst (Node.handle st.nodes.(dst) (Receive msg))
+          end)
+  | Replica_timer { replica; timer; _ } ->
+      if not (crashed st replica) then begin
+        (match st.notify with
+        | Some notify -> notify (Exec_timer { replica })
+        | None -> ());
+        process_outputs st replica (Node.handle st.nodes.(replica) (Timer timer))
+      end
+  | Flush { src; sends; proposed } ->
+      let m = st.machines.(src) in
+      Machine.release m `Cpu;
+      let nic_before = Float.max (Sim.now st.sim) (Machine.busy_until m `Nic_out) in
+      List.iter (fun (dst, msg, bytes) -> transmit st ~src ~dst ~bytes msg) sends;
+      if proposed <> [] then begin
+        let ser = Float.max 0.0 (Machine.busy_until m `Nic_out -. nic_before) in
+        let r = st.records in
+        List.iter
+          (fun (b : Block.t) ->
+            List.iter
+              (fun (tx : Tx.t) ->
+                let slot = Tx_records.find r tx in
+                if slot >= 0 && Tx_records.target r slot = src then
+                  Tx_records.set r slot Nic_ser ser)
+              b.txs)
+          proposed
+      end
+  | _ -> invalid_arg "Runtime.fire: not a runtime event"
 
 and complete_tx st replica (tx : Tx.t) =
   let r = st.records in
@@ -314,35 +379,12 @@ and process_outputs st id outs =
           for dst = 0 to st.config.n - 1 do
             if dst <> id then sends := (dst, msg, bytes) :: !sends
           done
-      | Node.Set_timer { timer; after } -> (
+      | Node.Set_timer { timer; after } ->
           (* Clock-skew faults stretch or shrink the replica's local timer
              durations; the factor is exactly 1.0 when no skew is active. *)
           let after = after *. Fault_engine.clock_factor st.eng id in
-          match st.notify with
-          | None ->
-              Sim.schedule st.sim ~delay:after (fun () ->
-                  if not (crashed st id) then
-                    let outs = Node.handle st.nodes.(id) (Timer timer) in
-                    process_outputs st id outs)
-          | Some notify ->
-              (* Controlled mode tracks armed timers so the model checker
-                 can fold them into its state fingerprint; the code packs
-                 the timer kind with its view. *)
-              let code =
-                match timer with
-                | Node.View_timeout v -> 2 * v
-                | Node.Propose_at v -> (2 * v) + 1
-              in
-              let tid = st.next_timer in
-              st.next_timer <- tid + 1;
-              Hashtbl.replace st.armed tid (id, code, now +. after);
-              Sim.schedule st.sim ~delay:after (fun () ->
-                  Hashtbl.remove st.armed tid;
-                  if not (crashed st id) then begin
-                    notify (Exec_timer { replica = id });
-                    let outs = Node.handle st.nodes.(id) (Timer timer) in
-                    process_outputs st id outs
-                  end))
+          Sim.post st.sim ~delay:after
+            (Replica_timer { replica = id; timer; expiry = now +. after })
       | Node.Committed { blocks; trigger_view } ->
           List.iter
             (fun (b : Block.t) -> List.iter (complete_tx st id) b.txs)
@@ -403,17 +445,15 @@ and process_outputs st id outs =
     outs;
   let sends = List.rev !sends in
   if Option.is_some st.notify then
-    (* Controlled mode: no CPU charge, no NIC bookkeeping — outgoing
-       messages go straight to the tagged delivery queue (see
-       [transmit_controlled] for why pipelines are abstracted away). *)
+    (* Controlled mode: no CPU charge, no NIC bookkeeping (see
+       [transmit]). *)
     List.iter (fun (dst, msg, bytes) -> transmit st ~src:id ~dst ~bytes msg) sends
   else if sends <> [] || !creation > 0.0 then begin
+    let m = st.machines.(id) in
     (* Stage bookkeeping for freshly batched transactions: they experience
        the whole of this flush's CPU charge (queueing plus service). *)
     (if !proposed <> [] then
-       let cpu_wait =
-         Float.max 0.0 (Machine.cpu_busy_until st.machines.(id) -. now)
-       in
+       let cpu_wait = Float.max 0.0 (Machine.busy_until m `Cpu -. now) in
        let r = st.records in
        List.iter
          (fun (b : Block.t) ->
@@ -428,28 +468,16 @@ and process_outputs st id outs =
                end)
              b.txs)
          !proposed);
-    Machine.cpu st.machines.(id) ~duration:!creation (fun () ->
-        let nic_before =
-          Float.max (Sim.now st.sim)
-            (Machine.nic_out_busy_until st.machines.(id))
-        in
-        List.iter (fun (dst, msg, bytes) -> transmit st ~src:id ~dst ~bytes msg) sends;
-        (if !proposed <> [] then
-           let ser =
-             Float.max 0.0
-               (Machine.nic_out_busy_until st.machines.(id) -. nic_before)
-           in
-           let r = st.records in
-           List.iter
-             (fun (b : Block.t) ->
-               List.iter
-                 (fun (tx : Tx.t) ->
-                   let slot = Tx_records.find r tx in
-                   if slot >= 0 && Tx_records.target r slot = id then
-                     Tx_records.set r slot Nic_ser ser)
-                 b.txs)
-             !proposed))
+    let at = Machine.admit m `Cpu ~now ~duration:!creation in
+    Sim.post_at st.sim ~at (Flush { src = id; sends; proposed = !proposed })
   end
+
+(* A hop at its last stage is a delivery a controller may reorder. Only
+   the model checker installs a controller, and in its mode every hop
+   goes straight to [Deliver]. *)
+let delivery = function
+  | Hop { src; dst; msg; stage = Deliver; _ } -> Some (src, dst, Message.key msg)
+  | _ -> None
 
 (* --- client-side transaction issue --- *)
 
@@ -466,10 +494,11 @@ let send_batch st ~target txs =
       if not (crashed st target) then begin
         let arrival = Sim.now st.sim in
         let cost = float_of_int (List.length txs) *. st.config.cpu_per_tx in
-        let wait =
-          Float.max 0.0 (Machine.cpu_busy_until st.machines.(target) -. arrival)
-        in
-        Machine.cpu st.machines.(target) ~duration:cost (fun () ->
+        let m = st.machines.(target) in
+        let wait = Float.max 0.0 (Machine.busy_until m `Cpu -. arrival) in
+        let at = Machine.admit m `Cpu ~now:arrival ~duration:cost in
+        Sim.schedule_at st.sim ~at (fun () ->
+            Machine.release m `Cpu;
             if not (crashed st target) then begin
               let entered = Sim.now st.sim in
               let r = st.records in
@@ -582,13 +611,13 @@ let install_probe ~config ~sim ~machines ~trace ~registry =
            paper's L-shaped latency knee corresponds to. *)
         let last_cpu = ref 0.0 in
         Probe.add_gauge p ~node:i ~name:"cpu_utilization" (fun () ->
-            let b = Machine.cpu_busy_seconds m in
+            let b = Machine.busy_seconds m `Cpu in
             let d = b -. !last_cpu in
             last_cpu := b;
             d /. interval);
         let last_nic = ref 0.0 in
         Probe.add_gauge p ~node:i ~name:"nic_out_utilization" (fun () ->
-            let b = Machine.nic_out_busy_seconds m in
+            let b = Machine.busy_seconds m `Nic_out in
             let d = b -. !last_nic in
             last_nic := b;
             d /. interval))
@@ -721,7 +750,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
   in
   let machines =
     Array.init config.Config.n (fun _ ->
-        Machine.create ~sim ~bandwidth:config.Config.bandwidth)
+        Machine.create ~bandwidth:config.Config.bandwidth)
   in
   (* Machine service spans feed the trace's per-queue timeline threads;
      the hook stays uninstalled when tracing is off. *)
@@ -766,13 +795,12 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       decomp = Latency.create ();
       next_seq = 0;
       reissue = (fun ~client:_ ~after:_ -> ());
-      armed = Hashtbl.create 64;
-      next_timer = 0;
       notify = None;
     }
   in
+  Sim.set_handler sim ~fire:(fire st) ~delivery;
   (* Controlled scheduling must be live before any replica boots so the
-     very first proposal broadcast is already tagged and reorderable. *)
+     very first proposal broadcast is already reorderable. *)
   (match scheduler with
   | None -> ()
   | Some mk ->
@@ -783,9 +811,13 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
           sv_timers =
             (fun () ->
               List.sort compare_timers
-                (List.map snd
-                   (Bamboo_util.Tbl.sorted_bindings ~compare:Int.compare
-                      st.armed)));
+                (Sim.fold_pending sim
+                   (fun acc ev ->
+                     match ev with
+                     | Replica_timer { replica; timer; expiry } ->
+                         (replica, timer_code timer, expiry) :: acc
+                     | _ -> acc)
+                   []));
         }
       in
       let hooks = mk view in
@@ -828,7 +860,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
   in
   let cpu_utilization =
     Array.map
-      (fun m -> Machine.cpu_busy_seconds m /. config.Config.runtime)
+      (fun m -> Machine.busy_seconds m `Cpu /. config.Config.runtime)
       machines
   in
   (* Cross-replica consistency: all committed chains must agree on the

@@ -59,15 +59,20 @@ type result = {
 
 (** {2 Controlled scheduling}
 
-    Hooks for the [bamboo_explore] model checker. With a [scheduler]
-    installed the runtime switches to a synchronous-execution abstraction:
-    message deliveries are tagged in the simulator ({!Bamboo_sim.Sim.schedule_delivery})
-    so their firing order can be chosen by the scheduler's controller, and
-    a delivery executes its receive handler at the instant it fires — the
-    machine pipelines (NIC serialization, CPU queueing) are bypassed,
-    because pipeline contents are invisible to the checker's replica-state
-    fingerprint and would make distinct states collide. Without a
-    [scheduler] the runtime is byte-identical to one predating the hook. *)
+    Hooks for the [bamboo_explore] model checker. The runtime's simulator
+    events are typed: each recipient of a message gets one hop event that
+    moves through the machine model's stages (sender NIC, wire, receiver
+    NIC, receiver CPU), and a replica timer is an event carrying its
+    replica, timer and expiry. With a [scheduler] installed the runtime
+    switches to a synchronous-execution abstraction: a message goes on
+    the wire at once and its delivery event, which the simulator's
+    controller may reorder ({!Bamboo_sim.Sim.pending_deliveries} reads
+    them from the heap), executes the receive handler at the instant it
+    fires — the machine pipelines (NIC serialization, CPU queueing) are
+    bypassed, because pipeline contents are invisible to the checker's
+    replica-state fingerprint and would make distinct states collide.
+    Without a [scheduler] the runtime is byte-identical to one predating
+    the hook. *)
 
 type exec =
   | Exec_deliver of { src : int; dst : int; note : string }
@@ -80,7 +85,8 @@ type sched_view = {
   sv_sim : Bamboo_sim.Sim.t;
   sv_timers : unit -> (int * int * float) list;
       (** Outstanding armed timers as [(replica, code, expiry)], sorted;
-          [code] packs the timer kind with its view. *)
+          [code] packs the timer kind with its view. Read from the pending
+          timer events in the simulator's heap. *)
 }
 (** What the runtime exposes to a scheduler at installation time. *)
 

@@ -20,4 +20,6 @@ val fingerprint :
   string
 (** [inflight] is {!Bamboo_sim.Sim.pending_deliveries} ([(at, src, dst,
     note)]); [timers] is the runtime's armed-timer snapshot
-    ([(replica, code, expiry)], already canonically sorted). *)
+    ([(replica, code, expiry)], already canonically sorted). Both are read
+    from the typed events pending in the simulator's heap, so nothing
+    outside the heap has to mirror it. *)

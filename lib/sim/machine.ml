@@ -1,138 +1,69 @@
 type queue = [ `Cpu | `Nic_out | `Nic_in ]
 
+(* Per-queue state lives in flat arrays indexed by [index]: float arrays
+   hold their elements unboxed, so admitting a job writes no boxed float
+   into the record. *)
 type t = {
-  sim : Sim.t;
   bandwidth : float;
   mutable speed : float;
-  mutable cpu_free : float;
-  mutable nic_out_free : float;
-  mutable nic_in_free : float;
-  mutable cpu_used : float;
-  mutable nic_out_used : float;
-  mutable nic_in_used : float;
-  mutable cpu_depth : int;
-  mutable nic_out_depth : int;
-  mutable nic_in_depth : int;
-  mutable cpu_ops : int;
-  mutable nic_out_ops : int;
-  mutable nic_in_ops : int;
-  mutable cpu_peak : int;
-  mutable nic_out_peak : int;
-  mutable nic_in_peak : int;
+  free : float array; (* absolute time each queue drains *)
+  used : float array; (* cumulative service seconds *)
+  depth : int array;
+  ops : int array;
+  peak : int array;
   mutable on_service :
     (queue:queue -> start:float -> duration:float -> unit) option;
 }
 
-let create ~sim ~bandwidth =
+let index = function `Cpu -> 0 | `Nic_out -> 1 | `Nic_in -> 2
+
+let create ~bandwidth =
   if bandwidth <= 0.0 then invalid_arg "Machine.create: bandwidth must be positive";
   {
-    sim;
     bandwidth;
     speed = 1.0;
-    cpu_free = 0.0;
-    nic_out_free = 0.0;
-    nic_in_free = 0.0;
-    cpu_used = 0.0;
-    nic_out_used = 0.0;
-    nic_in_used = 0.0;
-    cpu_depth = 0;
-    nic_out_depth = 0;
-    nic_in_depth = 0;
-    cpu_ops = 0;
-    nic_out_ops = 0;
-    nic_in_ops = 0;
-    cpu_peak = 0;
-    nic_out_peak = 0;
-    nic_in_peak = 0;
+    free = Array.make 3 0.0;
+    used = Array.make 3 0.0;
+    depth = Array.make 3 0;
+    ops = Array.make 3 0;
+    peak = Array.make 3 0;
     on_service = None;
   }
 
-let bandwidth t = t.bandwidth
+let wire_time t ~bytes = float_of_int bytes /. t.bandwidth
 
 let set_speed t s =
   if s <= 0.0 then invalid_arg "Machine.set_speed: speed must be positive";
   t.speed <- s
 
-let speed t = t.speed
-
 let set_service_hook t hook = t.on_service <- hook
 
-let incr_depth t = function
-  | `Cpu ->
-      t.cpu_depth <- t.cpu_depth + 1;
-      t.cpu_ops <- t.cpu_ops + 1;
-      if t.cpu_depth > t.cpu_peak then t.cpu_peak <- t.cpu_depth
-  | `Nic_out ->
-      t.nic_out_depth <- t.nic_out_depth + 1;
-      t.nic_out_ops <- t.nic_out_ops + 1;
-      if t.nic_out_depth > t.nic_out_peak then t.nic_out_peak <- t.nic_out_depth
-  | `Nic_in ->
-      t.nic_in_depth <- t.nic_in_depth + 1;
-      t.nic_in_ops <- t.nic_in_ops + 1;
-      if t.nic_in_depth > t.nic_in_peak then t.nic_in_peak <- t.nic_in_depth
-
-let decr_depth t = function
-  | `Cpu -> t.cpu_depth <- t.cpu_depth - 1
-  | `Nic_out -> t.nic_out_depth <- t.nic_out_depth - 1
-  | `Nic_in -> t.nic_in_depth <- t.nic_in_depth - 1
-
-let serve t ~queue ~free ~duration k =
-  let start = Float.max (Sim.now t.sim) !free in
+let admit t queue ~now ~duration =
+  if duration < 0.0 then invalid_arg "Machine.admit: negative duration";
+  let i = index queue in
+  (* Dividing by a speed of exactly 1.0 is a bit-exact identity, so an
+     unfaulted machine schedules precisely as before. *)
+  let duration =
+    match queue with `Cpu -> duration /. t.speed | `Nic_out | `Nic_in -> duration
+  in
+  t.used.(i) <- t.used.(i) +. duration;
+  let start = Float.max now t.free.(i) in
   let finish = start +. duration in
-  free := finish;
-  incr_depth t queue;
+  t.free.(i) <- finish;
+  t.depth.(i) <- t.depth.(i) + 1;
+  t.ops.(i) <- t.ops.(i) + 1;
+  if t.depth.(i) > t.peak.(i) then t.peak.(i) <- t.depth.(i);
   (match t.on_service with
   | Some f -> f ~queue ~start ~duration
   | None -> ());
-  Sim.schedule_at t.sim ~at:finish (fun () ->
-      decr_depth t queue;
-      k ())
+  finish
 
-let cpu t ~duration k =
-  if duration < 0.0 then invalid_arg "Machine.cpu: negative duration";
-  (* Dividing by a speed of exactly 1.0 is a bit-exact identity, so an
-     unfaulted machine schedules precisely as before. *)
-  let duration = duration /. t.speed in
-  t.cpu_used <- t.cpu_used +. duration;
-  let free = ref t.cpu_free in
-  serve t ~queue:`Cpu ~free ~duration k;
-  t.cpu_free <- !free
+let release t queue =
+  let i = index queue in
+  t.depth.(i) <- t.depth.(i) - 1
 
-let nic_out t ~bytes k =
-  if bytes < 0 then invalid_arg "Machine.nic_out: negative bytes";
-  let duration = float_of_int bytes /. t.bandwidth in
-  t.nic_out_used <- t.nic_out_used +. duration;
-  let free = ref t.nic_out_free in
-  serve t ~queue:`Nic_out ~free ~duration k;
-  t.nic_out_free <- !free
-
-let nic_in t ~bytes k =
-  if bytes < 0 then invalid_arg "Machine.nic_in: negative bytes";
-  let duration = float_of_int bytes /. t.bandwidth in
-  t.nic_in_used <- t.nic_in_used +. duration;
-  let free = ref t.nic_in_free in
-  serve t ~queue:`Nic_in ~free ~duration k;
-  t.nic_in_free <- !free
-
-let cpu_busy_until t = t.cpu_free
-let nic_out_busy_until t = t.nic_out_free
-let nic_in_busy_until t = t.nic_in_free
-
-let cpu_busy_seconds t = t.cpu_used
-let nic_out_busy_seconds t = t.nic_out_used
-let nic_in_busy_seconds t = t.nic_in_used
-
-let queue_depth t = function
-  | `Cpu -> t.cpu_depth
-  | `Nic_out -> t.nic_out_depth
-  | `Nic_in -> t.nic_in_depth
-
-let ops t = function
-  | `Cpu -> t.cpu_ops
-  | `Nic_out -> t.nic_out_ops
-  | `Nic_in -> t.nic_in_ops
-
-let peak_depth t = function
-  | `Cpu -> t.cpu_peak
-  | `Nic_out -> t.nic_out_peak
-  | `Nic_in -> t.nic_in_peak
+let busy_until t queue = t.free.(index queue)
+let busy_seconds t queue = t.used.(index queue)
+let queue_depth t queue = t.depth.(index queue)
+let ops t queue = t.ops.(index queue)
+let peak_depth t queue = t.peak.(index queue)

@@ -1,60 +1,56 @@
 (** Per-node machine model (paper §V-B1): each machine is a single CPU plus
     a NIC, each modelled as a FIFO single-server queue.
 
-    CPU work (signing, verifying, batching) and NIC serialization
-    (bytes / bandwidth, charged once outbound at the sender and once
-    inbound at the receiver — the paper's [t_NIC = 2m/b]) are scheduled on
-    the owning queue; completion times account for queueing behind earlier
-    work.
+    The machine is queue accounting only: {!admit} places a job on a queue
+    and returns the virtual time it completes, accounting for queueing
+    behind earlier work; {!release} ends the job. Scheduling the
+    completion is the caller's business (the runtime pushes a typed
+    simulator event at the returned time), so the machine holds no
+    simulator and no continuations. NIC serialization is
+    [bytes / bandwidth] ({!wire_time}), charged once outbound at the
+    sender and once inbound at the receiver — the paper's [t_NIC = 2m/b].
 
-    Each queue additionally tracks its depth (jobs admitted but not yet
-    completed) and cumulative busy time, feeding the observability layer's
-    probes; an optional service hook reports every service span (for
-    timeline tracing) without altering scheduling. *)
+    Each queue also tracks its depth (jobs admitted but not yet released)
+    and cumulative busy time, feeding the observability layer's probes;
+    an optional service hook reports every service span (for timeline
+    tracing). *)
 
 type queue = [ `Cpu | `Nic_out | `Nic_in ]
 
 type t
 
-val create : sim:Sim.t -> bandwidth:float -> t
+val create : bandwidth:float -> t
 (** [bandwidth] in bytes/second. *)
 
-val bandwidth : t -> float
+val wire_time : t -> bytes:int -> float
+(** Seconds the NIC needs to serialize [bytes]. *)
 
 val set_speed : t -> float -> unit
-(** Sets the CPU speed factor (default 1.0): every subsequent {!cpu}
+(** Sets the CPU speed factor (default 1.0): every subsequent [`Cpu]
     duration is divided by it, so a factor of 0.5 halves the machine's
     effective speed. The fault subsystem's [slow] fault drives this.
     Raises [Invalid_argument] unless positive. *)
 
-val speed : t -> float
+val admit : t -> queue -> now:float -> duration:float -> float
+(** [admit m q ~now ~duration] enqueues [duration] seconds of work on [q]
+    at virtual time [now] and returns its completion time: service starts
+    when the queue drains or at [now], whichever is later. Zero-duration
+    work still respects FIFO order. Raises [Invalid_argument] on a
+    negative duration. *)
 
-val cpu : t -> duration:float -> (unit -> unit) -> unit
-(** [cpu m ~duration k] enqueues [duration] seconds of CPU work and calls
-    [k] when it completes. Zero-duration work still respects FIFO order. *)
+val release : t -> queue -> unit
+(** Ends the oldest job on the queue: its depth drops by one. Call it
+    when the completion time {!admit} returned is reached. *)
 
-val nic_out : t -> bytes:int -> (unit -> unit) -> unit
-(** Serializes [bytes] through the outbound NIC, then calls [k]. *)
+val busy_until : t -> queue -> float
+(** Absolute virtual time at which the queue drains. *)
 
-val nic_in : t -> bytes:int -> (unit -> unit) -> unit
-(** Same for the inbound NIC. *)
-
-val cpu_busy_until : t -> float
-(** Absolute virtual time at which the CPU queue drains; used by tests and
-    utilization metrics. *)
-
-val nic_out_busy_until : t -> float
-val nic_in_busy_until : t -> float
-
-val cpu_busy_seconds : t -> float
-(** Total CPU seconds consumed so far. *)
-
-val nic_out_busy_seconds : t -> float
-val nic_in_busy_seconds : t -> float
+val busy_seconds : t -> queue -> float
+(** Total service seconds admitted so far. *)
 
 val queue_depth : t -> queue -> int
-(** Jobs admitted to the queue and not yet completed (including the one
-    in service). *)
+(** Jobs admitted to the queue and not yet released (including the one in
+    service). *)
 
 val ops : t -> queue -> int
 (** Total jobs ever admitted to the queue. *)
@@ -65,5 +61,5 @@ val peak_depth : t -> queue -> int
 val set_service_hook :
   t -> (queue:queue -> start:float -> duration:float -> unit) option -> unit
 (** Installs (or clears) a callback invoked synchronously for every
-    admitted job with its computed service window. The hook must not
-    schedule simulator events; it exists to feed trace timelines. *)
+    admitted job with its computed service window. It exists to feed
+    trace timelines. *)

@@ -5,10 +5,13 @@
    event), the queue is a monomorphic 4-ary min-heap in
    structure-of-arrays layout: timestamps live in a flat unboxed [float
    array], insertion sequence numbers (the FIFO tie-break that keeps
-   replay deterministic) in an [int array], and callbacks in a separate
+   replay deterministic) in an [int array], and events in a separate
    array whose vacated slots are reset to a shared no-op so fired
-   closures are collectable immediately. Comparisons are primitive float
-   and int operations — no [cmp] closure, no polymorphic dispatch.
+   events are collectable immediately. [event] is an extensible variant,
+   so that array is a plain pointer array whose reads and writes need no
+   float-array check, unlike a polymorphic payload's. Comparisons are
+   primitive float and int operations — no [cmp] closure, no polymorphic
+   dispatch.
 
    Sifts move a hole rather than swapping: the moving entry stays in
    locals, each entry on the path shifts one level into the hole, and
@@ -16,16 +19,19 @@
    per node halve a binary heap's depth: a pop moves through half as many
    levels at four comparisons a level instead of two, and a node's
    children lie within one or two cache lines of each array. *)
+type event = ..
+type event += Call of (unit -> unit)
+
 module Eq = struct
   type t = {
     mutable at : float array; (* flat, unboxed *)
     mutable seq : int array;
-    mutable fn : (unit -> unit) array;
+    mutable fn : event array;
     mutable len : int;
     mutable next_seq : int;
   }
 
-  let nop () = ()
+  let nop = Call (fun () -> ())
 
   let initial = 256
 
@@ -148,7 +154,7 @@ module Eq = struct
   (* Only meaningful when [length q > 0]. *)
   let min_at q = q.at.(0)
 
-  (* Removes the root and returns its callback; callers must have checked
+  (* Removes the root and returns its event; callers must have checked
      [length q > 0]. The last entry fills the root's hole. *)
   let take q =
     let fn = q.fn.(0) in
@@ -159,7 +165,7 @@ module Eq = struct
     fn
 
   (* Removes the entry at heap index [i] (controlled scheduling picks
-     events other than the root) and returns its callback. The last entry
+     events other than the root) and returns its event. The last entry
      fills the hole, moving up if it precedes the hole's parent and down
      otherwise. *)
   let remove q i =
@@ -189,24 +195,16 @@ type controller = {
   choose : now:float -> candidate array -> int;
 }
 
-type delivery = { d_src : int; d_dst : int; d_note : string }
-
-(* Tags live in a side table keyed by heap sequence number rather than a
-   fourth heap array: the uncontrolled hot path never touches them, so
-   the disabled simulator is byte-for-byte the pre-hook one. *)
-type ctl = {
-  cfg : controller;
-  tags : (int, delivery) Hashtbl.t;
-  mutable decisions : int;
-}
-
 type t = {
   mutable clock : float;
   events : Eq.t;
   mutable fired : int;
   mutable pushed : int;
   mutable peak : int; (* high-water mark of the event heap *)
-  mutable ctl : ctl option;
+  mutable fire_event : event -> unit;
+  mutable delivery : event -> (int * int * string) option;
+  mutable controller : controller option;
+  mutable decisions : int;
 }
 
 let create () =
@@ -216,171 +214,127 @@ let create () =
     fired = 0;
     pushed = 0;
     peak = 0;
-    ctl = None;
+    fire_event = (fun _ -> invalid_arg "Sim: no handler for a typed event");
+    delivery = (fun _ -> None);
+    controller = None;
+    decisions = 0;
   }
+
+let set_handler t ~fire ~delivery =
+  t.fire_event <- fire;
+  t.delivery <- delivery
 
 let now t = t.clock
 
-let schedule_at t ~at fn =
+let post_at t ~at ev =
   let at = Float.max at t.clock in
-  Eq.push t.events ~at fn;
+  Eq.push t.events ~at ev;
   t.pushed <- t.pushed + 1;
   let len = Eq.length t.events in
   if len > t.peak then t.peak <- len
 
-let schedule t ~delay fn = schedule_at t ~at:(t.clock +. Float.max 0.0 delay) fn
+let post t ~delay ev = post_at t ~at:(t.clock +. Float.max 0.0 delay) ev
+let schedule_at t ~at fn = post_at t ~at (Call fn)
+let schedule t ~delay fn = post t ~delay (Call fn)
 
 let set_controller t cfg =
-  t.ctl <-
-    (match cfg with
-    | None -> None
-    | Some cfg -> Some { cfg; tags = Hashtbl.create 64; decisions = 0 })
+  t.controller <- cfg;
+  t.decisions <- 0
 
-let decisions t = match t.ctl with None -> 0 | Some c -> c.decisions
+let decisions t = t.decisions
 
-let schedule_delivery t ~delay ~src ~dst ~note fn =
-  match t.ctl with
-  | None -> schedule t ~delay fn
-  | Some c ->
-      let seq = t.events.Eq.next_seq in
-      schedule t ~delay fn;
-      Hashtbl.replace c.tags seq { d_src = src; d_dst = dst; d_note = note }
+let fold_pending t f init =
+  let q = t.events in
+  let acc = ref init in
+  for i = 0 to Eq.length q - 1 do
+    acc := f !acc q.Eq.fn.(i)
+  done;
+  !acc
+
+let by_time_then_seq (a1, s1, _) (a2, s2, _) =
+  match Float.compare a1 a2 with 0 -> Int.compare s1 s2 | c -> c
+
+(* The pending deliveries timestamped at most [limit], as [(at, seq,
+   (heap index, identity))], sorted by (timestamp, sequence): the
+   uncontrolled firing order. *)
+let deliveries_until t limit =
+  let q = t.events in
+  let acc = ref [] in
+  for i = 0 to Eq.length q - 1 do
+    let at = q.Eq.at.(i) in
+    if at <= limit then
+      match t.delivery q.Eq.fn.(i) with
+      | Some d -> acc := (at, q.Eq.seq.(i), (i, d)) :: !acc
+      | None -> ()
+  done;
+  List.sort by_time_then_seq !acc
 
 let pending_deliveries t =
-  match t.ctl with
-  | None -> []
-  | Some c ->
-      let q = t.events in
-      let acc = ref [] in
-      for i = 0 to Eq.length q - 1 do
-        match Hashtbl.find_opt c.tags q.Eq.seq.(i) with
-        | Some d -> acc := (q.Eq.at.(i), q.Eq.seq.(i), d) :: !acc
-        | None -> ()
-      done;
-      List.map
-        (fun (at, _, d) -> (at, d.d_src, d.d_dst, d.d_note))
-        (List.sort
-           (fun (a1, s1, _) (a2, s2, _) ->
-             match Float.compare a1 a2 with
-             | 0 -> Int.compare s1 s2
-             | c -> c)
-           !acc)
+  List.map
+    (fun (at, _, (_, (src, dst, note))) -> (at, src, dst, note))
+    (deliveries_until t infinity)
 
-let fire t ~at fn =
+let fire t ~at ev =
   t.clock <- Float.max t.clock at;
   t.fired <- t.fired + 1;
-  fn ()
+  match ev with Call f -> f () | ev -> t.fire_event ev
 
 (* One step of the controlled loop. A decision point forms when the
-   minimum event is a tagged delivery and at least one other tagged
-   delivery falls inside [t_min, t_min + window]: the candidate set
-   (sorted by (timestamp, sequence), so its order is the uncontrolled
-   firing order) goes to the strategy, and the chosen delivery fires at
-   the window base [t_min] — picking a later candidate models that
-   message arriving early, so permutations of same-instant candidates
-   reconverge to identical states. Untagged events (timers, machine
-   completions, workload ticks) always fire in plain heap order. *)
+   minimum event is a delivery and at least one other delivery falls
+   inside [t_min, t_min + window]: the candidate set (sorted by
+   (timestamp, sequence), so its order is the uncontrolled firing order)
+   goes to the strategy, and the chosen delivery fires at the window base
+   [t_min] — picking a later candidate models that message arriving early,
+   so permutations of same-instant candidates reconverge to identical
+   states. Other events (timers, machine completions, workload ticks)
+   always fire in plain heap order. *)
 let controlled_step t ctl horizon =
   let q = t.events in
   if Eq.length q = 0 || Eq.min_at q > horizon then false
   else begin
     let t0 = Eq.min_at q in
-    if not (Hashtbl.mem ctl.tags q.Eq.seq.(0)) then begin
-      let fn = Eq.take q in
-      fire t ~at:t0 fn;
-      true
-    end
-    else begin
-      let limit = t0 +. Float.max 0.0 ctl.cfg.window in
-      let cands = ref [] in
-      for i = 0 to Eq.length q - 1 do
-        if q.Eq.at.(i) <= limit then
-          match Hashtbl.find_opt ctl.tags q.Eq.seq.(i) with
-          | Some d -> cands := (q.Eq.at.(i), q.Eq.seq.(i), i, d) :: !cands
-          | None -> ()
-      done;
-      let cands =
-        List.sort
-          (fun (a1, s1, _, _) (a2, s2, _, _) ->
-            match Float.compare a1 a2 with
-            | 0 -> Int.compare s1 s2
-            | c -> c)
-          !cands
-      in
-      match cands with
-      | [] -> assert false (* the root itself is tagged *)
-      | [ (_, s, _, _) ] ->
-          (* Only one deliverable message in the window: no choice to
-             make. It is necessarily the root. *)
-          Hashtbl.remove ctl.tags s;
-          let fn = Eq.take q in
-          fire t ~at:t0 fn;
-          true
-      | _ :: _ :: _ ->
-          let arr =
-            Array.of_list
-              (List.map
-                 (fun (at, _, _, d) ->
-                   {
-                     c_at = at;
-                     c_src = d.d_src;
-                     c_dst = d.d_dst;
-                     c_note = d.d_note;
-                   })
-                 cands)
-          in
-          ctl.decisions <- ctl.decisions + 1;
-          let k = ctl.cfg.choose ~now:t.clock arr in
-          if k < 0 || k >= Array.length arr then
-            invalid_arg "Sim: controller chose an out-of-range candidate";
-          let _, s, i, _ = List.nth cands k in
-          Hashtbl.remove ctl.tags s;
-          let fn = Eq.remove q i in
-          fire t ~at:t0 fn;
-          true
-    end
+    (match t.delivery q.Eq.fn.(0) with
+    | None -> fire t ~at:t0 (Eq.take q)
+    | Some _ -> (
+        match deliveries_until t (t0 +. Float.max 0.0 ctl.window) with
+        | [] | [ _ ] ->
+            (* Only one deliverable message in the window: no choice to
+               make. It is necessarily the root. *)
+            fire t ~at:t0 (Eq.take q)
+        | cands ->
+            let arr =
+              Array.of_list
+                (List.map
+                   (fun (at, _, (_, (src, dst, note))) ->
+                     { c_at = at; c_src = src; c_dst = dst; c_note = note })
+                   cands)
+            in
+            t.decisions <- t.decisions + 1;
+            let k = ctl.choose ~now:t.clock arr in
+            if k < 0 || k >= Array.length arr then
+              invalid_arg "Sim: controller chose an out-of-range candidate";
+            let _, _, (i, _) = List.nth cands k in
+            fire t ~at:t0 (Eq.remove q i)));
+    true
   end
 
 let run_until t horizon =
-  (match t.ctl with
+  (match t.controller with
   | None ->
       let continue = ref true in
       while !continue do
         if Eq.length t.events > 0 && Eq.min_at t.events <= horizon then begin
+          (* [fire], inlined: the timestamp stays unboxed. *)
           let at = Eq.min_at t.events in
-          let fn = Eq.take t.events in
+          let ev = Eq.take t.events in
           t.clock <- Float.max t.clock at;
           t.fired <- t.fired + 1;
-          fn ()
+          match ev with Call f -> f () | ev -> t.fire_event ev
         end
         else continue := false
       done
   | Some ctl -> while controlled_step t ctl horizon do () done);
   t.clock <- Float.max t.clock horizon
-
-let peek_at t = if Eq.length t.events = 0 then None else Some (Eq.min_at t.events)
-
-let drain_window t ~width =
-  if width < 0.0 then invalid_arg "Sim.drain_window: width must be >= 0";
-  match peek_at t with
-  | None -> 0
-  | Some t0 ->
-      let limit = t0 +. width in
-      let fired = ref 0 in
-      let continue = ref true in
-      while !continue do
-        if Eq.length t.events > 0 && Eq.min_at t.events <= limit then begin
-          let at = Eq.min_at t.events in
-          (match t.ctl with
-          | Some c -> Hashtbl.remove c.tags t.events.Eq.seq.(0)
-          | None -> ());
-          let fn = Eq.take t.events in
-          fire t ~at fn;
-          incr fired
-        end
-        else continue := false
-      done;
-      !fired
 
 let run_to_completion ?(max_events = 100_000_000) t =
   let count = ref 0 in
@@ -389,13 +343,7 @@ let run_to_completion ?(max_events = 100_000_000) t =
     if !count > max_events then
       failwith "Sim.run_to_completion: event budget exhausted";
     let at = Eq.min_at t.events in
-    (match t.ctl with
-    | Some c -> Hashtbl.remove c.tags t.events.Eq.seq.(0)
-    | None -> ());
-    let fn = Eq.take t.events in
-    t.clock <- Float.max t.clock at;
-    t.fired <- t.fired + 1;
-    fn ()
+    fire t ~at (Eq.take t.events)
   done
 
 let pending t = Eq.length t.events

@@ -16,17 +16,33 @@ let contains hay needle =
 
 (* --- sim controller semantics --- *)
 
+(* A message delivery as a typed event: the controller reads its identity
+   from the pending event through the handler's classifier. *)
+type Sim.event +=
+  | Msg of { src : int; dst : int; note : string; k : unit -> unit }
+
+let typed_sim () =
+  let sim = Sim.create () in
+  Sim.set_handler sim
+    ~fire:(function Msg m -> m.k () | _ -> ())
+    ~delivery:(function
+      | Msg m -> Some (m.src, m.dst, m.note) | _ -> None);
+  sim
+
+let deliver sim ~delay ~src ~dst ~note k =
+  Sim.post sim ~delay (Msg { src; dst; note; k })
+
 (* A choose-0 controller must reproduce the uncontrolled delivery order:
    candidates are sorted by (timestamp, sequence), so index 0 is exactly
    what the plain heap would fire next. *)
 let test_neutral_controller_order () =
   let order ctl =
-    let sim = Sim.create () in
+    let sim = typed_sim () in
     let log = ref [] in
     Sim.set_controller sim ctl;
     List.iteri
       (fun i d ->
-        Sim.schedule_delivery sim ~delay:d ~src:0 ~dst:(i mod 3)
+        deliver sim ~delay:d ~src:0 ~dst:(i mod 3)
           ~note:(Printf.sprintf "m%d" i) (fun () -> log := i :: !log))
       [ 1.0; 1.0005; 1.001; 2.0 ];
     Sim.schedule sim ~delay:1.5 (fun () -> log := 99 :: !log);
@@ -43,7 +59,7 @@ let test_neutral_controller_order () =
   Alcotest.(check bool) "decisions offered" true (d1 > 0)
 
 let test_controller_accelerates_choice () =
-  let sim = Sim.create () in
+  let sim = typed_sim () in
   let fired = ref [] in
   Sim.set_controller sim
     (Some
@@ -53,9 +69,8 @@ let test_controller_accelerates_choice () =
        });
   List.iteri
     (fun i d ->
-      Sim.schedule_delivery sim ~delay:d ~src:0 ~dst:i
-        ~note:(Printf.sprintf "m%d" i) (fun () ->
-          fired := (i, Sim.now sim) :: !fired))
+      deliver sim ~delay:d ~src:0 ~dst:i ~note:(Printf.sprintf "m%d" i)
+        (fun () -> fired := (i, Sim.now sim) :: !fired))
     [ 1.0; 1.0005 ];
   Sim.run_until sim 10.0;
   match List.rev !fired with
@@ -67,46 +82,20 @@ let test_controller_accelerates_choice () =
   | other ->
       Alcotest.failf "expected two firings, got %d" (List.length other)
 
-let test_peek_and_drain_window () =
-  let sim = Sim.create () in
-  Alcotest.(check (option (float 0.0))) "peek empty" None (Sim.peek_at sim);
-  let log = ref [] in
-  List.iter
-    (fun d -> Sim.schedule sim ~delay:d (fun () -> log := d :: !log))
-    [ 1.0; 1.2; 5.0 ];
-  Alcotest.(check (option (float 1e-12)))
-    "peek earliest" (Some 1.0) (Sim.peek_at sim);
-  let n = Sim.drain_window sim ~width:0.5 in
-  Alcotest.(check int) "fired inside window" 2 n;
-  Alcotest.(check (list (float 0.0))) "window events" [ 1.0; 1.2 ]
-    (List.rev !log);
-  Alcotest.(check int) "one left" 1 (Sim.pending sim);
-  (match Sim.drain_window sim ~width:(-1.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative width must raise");
-  (* Nested scheduling inside the window is drained too. *)
-  let sim2 = Sim.create () in
-  let count = ref 0 in
-  Sim.schedule sim2 ~delay:1.0 (fun () ->
-      incr count;
-      Sim.schedule sim2 ~delay:0.1 (fun () -> incr count));
-  Alcotest.(check int) "nested drained" 2 (Sim.drain_window sim2 ~width:0.2);
-  Alcotest.(check int) "both fired" 2 !count
-
 let test_pending_deliveries_sorted () =
-  let sim = Sim.create () in
+  let sim = typed_sim () in
   Alcotest.(check int)
     "empty without controller" 0
     (List.length (Sim.pending_deliveries sim));
   Sim.set_controller sim
     (Some { Sim.window = 0.01; choose = (fun ~now:_ _ -> 0) });
   List.iter
-    (fun (d, dst) ->
-      Sim.schedule_delivery sim ~delay:d ~src:0 ~dst ~note:"m" (fun () -> ()))
+    (fun (d, dst) -> deliver sim ~delay:d ~src:0 ~dst ~note:"m" (fun () -> ()))
     [ (2.0, 2); (1.0, 1); (3.0, 3) ];
+  Sim.schedule sim ~delay:0.5 (fun () -> ());
   let ats = List.map (fun (at, _, _, _) -> at) (Sim.pending_deliveries sim) in
   Alcotest.(check (list (float 1e-12)))
-    "sorted by timestamp" [ 1.0; 2.0; 3.0 ] ats
+    "sorted by timestamp, closures excluded" [ 1.0; 2.0; 3.0 ] ats
 
 (* --- scheduler cells and controlled runs --- *)
 
@@ -199,7 +188,18 @@ let test_fingerprints_stable () =
            fp))
     a;
   Alcotest.(check (list string)) "identical run, identical hashes" a
-    (fingerprints ())
+    (fingerprints ());
+  (* Golden digests: any change to what the fingerprint covers (replica
+     engines, pending deliveries, armed timers) or to the schedule that
+     reaches these states moves them. *)
+  Alcotest.(check (list string))
+    "golden digests"
+    [
+      "1014b5dd635ab7716fea428e7a740b7aad60ccc91b73d738dedb17ed2844e612";
+      "a4f92e3992f622b59ea6f457adb414ed82757d91e9f9c3398fa8222a4da11665";
+      "f81e45d4be685b1a7dd57a396bd1d41dc7ce944ade81d2efd8bd4d20f91e777f";
+    ]
+    a
 
 (* --- DFS: exhaustion, jobs-independence, POR reduction --- *)
 
@@ -528,8 +528,6 @@ let suite =
       test_neutral_controller_order;
     Alcotest.test_case "sim: chosen candidate fires at window base" `Quick
       test_controller_accelerates_choice;
-    Alcotest.test_case "sim: peek_at and drain_window" `Quick
-      test_peek_and_drain_window;
     Alcotest.test_case "sim: pending_deliveries sorted" `Quick
       test_pending_deliveries_sorted;
     Alcotest.test_case "scheduler: cell validates" `Quick

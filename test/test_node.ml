@@ -11,6 +11,7 @@ type net = {
   nodes : Node.t array;
   queue : (int * Message.t) Queue.t; (* (destination, message) *)
   mutable timers : (int * Node.timer * float) list; (* (node, timer, after) *)
+  (* Output logs, newest first: prepending keeps a long [settle] linear. *)
   mutable committed : (int * Block.t) list; (* (node, block) *)
   mutable forked : (int * Block.t) list;
   mutable proposed : Block.t list;
@@ -42,10 +43,10 @@ let absorb net src outs =
       | Node.Set_timer { timer; after } ->
           net.timers <- (src, timer, after) :: net.timers
       | Node.Committed { blocks; _ } ->
-          net.committed <- net.committed @ List.map (fun b -> (src, b)) blocks
+          List.iter (fun b -> net.committed <- (src, b) :: net.committed) blocks
       | Node.Forked blocks ->
-          net.forked <- net.forked @ List.map (fun b -> (src, b)) blocks
-      | Node.Proposed b -> net.proposed <- net.proposed @ [ b ]
+          List.iter (fun b -> net.forked <- (src, b) :: net.forked) blocks
+      | Node.Proposed b -> net.proposed <- b :: net.proposed
       | Node.Voted _ -> ()
       | Node.Qc_formed _ | Node.Entered_view _ -> ())
     outs
@@ -78,8 +79,10 @@ let submit net ~replica txs =
   absorb net replica (Node.handle net.nodes.(replica) (Submit txs));
   settle net
 
+(* Replica [i]'s commits, oldest first. *)
 let committed_of net i =
-  List.filter_map (fun (n, b) -> if n = i then Some b else None) net.committed
+  List.rev
+    (List.filter_map (fun (n, b) -> if n = i then Some b else None) net.committed)
 
 (* --- tests --- *)
 

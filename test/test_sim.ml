@@ -68,68 +68,92 @@ let test_event_budget () =
   | exception Failure _ -> ()
   | () -> Alcotest.fail "expected budget failure"
 
+(* One typed event, allocated once: the simulator's message-path hops
+   are events of this kind, re-posted at each stage. *)
+type Sim.event += Tick
+
+let test_typed_event_words () =
+  let sim = Sim.create () in
+  let remaining = ref 0 in
+  Sim.set_handler sim
+    ~fire:(function
+      | Tick ->
+          decr remaining;
+          if !remaining > 0 then Sim.post sim ~delay:0.001 Tick
+      | _ -> ())
+    ~delivery:(fun _ -> None);
+  let n = 100_000 in
+  let words =
+    Helpers.alloc_delta (fun () ->
+        remaining := n;
+        Sim.post sim ~delay:0.001 Tick;
+        Sim.run_until sim infinity)
+  in
+  Alcotest.(check int) "all fired" n (Sim.fired sim);
+  (* In the dev profile (-opaque) the 4 words are two float boxes: the
+     absolute time [post] hands to [post_at], and the clock stored into
+     the simulator's mixed record when the event fires. *)
+  Alcotest.(check (float 0.01)) "minor words per schedule-and-fire" 4.0
+    (words /. float_of_int n)
+
 (* --- machine model --- *)
 
 let test_cpu_fifo_queueing () =
-  let sim = Sim.create () in
-  let m = Machine.create ~sim ~bandwidth:1e9 in
-  let finish = ref [] in
-  Machine.cpu m ~duration:1.0 (fun () -> finish := ("a", Sim.now sim) :: !finish);
-  Machine.cpu m ~duration:2.0 (fun () -> finish := ("b", Sim.now sim) :: !finish);
-  Sim.run_to_completion sim;
+  let m = Machine.create ~bandwidth:1e9 in
+  let a = Machine.admit m `Cpu ~now:0.0 ~duration:1.0 in
+  let b = Machine.admit m `Cpu ~now:0.0 ~duration:2.0 in
   Alcotest.(check (list (pair string (float 1e-9))))
     "serialized service"
     [ ("a", 1.0); ("b", 3.0) ]
-    (List.rev !finish);
-  Alcotest.(check (float 1e-9)) "busy seconds" 3.0 (Machine.cpu_busy_seconds m)
+    [ ("a", a); ("b", b) ];
+  Alcotest.(check (float 1e-9)) "busy seconds" 3.0 (Machine.busy_seconds m `Cpu);
+  Alcotest.(check int) "both queued" 2 (Machine.queue_depth m `Cpu);
+  Machine.release m `Cpu;
+  Alcotest.(check int) "one released" 1 (Machine.queue_depth m `Cpu);
+  Alcotest.(check int) "peak" 2 (Machine.peak_depth m `Cpu)
 
 let test_cpu_idle_gap () =
-  let sim = Sim.create () in
-  let m = Machine.create ~sim ~bandwidth:1e9 in
-  let t = ref 0.0 in
-  Machine.cpu m ~duration:1.0 (fun () -> ());
-  Sim.schedule sim ~delay:5.0 (fun () ->
-      Machine.cpu m ~duration:1.0 (fun () -> t := Sim.now sim));
-  Sim.run_to_completion sim;
-  Alcotest.(check (float 1e-9)) "restarts after idle" 6.0 !t
+  let m = Machine.create ~bandwidth:1e9 in
+  ignore (Machine.admit m `Cpu ~now:0.0 ~duration:1.0);
+  let t = Machine.admit m `Cpu ~now:5.0 ~duration:1.0 in
+  Alcotest.(check (float 1e-9)) "restarts after idle" 6.0 t
 
 let test_nic_bandwidth () =
-  let sim = Sim.create () in
-  let m = Machine.create ~sim ~bandwidth:1000.0 in
-  let t = ref 0.0 in
-  Machine.nic_out m ~bytes:500 (fun () -> t := Sim.now sim);
-  Sim.run_to_completion sim;
-  Alcotest.(check (float 1e-9)) "bytes/bandwidth" 0.5 !t
+  let m = Machine.create ~bandwidth:1000.0 in
+  let t =
+    Machine.admit m `Nic_out ~now:0.0 ~duration:(Machine.wire_time m ~bytes:500)
+  in
+  Alcotest.(check (float 1e-9)) "bytes/bandwidth" 0.5 t
 
 let test_nic_in_out_independent () =
-  let sim = Sim.create () in
-  let m = Machine.create ~sim ~bandwidth:1000.0 in
-  let finish = ref [] in
-  Machine.nic_out m ~bytes:1000 (fun () -> finish := ("out", Sim.now sim) :: !finish);
-  Machine.nic_in m ~bytes:1000 (fun () -> finish := ("in", Sim.now sim) :: !finish);
-  Sim.run_to_completion sim;
+  let m = Machine.create ~bandwidth:1000.0 in
+  let wire = Machine.wire_time m ~bytes:1000 in
+  let finish =
+    [
+      Machine.admit m `Nic_out ~now:0.0 ~duration:wire;
+      Machine.admit m `Nic_in ~now:0.0 ~duration:wire;
+    ]
+  in
   (* Full duplex: both complete at 1.0, not serialized to 2.0. *)
   List.iter
-    (fun (_, t) -> Alcotest.(check (float 1e-9)) "parallel duplex" 1.0 t)
-    !finish
+    (fun t -> Alcotest.(check (float 1e-9)) "parallel duplex" 1.0 t)
+    finish
 
 let test_zero_duration_work () =
-  let sim = Sim.create () in
-  let m = Machine.create ~sim ~bandwidth:1e9 in
-  let ran = ref false in
-  Machine.cpu m ~duration:0.0 (fun () -> ran := true);
-  Sim.run_to_completion sim;
-  Alcotest.(check bool) "zero work completes" true !ran
+  let m = Machine.create ~bandwidth:1e9 in
+  ignore (Machine.admit m `Cpu ~now:0.0 ~duration:1.0);
+  (* Zero work still waits its FIFO turn. *)
+  Alcotest.(check (float 1e-9)) "zero work completes" 1.0
+    (Machine.admit m `Cpu ~now:0.0 ~duration:0.0)
 
 let test_machine_invalid () =
-  let sim = Sim.create () in
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Machine.create: bandwidth must be positive") (fun () ->
-      ignore (Machine.create ~sim ~bandwidth:0.0));
-  let m = Machine.create ~sim ~bandwidth:1.0 in
+      ignore (Machine.create ~bandwidth:0.0));
+  let m = Machine.create ~bandwidth:1.0 in
   Alcotest.check_raises "negative cpu"
-    (Invalid_argument "Machine.cpu: negative duration") (fun () ->
-      Machine.cpu m ~duration:(-1.0) (fun () -> ()))
+    (Invalid_argument "Machine.admit: negative duration") (fun () ->
+      ignore (Machine.admit m `Cpu ~now:0.0 ~duration:(-1.0)))
 
 (* --- network model --- *)
 
@@ -328,6 +352,7 @@ let suite =
     Alcotest.test_case "run_until horizon" `Quick test_run_until_horizon;
     Alcotest.test_case "negative delay clamped" `Quick test_negative_delay_clamped;
     Alcotest.test_case "event budget" `Quick test_event_budget;
+    Alcotest.test_case "typed event words" `Quick test_typed_event_words;
     Alcotest.test_case "cpu FIFO" `Quick test_cpu_fifo_queueing;
     Alcotest.test_case "cpu idle gap" `Quick test_cpu_idle_gap;
     Alcotest.test_case "nic bandwidth" `Quick test_nic_bandwidth;
