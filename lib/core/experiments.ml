@@ -28,9 +28,13 @@ let ktx v = Table.fmt_float ~decimals:1 (v /. 1000.0)
    whose parameters never depend on another cell's result. Each
    experiment therefore splits into a plan phase (build the flat list of
    cells), an execute phase (run them on a fixed-size domain pool) and a
-   render phase (format rows from the results). [Pool.map] returns
-   results in submission order, so the rendered tables are byte-identical
-   to a sequential run at any job count. *)
+   render phase (format rows from each cell's projection). The execute
+   phase projects a cell's result onto what the render phase reads (its
+   summary or its throughput series) on the worker domain that ran it,
+   so a finished cell's forests, ledgers and tx records are garbage at
+   once rather than held until the whole sweep ends. [Pool.map] returns
+   projections in submission order, so the rendered tables are
+   byte-identical to a sequential run at any job count. *)
 
 (* Written only by [set_jobs] on the main domain before any Pool worker
    starts; workers never touch it, so the shared ref cannot race. *)
@@ -54,7 +58,11 @@ let metrics () = !metrics_ref
    optional metrics bucket width. *)
 type cell = Config.t * Workload.t * float option
 
-let run_cells (cells : cell list) : Runtime.result list =
+(* What the render phases read of a cell's result. *)
+let summary_of (r : Runtime.result) = r.Runtime.summary
+let series_of (r : Runtime.result) = r.Runtime.series
+
+let run_cells (project : Runtime.result -> 'a) (cells : cell list) : 'a list =
   let reg = !metrics_ref in
   let probe =
     (* Per-cell wall-clock latency, recorded from the worker domain that
@@ -72,9 +80,10 @@ let run_cells (cells : cell list) : Runtime.result list =
   in
   Pool.map ~jobs:!jobs_ref ?probe
     (fun (config, workload, bucket) ->
-      match bucket with
-      | None -> Runtime.run ~config ~workload ()
-      | Some bucket -> Runtime.run ~config ~workload ~bucket ())
+      project
+        (match bucket with
+        | None -> Runtime.run ~config ~workload ()
+        | Some bucket -> Runtime.run ~config ~workload ~bucket ()))
     cells
 
 (* Split [xs] into consecutive chunks whose sizes follow [counts]. *)
@@ -107,10 +116,9 @@ let sweep_groups groups =
           rates)
       groups
   in
-  let results = run_cells cells in
   chunks
     (List.map (fun (_, rates) -> List.length rates) groups)
-    (List.map (fun (r : Runtime.result) -> r.Runtime.summary) results)
+    (run_cells summary_of cells)
 
 let sweep ~config ~rates =
   match sweep_groups [ (config, rates) ] with
@@ -408,7 +416,9 @@ let fig12 scale =
       combos
   in
   let grouped =
-    chunks (List.map (fun _ -> List.length seeds) combos) (run_cells cells)
+    chunks
+      (List.map (fun _ -> List.length seeds) combos)
+      (run_cells summary_of cells)
   in
   let rows =
     List.map2
@@ -418,12 +428,12 @@ let fig12 scale =
            identical float list, so stddev rounding is unchanged. *)
         let thrs =
           List.rev_map
-            (fun (r : Runtime.result) -> r.Runtime.summary.Metrics.throughput)
+            (fun (s : Metrics.summary) -> s.Metrics.throughput)
             results
         in
         let lats =
           List.rev_map
-            (fun (r : Runtime.result) -> r.Runtime.summary.Metrics.latency_mean)
+            (fun (s : Metrics.summary) -> s.Metrics.latency_mean)
             results
         in
         [
@@ -471,7 +481,7 @@ let byzantine_experiment scale ~strategy ~timeout ~title =
       protocols
   in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun (_, _, config, rate) ->
            (config, Workload.open_loop ~rate (), None))
@@ -479,8 +489,7 @@ let byzantine_experiment scale ~strategy ~timeout ~title =
   in
   let rows =
     List.map2
-      (fun (protocol, byz_no, _, _) (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun (protocol, byz_no, _, _) (s : Metrics.summary) ->
         [
           Config.protocol_name protocol;
           string_of_int byz_no;
@@ -558,15 +567,14 @@ let fig15 scale =
   let grouped =
     chunks
       (List.map (fun _ -> List.length protocols) settings)
-      (run_cells (List.concat_map setting_cells settings))
+      (run_cells series_of (List.concat_map setting_cells settings))
   in
   List.iter2
     (fun (label, _, _) results ->
       Printf.printf "\n-- setting %s --\n" label;
       let series_per_protocol =
         List.map2
-          (fun protocol (r : Runtime.result) ->
-            (Config.protocol_name protocol, r.Runtime.series))
+          (fun protocol series -> (Config.protocol_name protocol, series))
           protocols results
       in
       let buckets =
@@ -608,7 +616,7 @@ let ablation_broadcast scale =
       [ 0.3; 0.8 ]
   in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun (frac, broadcast) ->
            (config, Workload.open_loop ~broadcast ~rate:(frac *. cap) (), None))
@@ -616,8 +624,7 @@ let ablation_broadcast scale =
   in
   let rows =
     List.map2
-      (fun (frac, broadcast) (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun (frac, broadcast) (s : Metrics.summary) ->
         [
           Printf.sprintf "%.0f%% load" (100.0 *. frac);
           (if broadcast then "broadcast" else "single");
@@ -647,7 +654,7 @@ let ablation_election scale =
     ]
   in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun (_, election) ->
            ({ config with Config.election }, Workload.open_loop ~rate (), None))
@@ -655,8 +662,7 @@ let ablation_election scale =
   in
   let rows =
     List.map2
-      (fun (name, _) (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun (name, _) (s : Metrics.summary) ->
         [ name; ktx s.Metrics.throughput; ms s.Metrics.latency_mean ])
       schemes results
   in
@@ -676,7 +682,7 @@ let ablation_echo scale =
   let rate = 0.5 *. capacity config in
   let modes = [ true; false ] in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun echo ->
            ( { config with Config.echo = Some echo },
@@ -686,8 +692,7 @@ let ablation_echo scale =
   in
   let rows =
     List.map2
-      (fun echo (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun echo (s : Metrics.summary) ->
         [
           (if echo then "echo on" else "echo off");
           ktx s.Metrics.throughput;
@@ -729,7 +734,7 @@ let ablation_fhs scale =
       ]
   in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun (_, _, config, rate) ->
            (config, Workload.open_loop ~rate (), None))
@@ -737,8 +742,7 @@ let ablation_fhs scale =
   in
   let rows =
     List.map2
-      (fun (label, protocol, _, _) (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun (label, protocol, _, _) (s : Metrics.summary) ->
         [
           label;
           Config.protocol_name protocol;
@@ -766,7 +770,7 @@ let ablation_backoff scale =
   let rate = 0.1 *. capacity config in
   let backoffs = [ 1.0; 1.5; 2.0 ] in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun backoff ->
            ({ config with Config.backoff }, Workload.open_loop ~rate (), None))
@@ -774,8 +778,7 @@ let ablation_backoff scale =
   in
   let rows =
     List.map2
-      (fun backoff (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun backoff (s : Metrics.summary) ->
         [
           Printf.sprintf "backoff x%.1f" backoff;
           ktx s.Metrics.throughput;
@@ -834,7 +837,7 @@ let chaos_leader_delay scale =
       protocols
   in
   let results =
-    run_cells
+    run_cells summary_of
       (List.map
          (fun (_, _, config, rate) ->
            (config, Workload.open_loop ~rate (), None))
@@ -842,8 +845,7 @@ let chaos_leader_delay scale =
   in
   let rows =
     List.map2
-      (fun (protocol, d, _, _) (r : Runtime.result) ->
-        let s = r.Runtime.summary in
+      (fun (protocol, d, _, _) (s : Metrics.summary) ->
         (* A saturated run commits only backlog issued during warmup, so
            no latency sample exists: the latency is divergent, not zero. *)
         let lat x =
@@ -902,10 +904,10 @@ let chaos_partition_heal scale =
     let rate = 0.5 *. capacity config in
     (config, Workload.open_loop ~rate (), Some bucket)
   in
-  let results = run_cells (List.map cell_of protocols) in
+  let results = run_cells series_of (List.map cell_of protocols) in
   let rows =
     List.map2
-      (fun protocol (r : Runtime.result) ->
+      (fun protocol series ->
         (* Messages already on the wire when the links go down can still
            complete a commit; they all land in the first bucket after the
            cut, so report that drain separately from the steady state. *)
@@ -914,17 +916,17 @@ let chaos_partition_heal scale =
             (fun acc (t, thr) ->
               if t >= t0 && t < t0 +. bucket then acc +. (thr *. bucket)
               else acc)
-            0.0 r.Runtime.series
+            0.0 series
         in
         let txs_during =
           List.fold_left
             (fun acc (t, thr) ->
               if t >= t0 +. bucket && t < t1 then acc +. (thr *. bucket)
               else acc)
-            0.0 r.Runtime.series
+            0.0 series
         in
         let first_commit_after =
-          List.find_opt (fun (t, thr) -> t >= t1 && thr > 0.0) r.Runtime.series
+          List.find_opt (fun (t, thr) -> t >= t1 && thr > 0.0) series
         in
         let ttfc =
           match first_commit_after with
@@ -934,7 +936,7 @@ let chaos_partition_heal scale =
         let tail =
           List.filter_map
             (fun (t, thr) -> if t >= 8.0 then Some thr else None)
-            r.Runtime.series
+            series
         in
         let tail_mean =
           List.fold_left ( +. ) 0.0 tail /. float_of_int (List.length tail)

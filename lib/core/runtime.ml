@@ -301,8 +301,11 @@ and fire st ev =
             List.iter
               (fun (tx : Tx.t) ->
                 let slot = Tx_records.find r tx in
-                if slot >= 0 && Tx_records.target r slot = src then
-                  Tx_records.set r slot Nic_ser ser)
+                if
+                  slot >= 0
+                  && Tx_records.target r slot = src
+                  && not (Tx_records.completed r slot)
+                then Tx_records.set r slot Nic_ser ser)
               b.txs)
           proposed
       end
@@ -315,7 +318,8 @@ and complete_tx st replica (tx : Tx.t) =
     let target = Tx_records.target r slot in
     if (target = replica || target = -1) && not (Tx_records.completed r slot)
     then begin
-      Tx_records.set_completed r slot;
+      (* Every stamp is read before [set_completed]: completing the last
+         pending slot of a chunk may release the chunk's stamps. *)
       let issued_at = Tx_records.stamp r slot Issued_at in
       let response = Netmodel.client_rtt st.net ~now:(Sim.now st.sim) /. 2.0 in
       let done_at = Sim.now st.sim +. response in
@@ -353,6 +357,7 @@ and complete_tx st replica (tx : Tx.t) =
         Latency.record st.decomp ~client_wire ~cpu_queue ~cpu_service
           ~mempool_wait ~nic_serialization ~consensus_wait ~total
       end;
+      Tx_records.set_completed r slot;
       let client = Tx_records.client r slot in
       if client > 0 then st.reissue ~client ~after:response
     end
@@ -460,7 +465,11 @@ and process_outputs st id outs =
            List.iter
              (fun (tx : Tx.t) ->
                let slot = Tx_records.find r tx in
-               if slot >= 0 && Tx_records.target r slot = id then begin
+               if
+                 slot >= 0
+                 && Tx_records.target r slot = id
+                 && not (Tx_records.completed r slot)
+               then begin
                  Tx_records.set r slot Batched_at now;
                  Tx_records.set r slot Propose_wait cpu_wait;
                  Tx_records.set r slot Propose_service !creation;
@@ -505,7 +514,11 @@ let send_batch st ~target txs =
               List.iter
                 (fun (tx : Tx.t) ->
                   let slot = Tx_records.find r tx in
-                  if slot >= 0 && Tx_records.target r slot = target then begin
+                  if
+                    slot >= 0
+                    && Tx_records.target r slot = target
+                    && not (Tx_records.completed r slot)
+                  then begin
                     Tx_records.set r slot Submit_wire one_way;
                     Tx_records.set r slot Ingest_wait wait;
                     Tx_records.set r slot Ingest_service cost;

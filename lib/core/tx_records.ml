@@ -30,7 +30,14 @@ let counted_bit = 4
 (* Slots live in fixed-size chunks, allocated as the seqs reach them:
    growing never copies a slot or leaves a discarded array behind, and a
    run holds at most one partly used chunk. A chunk is small enough for
-   the allocator to hand a finished run's chunks to the next run. *)
+   the allocator to hand a finished run's chunks to the next run.
+
+   A chunk has two parts. Client, target and flags outlive completion:
+   [find], [completed] and [counted] read them for as long as the run
+   lasts. The stamp columns are read once, when the tx completes, so a
+   chunk whose recorded slots have all completed gives its stamp array
+   back to a spare list once a newer chunk exists, and the next chunk
+   takes it from there instead of allocating one. *)
 let chunk_bits = 10
 let chunk_slots = 1 lsl chunk_bits
 let offset_mask = chunk_slots - 1
@@ -39,28 +46,54 @@ type chunk = {
   client : int array;
   target : int array;
   flags : Bytes.t;
-  stamps : Float.Array.t; (* [columns] columns of [chunk_slots] stamps *)
+  mutable stamps : Float.Array.t;
+      (* [columns] columns of [chunk_slots] stamps; [no_stamps] once
+         released *)
+  mutable pending : int; (* recorded slots not yet completed *)
 }
 
 type t = {
   mutable chunks : chunk array; (* chunk [i] holds slots from [i lsl chunk_bits] *)
   mutable used : int; (* chunks allocated, a prefix of [chunks] *)
+  mutable spare : Float.Array.t list; (* released stamp arrays *)
 }
 
-let new_chunk () =
-  {
-    client = Array.make chunk_slots 0;
-    target = Array.make chunk_slots 0;
-    flags = Bytes.make chunk_slots '\000';
-    stamps = Float.Array.make (columns * chunk_slots) 0.0;
-  }
+(* Zero-length, so reading or writing a stamp of a chunk without stamp
+   storage fails the bounds check. *)
+let no_stamps = Float.Array.create 0
 
 (* Fills the directory past [used]: a slot there has no storage, so
    reading or writing it raises. *)
 let absent =
-  { client = [||]; target = [||]; flags = Bytes.empty; stamps = Float.Array.create 0 }
+  {
+    client = [||];
+    target = [||];
+    flags = Bytes.empty;
+    stamps = no_stamps;
+    pending = 0;
+  }
 
-let create () = { chunks = [||]; used = 0 }
+let create () = { chunks = [||]; used = 0; spare = [] }
+
+let take_stamps t =
+  match t.spare with
+  | s :: rest ->
+      t.spare <- rest;
+      s
+  | [] -> Float.Array.make (columns * chunk_slots) 0.0
+
+let release_stamps t c =
+  t.spare <- c.stamps :: t.spare;
+  c.stamps <- no_stamps
+
+let new_chunk t =
+  {
+    client = Array.make chunk_slots 0;
+    target = Array.make chunk_slots 0;
+    flags = Bytes.make chunk_slots '\000';
+    stamps = take_stamps t;
+    pending = 0;
+  }
 
 let add_chunk t =
   if t.used = Array.length t.chunks then begin
@@ -68,7 +101,13 @@ let add_chunk t =
     Array.blit t.chunks 0 chunks 0 t.used;
     t.chunks <- chunks
   end;
-  t.chunks.(t.used) <- new_chunk ();
+  (* The newest chunk keeps its stamps while it has none pending: seqs
+     still to come land in it. Once it is no longer the newest, nothing
+     pending means nothing left to read. *)
+  (if t.used > 0 then
+     let prev = t.chunks.(t.used - 1) in
+     if prev.pending = 0 then release_stamps t prev);
+  t.chunks.(t.used) <- new_chunk t;
   t.used <- t.used + 1
 
 let chunk t slot = t.chunks.(slot lsr chunk_bits)
@@ -92,6 +131,9 @@ let record t (tx : Tx.t) ~target ~issued_at =
     add_chunk t
   done;
   let c = chunk t slot and off = offset slot in
+  if Float.Array.length c.stamps = 0 then c.stamps <- take_stamps t;
+  if flags c off land (recorded lor completed_bit) <> recorded then
+    c.pending <- c.pending + 1;
   c.client.(off) <- tx.id.client;
   c.target.(off) <- target;
   Bytes.set c.flags off (Char.chr recorded);
@@ -117,6 +159,15 @@ let find t (tx : Tx.t) =
 let target t slot = (chunk t slot).target.(offset slot)
 let client t slot = (chunk t slot).client.(offset slot)
 let completed t slot = flags (chunk t slot) (offset slot) land completed_bit <> 0
-let set_completed t slot = set_flag t slot completed_bit
+
+let set_completed t slot =
+  let c = chunk t slot and off = offset slot in
+  let f = flags c off in
+  if f land (recorded lor completed_bit) = recorded then begin
+    c.pending <- c.pending - 1;
+    if c.pending = 0 && slot lsr chunk_bits < t.used - 1 then release_stamps t c
+  end;
+  Bytes.set c.flags off (Char.unsafe_chr (f lor completed_bit))
+
 let counted t slot = flags (chunk t slot) (offset slot) land counted_bit <> 0
 let set_counted t slot = set_flag t slot counted_bit

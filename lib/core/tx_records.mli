@@ -9,7 +9,18 @@
     nothing. A lookup is two array indexes and stamping allocates
     nothing. A slot matches a tx only
     if it was recorded for the same client, so a tx the runtime never
-    issued has no record. *)
+    issued has no record.
+
+    A slot's client, target and flags ({!find}, {!client}, {!target},
+    {!completed}, {!counted}) stay valid for the life of the records. Its
+    stage stamps ({!stamp}, {!set}) are valid only until it completes:
+    once every slot recorded in a chunk has completed and a newer chunk
+    exists, the chunk's stamp storage is released to a spare list, and
+    the next chunk allocated (or a chunk re-recorded into) reuses it. So
+    stamp memory is bounded by the chunks that hold an uncompleted tx
+    plus the spares, not by the run length; a chunk holding a tx that
+    never completes keeps its stamps. Read a slot's stamps before
+    {!set_completed}. *)
 
 open Bamboo_types
 
@@ -45,11 +56,15 @@ val client : t -> int -> int
 val stamp : t -> int -> stamp -> float
 
 val set : t -> int -> stamp -> float -> unit
+(** [stamp] and [set] raise [Invalid_argument] on a slot whose chunk's
+    stamps were released; callers skip completed slots. *)
 
 val completed : t -> int -> bool
 (** Whether a replica's commit already completed the tx for its client. *)
 
 val set_completed : t -> int -> unit
+(** Marks the slot completed. If it was the chunk's last uncompleted
+    slot and the chunk is not the newest, its stamps are released. *)
 
 val counted : t -> int -> bool
 (** Whether the observer already counted the tx as committed: under

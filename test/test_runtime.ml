@@ -365,6 +365,85 @@ let test_tx_records_chunks () =
   Alcotest.(check (float 0.0)) "re-record resets stamps" (-1.0)
     (R.stamp r slot R.Batched_at)
 
+(* A chunk's stamp columns are released once every slot recorded in it
+   has completed and a newer chunk exists; client, target and flags stay. *)
+let stamp_chunk_words = (9 * 1024) + 1
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* A sliding window of outstanding txs: records hold about 2.14 words a
+   tx for client, target and flags, plus stamps for the few chunks that
+   still have a pending tx and the spares (242,022 words in all: three
+   stamp chunks). Without release the 100,000 txs would keep 98 stamp
+   chunks, about 1.1M words. *)
+let test_tx_records_sliding_window () =
+  let module R = Bamboo.Tx_records in
+  let module Tx = Bamboo_types.Tx in
+  let r = R.create () in
+  let tx seq = Tx.make ~client:0 ~seq ~payload_len:0 in
+  let n = 100_000 and behind = 2_000 in
+  for seq = 0 to n - 1 do
+    R.record r (tx seq) ~target:0 ~issued_at:(float_of_int seq);
+    if seq >= behind then R.set_completed r (R.find r (tx (seq - behind)))
+  done;
+  let words = Obj.reachable_words (Obj.repr r) in
+  let bound = (22 * n / 10) + (5 * stamp_chunk_words) in
+  if words > bound then
+    Alcotest.failf "records hold %d words for %d txs (bound %d)" words n bound;
+  for seq = n - behind to n - 1 do
+    let slot = R.find r (tx seq) in
+    Alcotest.(check (float 0.0)) "pending stamps readable" (float_of_int seq)
+      (R.stamp r slot R.Issued_at)
+  done
+
+(* One pending tx pins its chunk's stamps; completing it releases them,
+   and the next chunk reuses the released array. *)
+let test_tx_records_release () =
+  let module R = Bamboo.Tx_records in
+  let module Tx = Bamboo_types.Tx in
+  let r = R.create () in
+  let tx seq = Tx.make ~client:(seq mod 3) ~seq ~payload_len:0 in
+  for seq = 0 to 1024 do
+    R.record r (tx seq) ~target:(seq mod 4) ~issued_at:(float_of_int seq)
+  done;
+  R.set r 5 R.Batched_at 7.5;
+  for seq = 0 to 1023 do
+    if seq <> 5 then R.set_completed r seq
+  done;
+  R.set_counted r 9;
+  Alcotest.(check (float 0.0)) "straggler issued" 5.0 (R.stamp r 5 R.Issued_at);
+  Alcotest.(check (float 0.0)) "straggler batched" 7.5 (R.stamp r 5 R.Batched_at);
+  R.set r 5 R.Nic_ser 0.25;
+  Alcotest.(check (float 0.0)) "straggler writable" 0.25 (R.stamp r 5 R.Nic_ser);
+  R.set_completed r 5;
+  Alcotest.(check bool) "set on a released slot raises" true
+    (raises_invalid (fun () -> R.set r 5 R.Nic_ser 1.0));
+  Alcotest.(check bool) "set on another released slot raises" true
+    (raises_invalid (fun () -> R.set r 1000 R.Arrived_at 1.0));
+  for seq = 0 to 1023 do
+    let slot = R.find r (tx seq) in
+    Alcotest.(check int) "find" seq slot;
+    Alcotest.(check int) "client" (seq mod 3) (R.client r slot);
+    Alcotest.(check int) "target" (seq mod 4) (R.target r slot);
+    Alcotest.(check bool) "completed" true (R.completed r slot);
+    Alcotest.(check bool) "counted" (seq = 9) (R.counted r slot)
+  done;
+  Alcotest.(check int) "other client" (-1)
+    (R.find r (Tx.make ~client:1 ~seq:9 ~payload_len:0));
+  let before = Obj.reachable_words (Obj.repr r) in
+  R.record r (tx 2048) ~target:0 ~issued_at:1.0;
+  let grown = Obj.reachable_words (Obj.repr r) - before in
+  if grown >= stamp_chunk_words then
+    Alcotest.failf "a new chunk after a release grew the records by %d words"
+      grown;
+  Alcotest.(check (float 0.0)) "reused stamps reset" (-1.0)
+    (R.stamp r 2048 R.Arrived_at);
+  R.record r (tx 7) ~target:1 ~issued_at:3.0;
+  Alcotest.(check bool) "re-record clears completion" false (R.completed r 7);
+  Alcotest.(check (float 0.0)) "re-record restores stamps" 3.0
+    (R.stamp r 7 R.Issued_at)
+
 let suite =
   [
     Alcotest.test_case "happy path, all protocols" `Quick
@@ -402,5 +481,9 @@ let suite =
     Alcotest.test_case "fingerprint: fork attacker" `Quick
       test_fingerprint_fork_attacker;
     Alcotest.test_case "tx records across chunks" `Quick test_tx_records_chunks;
+    Alcotest.test_case "tx records: sliding window" `Quick
+      test_tx_records_sliding_window;
+    Alcotest.test_case "tx records: stamp release" `Quick
+      test_tx_records_release;
     QCheck_alcotest.to_alcotest safety_prop;
   ]
