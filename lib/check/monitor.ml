@@ -3,7 +3,7 @@ module Schedule = Bamboo_faults.Schedule
 module Runtime = Bamboo.Runtime
 module Config = Bamboo.Config
 module Ids = Bamboo_types.Ids
-module Tx = Bamboo_types.Tx
+module Body = Bamboo_types.Body
 module Json = Bamboo_util.Json
 
 type invariant = Agreement | Cert_unique | Vote_safety | Liveness
@@ -74,13 +74,16 @@ let check_agreement ~(ledgers : Runtime.ledger array) ~local_conflicts =
       | None ->
           (* Hashes agree on the whole common prefix; the committed tx
              order must then be identical too (independent of hashing). *)
-          let txs_of (l : Runtime.ledger) =
-            List.concat_map
+          let ids_of (l : Runtime.ledger) =
+            Seq.concat_map
               (fun (b : Runtime.ledger_block) ->
-                List.map (fun (tx : Tx.t) -> tx.Tx.id) b.Runtime.l_txs)
-              (Array.to_list (Array.sub l 0 common))
+                let body = b.Runtime.l_txs in
+                Seq.init (Body.length body) (fun k ->
+                    (Body.client body k, Body.seq body k)))
+              (Array.to_seq (Array.sub l 0 common))
           in
-          if txs_of li <> txs_of lj then
+          let same (c, s) (c', s') = Int.equal c c' && Int.equal s s' in
+          if not (Seq.equal same (ids_of li) (ids_of lj)) then
             add
               (Printf.sprintf
                  "replicas %d and %d agree on block hashes but diverge in \

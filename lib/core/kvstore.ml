@@ -53,10 +53,10 @@ let apply t = function
       end
       else Missing
 
-let apply_tx t (tx : Bamboo_types.Tx.t) =
-  if tx.data = "" then None
+let apply_tx t data =
+  if data = "" then None
   else
-    match decode_command tx.data with
+    match decode_command data with
     | Ok cmd -> Some (apply t cmd)
     | Error _ -> None
 

@@ -28,9 +28,11 @@ val decode_command : string -> (command, string) result
 val apply : t -> command -> outcome
 (** Executes one command. *)
 
-val apply_tx : t -> Bamboo_types.Tx.t -> outcome option
-(** Decodes the transaction's payload and applies it; [None] when the
-    payload is empty or not a valid command (benchmark filler traffic). *)
+val apply_tx : t -> string -> outcome option
+(** [apply_tx t data] decodes a transaction's payload bytes and applies
+    them; [None] when the payload is empty or not a valid command
+    (benchmark filler traffic). Callers pass {!Bamboo_types.Body.data} of a
+    committed block, so no transaction record is built. *)
 
 val size : t -> int
 (** Number of live keys. *)

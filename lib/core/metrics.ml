@@ -10,7 +10,8 @@ type t = {
   mutable committed_blocks : int;
   mutable forked_blocks : int;
   appended : (string, unit) Hashtbl.t;
-      (* hashes of blocks the observer accepted inside the window *)
+      (* hashes of blocks the observer accepted inside the window whose
+         fate is not yet decided: a commit or a fork removes its entry *)
   mutable matched_commits : int;
       (* committed blocks that were appended inside the window *)
   mutable matched_forks : int;
@@ -78,7 +79,11 @@ let record_commit t ~now ~ntxs ~nblocks ~hashes =
     t.committed_txs <- t.committed_txs + ntxs;
     t.committed_blocks <- t.committed_blocks + nblocks;
     List.iter
-      (fun h -> if Hashtbl.mem t.appended h then t.matched_commits <- t.matched_commits + 1)
+      (fun h ->
+        if Hashtbl.mem t.appended h then begin
+          Hashtbl.remove t.appended h;
+          t.matched_commits <- t.matched_commits + 1
+        end)
       hashes
   end
 
@@ -90,8 +95,10 @@ let record_fork t ~now ~nblocks ~hashes =
     t.forked_blocks <- t.forked_blocks + nblocks;
     List.iter
       (fun h ->
-        if Hashtbl.mem t.appended h then
-          t.matched_forks <- t.matched_forks + 1)
+        if Hashtbl.mem t.appended h then begin
+          Hashtbl.remove t.appended h;
+          t.matched_forks <- t.matched_forks + 1
+        end)
       hashes
   end
 

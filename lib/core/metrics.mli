@@ -45,14 +45,16 @@ val record_latency : t -> now:float -> issued_at:float -> latency:float -> unit
 val record_commit :
   t -> now:float -> ntxs:int -> nblocks:int -> hashes:string list -> unit
 (** [hashes] are the committed blocks' hashes, matched against the appended
-    set for the CGR numerator. *)
+    set for the CGR numerator. A matched hash leaves the set: a block
+    commits or is forked once, so the set holds only the appended blocks
+    whose fate is still open. *)
 
 val record_block_interval : t -> now:float -> views:int -> unit
 
 val record_fork :
   t -> now:float -> nblocks:int -> hashes:string list -> unit
 (** Overwritten (pruned) blocks; those in the appended set count against
-    the CGR. *)
+    the CGR and leave it. *)
 
 val record_append : t -> now:float -> hash:string -> unit
 (** A block the observing replica accepted (voted for). *)

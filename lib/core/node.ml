@@ -154,10 +154,10 @@ let verify_qc t qc =
 let do_commit t out target ~trigger_view =
   match Forest.commit t.forest target with
   | Ok (newly, forked) ->
-      List.iter (fun (b : Block.t) -> Mempool.forget t.mempool b.txs) newly;
+      List.iter (fun (b : Block.t) -> Mempool.forget t.mempool b.body) newly;
       List.iter
         (fun (b : Block.t) ->
-          ignore (Mempool.requeue_front t.mempool b.txs : int))
+          ignore (Mempool.requeue_front t.mempool b.body : int))
         forked;
       Quorum.gc t.quorum ~below_view:(Forest.last_committed t.forest).Block.view;
       emit out (Committed { blocks = newly; trigger_view });
@@ -194,10 +194,9 @@ let rec do_propose t out view =
     match t.safety.Safety.propose ~view ~tc with
     | None -> () (* silence strategy, or nothing to build on *)
     | Some Safety.{ parent; justify } ->
-        let txs = Mempool.batch t.mempool ~max:t.config.Config.bsize in
+        let body = Mempool.batch t.mempool ~max:t.config.Config.bsize in
         let block =
-          Block.create ~root:t.root ~view ~parent ~justify ~proposer:t.self
-            ~txs ()
+          Block.of_body ~root:t.root ~view ~parent ~justify ~proposer:t.self body
         in
         let msg = Message.Proposal { block; tc } in
         emit out (Broadcast msg);

@@ -28,7 +28,7 @@ let output trace ?span ~ts ~node out =
               [
                 hash b.hash;
                 ("height", Json.Int b.height);
-                ("txs", Json.Int (List.length b.txs));
+                ("txs", Json.Int (Body.length b.body));
                 ("triggerView", Json.Int trigger_view);
               ]
             Trace.Commit)
@@ -39,7 +39,7 @@ let output trace ?span ~ts ~node out =
           [
             hash b.hash;
             ("height", Json.Int b.height);
-            ("txs", Json.Int (List.length b.txs));
+            ("txs", Json.Int (Body.length b.body));
           ]
         Trace.Proposal_sent
   | Node.Qc_formed qc ->

@@ -17,7 +17,7 @@ type ledger_block = {
   l_height : int;
   l_hash : Ids.hash;
   l_view : int;
-  l_txs : Tx.t list; (* the committed block's own list, shared *)
+  l_txs : Body.t; (* the committed block's own body, shared *)
 }
 
 type ledger = ledger_block array
@@ -39,7 +39,7 @@ let ledger_of_forest memo forest =
                   l_height = b.height;
                   l_hash = b.hash;
                   l_view = b.view;
-                  l_txs = b.txs;
+                  l_txs = b.body;
                 }
               in
               Hashtbl.add memo b.hash l;
@@ -160,7 +160,7 @@ let duplicate_cost = 1e-6 (* hash lookup to discard an echoed copy *)
 let input_cost (cfg : Config.t) = function
   | Message.Proposal { block; _ } ->
       (2.0 *. cfg.cpu_op)
-      +. (float_of_int (List.length block.Block.txs) *. cfg.cpu_per_tx)
+      +. (float_of_int (Body.length block.Block.body) *. cfg.cpu_per_tx)
   | Message.Vote _ -> cfg.cpu_op
   | Message.Timeout _ -> cfg.cpu_op
   | Message.Request_block _ -> duplicate_cost (* a hash lookup *)
@@ -171,7 +171,7 @@ let input_cost (cfg : Config.t) = function
 let output_cost (cfg : Config.t) ~self = function
   | Message.Proposal { block; _ } when block.Block.proposer = self ->
       cfg.cpu_op
-      +. (float_of_int (List.length block.Block.txs) *. cfg.cpu_per_tx)
+      +. (float_of_int (Body.length block.Block.body) *. cfg.cpu_per_tx)
   | Message.Proposal _ -> 0.0
   | Message.Vote v -> if v.Vote.voter = self then cfg.cpu_op else 0.0
   | Message.Timeout tm ->
@@ -197,10 +197,26 @@ let trace_receive st ~dst msg =
         Trace.Timeout_received
   | Message.Request_block _ -> ()
 
+(* Applies [f] to the record slot of each of [b]'s txs that was sent to
+   [target] and has not completed: the txs whose stage stamps a proposal
+   by [target] sets. *)
+let iter_own_slots r (b : Block.t) ~target f =
+  let body = b.body in
+  for i = 0 to Body.length body - 1 do
+    let slot =
+      Tx_records.find r ~client:(Body.client body i) ~seq:(Body.seq body i)
+    in
+    if
+      slot >= 0
+      && Tx_records.target r slot = target
+      && not (Tx_records.completed r slot)
+    then f slot
+  done
+
 (* [bytes] is the precomputed wire size of [msg]: a broadcast serializes
    the same message to every peer, so the caller sizes it once and shares
    the result across all n-1 transmissions instead of re-walking the
-   transaction list per recipient.
+   block body per recipient.
 
    In controlled-scheduling mode (the model checker) a message skips the
    machine pipelines: it goes on the wire at once and its delivery runs
@@ -297,23 +313,16 @@ and fire st ev =
         let ser = Float.max 0.0 (Machine.busy_until m `Nic_out -. nic_before) in
         let r = st.records in
         List.iter
-          (fun (b : Block.t) ->
-            List.iter
-              (fun (tx : Tx.t) ->
-                let slot = Tx_records.find r tx in
-                if
-                  slot >= 0
-                  && Tx_records.target r slot = src
-                  && not (Tx_records.completed r slot)
-                then Tx_records.set r slot Nic_ser ser)
-              b.txs)
+          (fun b ->
+            iter_own_slots r b ~target:src (fun slot ->
+                Tx_records.set r slot Nic_ser ser))
           proposed
       end
   | _ -> invalid_arg "Runtime.fire: not a runtime event"
 
-and complete_tx st replica (tx : Tx.t) =
+and complete_tx st replica ~client ~seq =
   let r = st.records in
-  let slot = Tx_records.find r tx in
+  let slot = Tx_records.find r ~client ~seq in
   if slot >= 0 then begin
     let target = Tx_records.target r slot in
     if (target = replica || target = -1) && not (Tx_records.completed r slot)
@@ -392,23 +401,30 @@ and process_outputs st id outs =
             (Replica_timer { replica = id; timer; expiry = now +. after })
       | Node.Committed { blocks; trigger_view } ->
           List.iter
-            (fun (b : Block.t) -> List.iter (complete_tx st id) b.txs)
+            (fun (b : Block.t) ->
+              for i = 0 to Body.length b.body - 1 do
+                complete_tx st id ~client:(Body.client b.body i)
+                  ~seq:(Body.seq b.body i)
+              done)
             blocks;
           if id = st.observer then begin
-            let count_fresh acc (tx : Tx.t) =
-              let slot = Tx_records.find st.records tx in
-              if slot < 0 then acc + 1
-              else if Tx_records.counted st.records slot then acc
-              else begin
-                Tx_records.set_counted st.records slot;
-                acc + 1
-              end
+            let r = st.records in
+            let count_fresh acc (b : Block.t) =
+              let fresh = ref acc in
+              for i = 0 to Body.length b.body - 1 do
+                let slot =
+                  Tx_records.find r ~client:(Body.client b.body i)
+                    ~seq:(Body.seq b.body i)
+                in
+                if slot < 0 then incr fresh
+                else if not (Tx_records.counted r slot) then begin
+                  Tx_records.set_counted r slot;
+                  incr fresh
+                end
+              done;
+              !fresh
             in
-            let ntxs =
-              List.fold_left
-                (fun acc (b : Block.t) -> List.fold_left count_fresh acc b.txs)
-                0 blocks
-            in
+            let ntxs = List.fold_left count_fresh 0 blocks in
             Metrics.record_commit st.metrics ~now:(Sim.now st.sim) ~ntxs
               ~nblocks:(List.length blocks)
               ~hashes:(List.map (fun (b : Block.t) -> b.hash) blocks);
@@ -441,10 +457,10 @@ and process_outputs st id outs =
               ~hash:b.Block.hash
       | Node.Proposed b ->
           proposed := b :: !proposed;
-          if tracing && b.Block.txs <> [] then
+          if tracing && Body.length b.Block.body > 0 then
             Trace.emit st.trace ~ts:now ~node:id ~view:b.Block.view
               ~span:(span_of st b.Block.hash)
-              ~args:[ ("count", Json.Int (List.length b.Block.txs)) ]
+              ~args:[ ("count", Json.Int (Body.length b.Block.body)) ]
               Trace.Tx_dequeue
       | Node.Qc_formed _ | Node.Entered_view _ -> ())
     outs;
@@ -461,21 +477,12 @@ and process_outputs st id outs =
        let cpu_wait = Float.max 0.0 (Machine.busy_until m `Cpu -. now) in
        let r = st.records in
        List.iter
-         (fun (b : Block.t) ->
-           List.iter
-             (fun (tx : Tx.t) ->
-               let slot = Tx_records.find r tx in
-               if
-                 slot >= 0
-                 && Tx_records.target r slot = id
-                 && not (Tx_records.completed r slot)
-               then begin
-                 Tx_records.set r slot Batched_at now;
-                 Tx_records.set r slot Propose_wait cpu_wait;
-                 Tx_records.set r slot Propose_service !creation;
-                 Tx_records.set r slot Nic_ser 0.0
-               end)
-             b.txs)
+         (fun b ->
+           iter_own_slots r b ~target:id (fun slot ->
+               Tx_records.set r slot Batched_at now;
+               Tx_records.set r slot Propose_wait cpu_wait;
+               Tx_records.set r slot Propose_service !creation;
+               Tx_records.set r slot Nic_ser 0.0))
          !proposed);
     let at = Machine.admit m `Cpu ~now ~duration:!creation in
     Sim.post_at st.sim ~at (Flush { src = id; sends; proposed = !proposed })
@@ -513,7 +520,9 @@ let send_batch st ~target txs =
               let r = st.records in
               List.iter
                 (fun (tx : Tx.t) ->
-                  let slot = Tx_records.find r tx in
+                  let slot =
+                    Tx_records.find r ~client:tx.id.client ~seq:tx.id.seq
+                  in
                   if
                     slot >= 0
                     && Tx_records.target r slot = target

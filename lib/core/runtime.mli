@@ -12,8 +12,8 @@ type ledger_block = {
   l_height : int;
   l_hash : Bamboo_types.Ids.hash;
   l_view : int;
-  l_txs : Bamboo_types.Tx.t list;
-      (** Committed txs, proposal order: the block's own list, shared. *)
+  l_txs : Bamboo_types.Body.t;
+      (** Committed txs, proposal order: the block's own body, shared. *)
 }
 (** One committed block as seen by one replica, stripped to what the
     cross-replica agreement check needs. *)

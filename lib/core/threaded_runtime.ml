@@ -170,25 +170,30 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
             let now = Unix.gettimeofday () in
             List.iter
               (fun (b : Block.t) ->
-                List.iter
-                  (fun (tx : Tx.t) -> ignore (Kvstore.apply_tx ctx.kv tx))
-                  b.txs)
+                for i = 0 to Body.length b.body - 1 do
+                  ignore (Kvstore.apply_tx ctx.kv (Body.data b.body i))
+                done)
               blocks;
             Mutex.lock shared.mutex;
             let before = Committed.count shared.committed in
             List.iter
               (fun (b : Block.t) ->
-                List.iter
-                  (fun (tx : Tx.t) ->
-                    if Committed.add shared.committed tx.id then
-                      match Tx.Id_tbl.find_opt shared.issue_times tx.id with
-                      | Some t0 ->
-                          Tx.Id_tbl.remove shared.issue_times tx.id;
-                          shared.latency_total <-
-                            shared.latency_total +. (now -. t0);
-                          shared.latency_count <- shared.latency_count + 1
-                      | None -> ())
-                  b.txs)
+                for i = 0 to Body.length b.body - 1 do
+                  let client = Body.client b.body i
+                  and seq = Body.seq b.body i in
+                  if Committed.add shared.committed ~client ~seq then begin
+                    (* The issue-time key is the one id built per fresh
+                       commit. *)
+                    let id = { Tx.client; seq } in
+                    match Tx.Id_tbl.find_opt shared.issue_times id with
+                    | Some t0 ->
+                        Tx.Id_tbl.remove shared.issue_times id;
+                        shared.latency_total <-
+                          shared.latency_total +. (now -. t0);
+                        shared.latency_count <- shared.latency_count + 1
+                    | None -> ()
+                  end
+                done)
               blocks;
             if shared.waiters > 0 && Committed.count shared.committed > before
             then Condition.broadcast shared.grew;
@@ -343,7 +348,8 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
       (fun (tx : Tx.t) ->
         if
           not
-            (Committed.mem shared.committed tx.id
+            (Committed.mem shared.committed ~client:tx.id.client
+               ~seq:tx.id.seq
             || Tx.Id_tbl.mem shared.issue_times tx.id)
         then Tx.Id_tbl.add shared.issue_times tx.id now)
       admitted;
@@ -366,7 +372,9 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
 
   let tx_committed cluster id =
     Mutex.lock cluster.shared.mutex;
-    let c = Committed.mem cluster.shared.committed id in
+    let c =
+      Committed.mem cluster.shared.committed ~client:id.Tx.client ~seq:id.Tx.seq
+    in
     Mutex.unlock cluster.shared.mutex;
     c
 
@@ -394,7 +402,8 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     await cluster.shared ~timeout_s (fun c -> Committed.count c >= count)
 
   let wait_tx_committed cluster id ~timeout_s =
-    await cluster.shared ~timeout_s (fun c -> Committed.mem c id)
+    await cluster.shared ~timeout_s (fun c ->
+        Committed.mem c ~client:id.Tx.client ~seq:id.Tx.seq)
 
   let stop cluster =
     Atomic.set cluster.shared.stop true;

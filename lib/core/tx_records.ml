@@ -147,11 +147,11 @@ let record t (tx : Tx.t) ~target ~issued_at =
   set t slot Propose_service 0.0;
   set t slot Nic_ser 0.0
 
-let find t (tx : Tx.t) =
-  let slot = tx.id.seq in
+let find t ~client ~seq =
+  let slot = seq in
   if slot >= 0 && slot lsr chunk_bits < t.used then begin
     let c = chunk t slot and off = offset slot in
-    if flags c off land recorded <> 0 && c.client.(off) = tx.id.client then slot
+    if flags c off land recorded <> 0 && c.client.(off) = client then slot
     else -1
   end
   else -1

@@ -7,7 +7,8 @@
     the stamps, ints for target and client, one flag byte. The arrays come
     in fixed-size chunks added as the seqs grow, so growing copies
     nothing. A lookup is two array indexes and stamping allocates
-    nothing. A slot matches a tx only
+    nothing; {!find} takes the id as two ints, so the runtime looks up a
+    committed block's txs from its body's columns. A slot matches a tx only
     if it was recorded for the same client, so a tx the runtime never
     issued has no record.
 
@@ -45,8 +46,10 @@ val record : t -> Tx.t -> target:int -> issued_at:float -> unit
     stamp but [Issued_at] is reset, and both flags are cleared.
     [tx.id.seq] must be non-negative. *)
 
-val find : t -> Tx.t -> int
-(** The slot recorded for [tx], or [-1] when there is none. *)
+val find : t -> client:int -> seq:int -> int
+(** The slot recorded for the tx [(client, seq)], or [-1] when there is
+    none. The id comes as two ints, read from a block's {!Body} columns,
+    so a lookup builds no record. *)
 
 val target : t -> int -> int
 

@@ -1,5 +1,3 @@
-open Bamboo_types
-
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -136,20 +134,20 @@ let seqs_of t client =
       if Option.is_some found then t.last <- found;
       found
 
-let mem t (id : Tx.id) =
-  match seqs_of t id.client with
-  | Some c -> seqs_mem c id.seq
+let mem t ~client ~seq =
+  match seqs_of t client with
+  | Some c -> seqs_mem c seq
   | None -> false
 
-let add t (id : Tx.id) =
+let add t ~client ~seq =
   let fresh =
-    match seqs_of t id.client with
-    | Some c -> seqs_add c id.seq
+    match seqs_of t client with
+    | Some c -> seqs_add c seq
     | None ->
-        let s = id.seq in
+        let s = seq in
         let c =
           {
-            client = id.client;
+            client;
             lo = s;
             hi = s;
             min_seq = s;
@@ -160,7 +158,7 @@ let add t (id : Tx.id) =
           }
         in
         ignore (seqs_add c s : bool);
-        Int_tbl.replace t.clients id.client c;
+        Int_tbl.replace t.clients client c;
         t.last <- Some c;
         true
   in

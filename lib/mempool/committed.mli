@@ -13,18 +13,20 @@
     no size bound: an emptied word still gives its table entry back.
 
     Each {!Mempool} keeps one for deduplication, and the threaded runtime
-    keeps one for the cluster's commit count and commit waits. *)
-
-open Bamboo_types
+    keeps one for the cluster's commit count and commit waits. Both feed
+    it ids read from a committed block's {!Bamboo_types.Body}. *)
 
 type t
 
 val create : unit -> t
 
-val mem : t -> Tx.id -> bool
+val mem : t -> client:int -> seq:int -> bool
+(** Whether the id [(client, seq)] was added. The id is passed as two
+    ints, so a lookup from a block body builds no {!Bamboo_types.Tx.id}. *)
 
-val add : t -> Tx.id -> bool
-(** [add t id] records [id] as committed and returns whether it was new. *)
+val add : t -> client:int -> seq:int -> bool
+(** [add t ~client ~seq] records the id as committed and returns whether
+    it was new. *)
 
 val count : t -> int
 (** Distinct ids added so far. *)

@@ -61,11 +61,10 @@ module Live = struct
     else if dist t i < d then -1
     else probe t ~client ~seq (next t i) (d + 1)
 
-  (* The slot holding [id], or [-1]. *)
-  let find t (id : Tx.id) =
-    probe t ~client:id.client ~seq:id.seq (home t ~client:id.client ~seq:id.seq) 0
+  (* The slot holding the id, or [-1]. *)
+  let find t ~client ~seq = probe t ~client ~seq (home t ~client ~seq) 0
 
-  let mem t id = find t id >= 0
+  let mem t ~client ~seq = find t ~client ~seq >= 0
   let status t i = if code_at t i = code Queued then Queued else In_flight
   let set_status t i s = Bytes.unsafe_set t.status i (code s)
 
@@ -102,10 +101,10 @@ module Live = struct
         insert t ~client:(Array.unsafe_get clients i) ~seq:(Array.unsafe_get seqs i) c
     done
 
-  (* [id] must be absent. *)
-  let add t (id : Tx.id) status =
+  (* The id must be absent. *)
+  let add t ~client ~seq status =
     if 8 * (t.size + 1) > 7 * Array.length t.seqs then grow t;
-    insert t ~client:id.client ~seq:id.seq (code status);
+    insert t ~client ~seq (code status);
     t.size <- t.size + 1
 
   let rec shift t hole =
@@ -116,8 +115,8 @@ module Live = struct
       shift t j
     end
 
-  let remove t id =
-    let i = find t id in
+  let remove t ~client ~seq =
+    let i = find t ~client ~seq in
     if i >= 0 then begin
       shift t i;
       t.size <- t.size - 1
@@ -178,72 +177,77 @@ let is_empty t = Deque.is_empty t.queue
 let capacity t = t.cap
 
 let add t (tx : Tx.t) =
+  let { Tx.client; seq } = tx.id in
   if Deque.length t.queue >= t.cap then begin
     t.n_rejected_full <- t.n_rejected_full + 1;
     false
   end
-  else if Live.mem t.live tx.id || Committed.mem t.committed tx.id then begin
+  else if Live.mem t.live ~client ~seq || Committed.mem t.committed ~client ~seq
+  then begin
     t.n_rejected_dup <- t.n_rejected_dup + 1;
     false
   end
   else begin
-    Live.add t.live tx.id Queued;
+    Live.add t.live ~client ~seq Queued;
     Deque.push_back t.queue tx;
     let len = Deque.length t.queue in
     if len > t.peak then t.peak <- len;
     true
   end
 
-let requeue_front t txs =
+(* Only a re-queued tx is rebuilt as a record: the queue holds records,
+   and a forked block's body keeps none. *)
+let requeue_front t body =
   (* Preserve relative order: pushing front in reverse keeps the original
      order at the head of the queue. *)
   let count = ref 0 in
-  List.iter
-    (fun (tx : Tx.t) ->
-      let i = Live.find t.live tx.id in
-      (* A miss is a tx committed, or not from this replica's pool: the
-         forked block was proposed by another node; its proposer re-queues
-         it there. *)
-      if i >= 0 && Live.status t.live i = In_flight then
-        if Deque.length t.queue < t.cap then begin
-          Live.set_status t.live i Queued;
-          Deque.push_front t.queue tx;
-          incr count
-        end
-        else Live.remove t.live tx.id)
-    (List.rev txs);
+  for k = Body.length body - 1 downto 0 do
+    let client = Body.client body k and seq = Body.seq body k in
+    let i = Live.find t.live ~client ~seq in
+    (* A miss is a tx committed, or not from this replica's pool: the
+       forked block was proposed by another node; its proposer re-queues
+       it there. *)
+    if i >= 0 && Live.status t.live i = In_flight then
+      if Deque.length t.queue < t.cap then begin
+        Live.set_status t.live i Queued;
+        Deque.push_front t.queue (Body.tx body k);
+        incr count
+      end
+      else Live.remove t.live ~client ~seq
+  done;
   let len = Deque.length t.queue in
   if len > t.peak then t.peak <- len;
   !count
 
 let batch t ~max =
   if max < 0 then invalid_arg "Mempool.batch: negative max";
-  let rec take acc k =
-    if k = 0 then List.rev acc
-    else
+  let b = Body.Builder.create (Int.min max (Deque.length t.queue)) in
+  let rec take () =
+    if Body.Builder.length b < max then
       match Deque.pop_front t.queue with
-      | None -> List.rev acc
+      | None -> ()
       | Some (tx : Tx.t) ->
           (* Every queued tx is live until it commits; a miss is a tx
              committed meanwhile through a block proposed elsewhere
              (client-broadcast mode), so it is dropped. *)
-          let i = Live.find t.live tx.id in
+          let i = Live.find t.live ~client:tx.id.client ~seq:tx.id.seq in
           if i >= 0 then begin
             Live.set_status t.live i In_flight;
-            take (tx :: acc) (k - 1)
-          end
-          else take acc k
+            Body.Builder.add_tx b tx
+          end;
+          take ()
   in
-  let taken = take [] max in
+  take ();
+  let taken = Body.Builder.finish b in
   t.n_batches <- t.n_batches + 1;
-  t.n_batched <- t.n_batched + List.length taken;
+  t.n_batched <- t.n_batched + Body.length taken;
   taken
 
-let forget t txs =
-  List.iter
-    (fun (tx : Tx.t) ->
-      Live.remove t.live tx.Tx.id;
-      ignore (Committed.add t.committed tx.Tx.id : bool))
-    txs
+let forget t body =
+  for i = 0 to Body.length body - 1 do
+    let client = Body.client body i and seq = Body.seq body i in
+    Live.remove t.live ~client ~seq;
+    ignore (Committed.add t.committed ~client ~seq : bool)
+  done
 
-let contains t id = Live.mem t.live id
+let contains t (id : Tx.id) = Live.mem t.live ~client:id.client ~seq:id.seq

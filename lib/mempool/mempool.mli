@@ -11,7 +11,11 @@
 
     Memory is bounded by the pool's window, not by the run: only queued
     and in-flight ids are kept per tx, and committed ids go to a
-    {!Committed} set. *)
+    {!Committed} set.
+
+    Queued transactions are records; a batch leaves the pool as a packed
+    {!Body.t}, which the proposal's block keeps as it is. [forget] and
+    [requeue_front] read ids straight from a body's columns. *)
 
 open Bamboo_types
 
@@ -31,23 +35,26 @@ val add : t -> Tx.t -> bool
     (and leaves the pool unchanged) when the pool is full or [tx] is
     already present or in flight. *)
 
-val requeue_front : t -> Tx.t list -> int
-(** [requeue_front t txs] returns transactions recovered from forked
-    blocks to the front of the queue, preserving their relative order.
-    Only transactions this pool batched ([In_flight]) are re-inserted;
+val requeue_front : t -> Body.t -> int
+(** [requeue_front t body] returns transactions recovered from a forked
+    block to the front of the queue, preserving their relative order; each
+    re-inserted one is rebuilt as a record equal to the one batched. Only
+    transactions this pool batched ([In_flight]) are re-inserted;
     committed, still-queued, foreign, or over-capacity transactions are
     skipped. Returns how many were re-inserted. *)
 
-val batch : t -> max:int -> Tx.t list
+val batch : t -> max:int -> Body.t
 (** [batch t ~max] removes up to [max] transactions from the front for
     inclusion in a block ("the proposer batches all the transactions in the
-    memory pool if the amount is less than the target block size"). The
-    taken transactions are remembered as in-flight for deduplication. *)
+    memory pool if the amount is less than the target block size"), packed
+    in queue order. The taken transactions are remembered as in-flight for
+    deduplication. *)
 
-val forget : t -> Tx.t list -> unit
-(** [forget t txs] marks transactions as durably committed: they will never
-    be accepted or re-queued again. A tx need not have been added first
-    (client-broadcast mode commits txs other replicas proposed). *)
+val forget : t -> Body.t -> unit
+(** [forget t body] marks a committed block's transactions as durably
+    committed: they will never be accepted or re-queued again. A tx need
+    not have been added first (client-broadcast mode commits txs other
+    replicas proposed). *)
 
 val contains : t -> Tx.id -> bool
 (** Whether the id is queued or in flight (not yet forgotten). *)

@@ -5,7 +5,7 @@ type t = {
   parent : Ids.hash;
   justify : Qc.t;
   proposer : Ids.replica;
-  txs : Tx.t list;
+  body : Body.t;
   tx_root : Ids.hash;
 }
 
@@ -14,16 +14,16 @@ type t = {
    is "client:seq|data". Hashes feed their parts into a context, ints as
    their decimal digits, instead of building the concatenated string; the
    digest is that of the concatenation. *)
-let feed_leaf ctx (tx : Tx.t) =
-  Bamboo_crypto.Sha256.feed_int ctx tx.id.client;
+let feed_leaf ctx body i =
+  Bamboo_crypto.Sha256.feed_int ctx (Body.client body i);
   Bamboo_crypto.Sha256.feed_char ctx ':';
-  Bamboo_crypto.Sha256.feed_int ctx tx.id.seq;
+  Bamboo_crypto.Sha256.feed_int ctx (Body.seq body i);
   Bamboo_crypto.Sha256.feed_char ctx '|';
-  Bamboo_crypto.Sha256.feed ctx tx.data
+  Bamboo_crypto.Sha256.feed ctx (Body.data body i)
 
-let leaf_hash tx =
+let leaf_hash body i =
   let ctx = Bamboo_crypto.Sha256.init () in
-  feed_leaf ctx tx;
+  feed_leaf ctx body i;
   Bamboo_crypto.Sha256.finalize ctx
 
 let node_hash a b =
@@ -32,10 +32,10 @@ let node_hash a b =
   Bamboo_crypto.Sha256.feed ctx b;
   Bamboo_crypto.Sha256.finalize ctx
 
-let merkle_root txs =
-  match txs with
+let merkle_root body =
+  match List.init (Body.length body) (leaf_hash body) with
   | [] -> Bamboo_crypto.Sha256.digest ""
-  | _ ->
+  | leaves ->
       let rec level nodes =
         match nodes with
         | [ root ] -> root
@@ -49,7 +49,7 @@ let merkle_root txs =
             in
             level (pair [] nodes)
       in
-      level (List.map leaf_hash txs)
+      level leaves
 
 let header_preimage ~view ~height ~parent ~(justify : Qc.t) ~proposer ~tx_root =
   String.concat "|"
@@ -65,7 +65,7 @@ let header_preimage ~view ~height ~parent ~(justify : Qc.t) ~proposer ~tx_root =
     ]
 
 let genesis =
-  let tx_root = merkle_root [] in
+  let tx_root = merkle_root Body.empty in
   let parent = String.make 32 '\x00' in
   let justify = Qc.genesis ~block:parent in
   let preimage =
@@ -79,25 +79,24 @@ let genesis =
     parent;
     justify = Qc.genesis ~block:hash;
     proposer = -1;
-    txs = [];
+    body = Body.empty;
     tx_root;
   }
 
 let genesis_hash = genesis.hash
 
-let flat_root txs =
+let flat_root body =
   let ctx = Bamboo_crypto.Sha256.init () in
-  List.iter
-    (fun tx ->
-      feed_leaf ctx tx;
-      Bamboo_crypto.Sha256.feed_char ctx ',')
-    txs;
+  for i = 0 to Body.length body - 1 do
+    feed_leaf ctx body i;
+    Bamboo_crypto.Sha256.feed_char ctx ','
+  done;
   Bamboo_crypto.Sha256.finalize ctx
 
-let create ?(root = `Merkle) ~view ~parent ~justify ~proposer ~txs () =
+let of_body ?(root = `Merkle) ~view ~parent ~justify ~proposer body =
   let height = parent.height + 1 in
   let tx_root =
-    match root with `Merkle -> merkle_root txs | `Flat -> flat_root txs
+    match root with `Merkle -> merkle_root body | `Flat -> flat_root body
   in
   let preimage =
     header_preimage ~view ~height ~parent:parent.hash ~justify ~proposer ~tx_root
@@ -109,9 +108,12 @@ let create ?(root = `Merkle) ~view ~parent ~justify ~proposer ~txs () =
     parent = parent.hash;
     justify;
     proposer;
-    txs;
+    body;
     tx_root;
   }
+
+let create ?root ~view ~parent ~justify ~proposer ~txs () =
+  of_body ?root ~view ~parent ~justify ~proposer (Body.of_list txs)
 
 let header_bytes b =
   header_preimage ~view:b.view ~height:b.height ~parent:b.parent
@@ -122,11 +124,10 @@ let signed_payload b = "propose|" ^ b.hash
 let header_wire_size = 32 + 8 + 8 + 32 + 8 + 32 (* hash,view,height,parent,proposer,root *)
 
 let wire_size b =
-  header_wire_size + Qc.wire_size b.justify
-  + List.fold_left (fun acc tx -> acc + Tx.wire_size tx) 0 b.txs
+  header_wire_size + Qc.wire_size b.justify + Body.wire_size b.body
 
 let equal a b = String.equal a.hash b.hash
 
 let pp fmt b =
   Format.fprintf fmt "B<v%d,h%d,%a,parent=%a,%d txs>" b.view b.height
-    Ids.pp_hash b.hash Ids.pp_hash b.parent (List.length b.txs)
+    Ids.pp_hash b.hash Ids.pp_hash b.parent (Body.length b.body)

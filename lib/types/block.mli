@@ -12,8 +12,9 @@ type t = {
   parent : Ids.hash;
   justify : Qc.t;  (** QC embedded by the proposer. *)
   proposer : Ids.replica;
-  txs : Tx.t list;
-  tx_root : Ids.hash;  (** Merkle root over transaction ids. *)
+  body : Body.t;  (** The transactions, packed; see {!Body}. *)
+  tx_root : Ids.hash;
+      (** Root over the transactions: Merkle or flat, see {!of_body}. *)
 }
 
 val genesis : t
@@ -21,6 +22,25 @@ val genesis : t
     by itself. Shared by all replicas of every protocol. *)
 
 val genesis_hash : Ids.hash
+
+val of_body :
+  ?root:[ `Merkle | `Flat ] ->
+  view:Ids.view ->
+  parent:t ->
+  justify:Qc.t ->
+  proposer:Ids.replica ->
+  Body.t ->
+  t
+(** [of_body] computes height as [parent.height + 1] and the content hash.
+    The block keeps the body itself, not a copy. [justify] normally
+    certifies [parent], but under a forking attack it may certify an
+    ancestor further back. [root] selects the transaction-root
+    construction: [`Merkle] (default) is the full tree; [`Flat] hashes
+    the concatenated leaves in one pass — collision-resistant but without
+    membership proofs — and is used by the simulator, where per-tx hashing
+    cost is charged virtually instead (all replicas of a run must agree on
+    the mode). Each leaf commits to a transaction's client, seq and data,
+    read from the body's columns in order. *)
 
 val create :
   ?root:[ `Merkle | `Flat ] ->
@@ -31,18 +51,13 @@ val create :
   txs:Tx.t list ->
   unit ->
   t
-(** [create] computes height as [parent.height + 1] and the content hash.
-    [justify] normally certifies [parent], but under a forking attack it may
-    certify an ancestor further back. [root] selects the transaction-root
-    construction: [`Merkle] (default) is the full tree; [`Flat] hashes the
-    concatenated ids in one pass — collision-resistant but without
-    membership proofs — and is used by the simulator, where per-tx hashing
-    cost is charged virtually instead (all replicas of a run must agree on
-    the mode). *)
+(** [create ~txs] is {!of_body} over [Body.of_list txs], for tests and
+    benchmarks that build blocks from records. *)
 
-val merkle_root : Tx.t list -> Ids.hash
-(** Merkle root over transaction ids (duplicate-last strategy for odd
-    levels); the root of an empty list is the hash of the empty string. *)
+val merkle_root : Body.t -> Ids.hash
+(** Merkle root over the transactions' leaves (duplicate-last strategy
+    for odd levels); the root of an empty body is the hash of the empty
+    string. *)
 
 val header_bytes : t -> string
 (** The byte string the content hash commits to. *)

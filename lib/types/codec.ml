@@ -4,10 +4,7 @@ exception Decode_error of string
 
 let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
-let put_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let put_i64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
 
 let put_bytes buf s =
   put_i64 buf (String.length s);
@@ -76,19 +73,35 @@ let decode_qc s ~pos : Qc.t =
 
 (* --- transactions --- *)
 
-let encode_tx buf (tx : Tx.t) =
-  put_i64 buf tx.id.client;
-  put_i64 buf tx.id.seq;
-  put_i64 buf tx.payload_len;
-  put_bytes buf tx.data
+(* A transaction is its client, seq and payload length, then its data
+   with a length prefix: at least [min_tx_bytes] on the wire. *)
+let min_tx_bytes = 32
 
-let decode_tx s pos : Tx.t =
-  let client = get_i64 s pos in
-  let seq = get_i64 s pos in
-  let payload_len = get_i64 s pos in
-  if payload_len < 0 then raise (Decode_error "negative payload length");
-  let data = get_bytes s pos in
-  { Tx.id = { Tx.client; seq }; payload_len; data }
+let encode_body buf body =
+  put_i64 buf (Body.length body);
+  for i = 0 to Body.length body - 1 do
+    put_i64 buf (Body.client body i);
+    put_i64 buf (Body.seq body i);
+    put_i64 buf (Body.payload_len body i);
+    put_bytes buf (Body.data body i)
+  done
+
+(* The count is checked against the bytes left before any column is
+   sized, so a short frame cannot claim a huge body. *)
+let decode_body s pos =
+  let n = get_i64 s pos in
+  if n < 0 || n > (String.length s - !pos) / min_tx_bytes then
+    raise (Decode_error "bad tx count");
+  let b = Body.Builder.create n in
+  for _ = 1 to n do
+    let client = get_i64 s pos in
+    let seq = get_i64 s pos in
+    let payload_len = get_i64 s pos in
+    if payload_len < 0 then raise (Decode_error "negative payload length");
+    let data = get_bytes s pos in
+    Body.Builder.add b ~client ~seq ~payload_len ~data
+  done;
+  Body.Builder.finish b
 
 (* --- blocks --- *)
 
@@ -100,8 +113,7 @@ let encode_block buf (b : Block.t) =
   encode_qc buf b.justify;
   put_i64 buf b.proposer;
   put_bytes buf b.tx_root;
-  put_i64 buf (List.length b.txs);
-  List.iter (encode_tx buf) b.txs
+  encode_body buf b.body
 
 let decode_block s ~pos : Block.t =
   let hash = get_bytes s pos in
@@ -111,10 +123,8 @@ let decode_block s ~pos : Block.t =
   let justify = decode_qc s ~pos in
   let proposer = get_i64 s pos in
   let tx_root = get_bytes s pos in
-  let n = get_i64 s pos in
-  if n < 0 || n > 10_000_000 then raise (Decode_error "bad tx count");
-  let txs = List.init n (fun _ -> decode_tx s pos) in
-  { hash; view; height; parent; justify; proposer; txs; tx_root }
+  let body = decode_body s pos in
+  { hash; view; height; parent; justify; proposer; body; tx_root }
 
 (* --- votes, timeouts, TCs --- *)
 

@@ -3,7 +3,12 @@
     A transaction is identified by the issuing client and a per-client
     sequence number; the payload is opaque bytes whose length is the
     [psize] parameter of Table I. Issue and commit timestamps are recorded
-    by the runtime to measure client latency. *)
+    by the runtime to measure client latency.
+
+    A [t] is the form a transaction takes from its client into a mempool.
+    Once batched it lives in a block's packed {!Body} instead, which keeps
+    the same fields as columns; code on the commit path reads those
+    columns and builds no [t]. *)
 
 type id = { client : int; seq : int }
 

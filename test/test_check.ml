@@ -91,7 +91,7 @@ let test_vote_safety () =
 (* --- agreement on synthetic ledgers --- *)
 
 let block ?(txs = []) h hash =
-  { Runtime.l_height = h; l_hash = hash; l_view = h; l_txs = txs }
+  { Runtime.l_height = h; l_hash = hash; l_view = h; l_txs = Bamboo_types.Body.of_list txs }
 
 let test_agreement () =
   let a = [| block 1 "aa"; block 2 "bb" |] in

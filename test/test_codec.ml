@@ -38,7 +38,7 @@ let test_tx_data_roundtrip () =
   match roundtrip (Message.Proposal { block = b; tc = None }) with
   | Message.Proposal { block = b'; _ } ->
       Alcotest.(check bool) "data survives the wire" true
-        (List.for_all2 Tx.equal b.txs b'.txs)
+        (List.equal Tx.equal txs (Body.to_list b'.body))
   | _ -> Alcotest.fail "wrong shape"
 
 let test_vote_roundtrip () =
@@ -61,9 +61,9 @@ let test_decoded_block_fields () =
       Alcotest.(check string) "hash" b.hash b'.hash;
       Alcotest.(check string) "parent" b.parent b'.parent;
       Alcotest.(check string) "tx_root" b.tx_root b'.tx_root;
-      Alcotest.(check int) "tx count" 3 (List.length b'.txs);
+      Alcotest.(check int) "tx count" 3 (Body.length b'.body);
       Alcotest.(check bool) "txs preserved" true
-        (List.for_all2 Tx.equal b.txs b'.txs);
+        (List.equal Tx.equal txs (Body.to_list b'.body));
       Alcotest.(check int) "justify view" b.justify.Qc.view b'.justify.Qc.view
   | _ -> Alcotest.fail "wrong shape"
 
@@ -115,6 +115,66 @@ let test_malformed () =
   Bytes.set corrupted 4 '\xff';
   expect_decode_error "corrupt length" (Bytes.to_string corrupted)
 
+(* The wire bytes of one fixed block, as the list-based encoder wrote
+   them: a block's body is encoded from its columns in the same order,
+   with the same widths. *)
+let golden_block_hex =
+  "0000000000000020a800bb9e04e56db750b6c21cc7c57fff68f588a10a1ca1ddf7cb40fa0b2d768b"
+  ^ "000000000000000700000000000000010000000000000020bc9c6575462f2307eae4481debeb6b"
+  ^ "3aebc3f8bd171fada2cdba8588fd227f2b0000000000000020bc9c6575462f2307eae4481debeb6b"
+  ^ "3aebc3f8bd171fada2cdba8588fd227f2b0000000000000000000000000000000000000000000000"
+  ^ "0000000000000000020000000000000020fdf3c9f5f535f6ed843aa263fdff21f8a7c7171b566a78"
+  ^ "71a38ae52c7c54062000000000000000020000000000000001000000000000000200000000000000"
+  ^ "03000000000000000000000000000000040000000000000005000000000000000500000000000000"
+  ^ "0550313a6b76"
+
+let golden_block () =
+  Block.create ~view:7 ~parent:Block.genesis
+    ~justify:(Qc.genesis ~block:Block.genesis_hash)
+    ~proposer:2
+    ~txs:
+      [
+        Tx.make ~client:1 ~seq:2 ~payload_len:3;
+        Tx.make_with_data ~client:4 ~seq:5 ~data:"P1:kv";
+      ]
+    ()
+
+let test_golden_block_bytes () =
+  let buf = Buffer.create 64 in
+  Codec.encode_block buf (golden_block ());
+  let s = Buffer.contents buf in
+  Alcotest.(check int) "length" 285 (String.length s);
+  Alcotest.(check string) "bytes" golden_block_hex (Bamboo_crypto.Sha256.hex s);
+  let b = Codec.decode_block s ~pos:(ref 0) in
+  Alcotest.(check bool) "decodes to the same txs" true
+    (List.equal Tx.equal (Body.to_list b.body) (Body.to_list (golden_block ()).body))
+
+(* A block whose count claims 10,000,000 txs with 64 bytes left after it
+   is refused on its count, before any column is sized for it. *)
+let test_tx_count_bound () =
+  let buf = Buffer.create 64 in
+  Codec.encode_block buf (Helpers.child ~reg ~view:1 Block.genesis);
+  let s = Buffer.contents buf in
+  let claim = Bytes.of_string s in
+  Bytes.set_int64_be claim (Bytes.length claim - 8) 10_000_000L;
+  let frame = Bytes.to_string claim ^ String.make 64 '\x00' in
+  let words () =
+    let minor, _, major = Gc.counters () in
+    minor +. major
+  in
+  let before = words () in
+  (match Codec.decode_block frame ~pos:(ref 0) with
+  | exception Codec.Decode_error _ -> ()
+  | _ -> Alcotest.fail "accepted a 10M-tx claim");
+  let delta = words () -. before in
+  if delta > 10_000.0 then Alcotest.failf "decoding allocated %.0f words" delta;
+  (* A count the remaining bytes can hold still decodes. *)
+  let one = Helpers.child ~reg ~view:1 ~txs:(Helpers.txs 1) Block.genesis in
+  let buf = Buffer.create 64 in
+  Codec.encode_block buf one;
+  let b = Codec.decode_block (Buffer.contents buf) ~pos:(ref 0) in
+  Alcotest.(check int) "one tx" 1 (Body.length b.body)
+
 let fuzz_decode_total =
   let open QCheck in
   Test.make ~name:"decode never crashes on random bytes" ~count:500
@@ -150,6 +210,8 @@ let suite =
     Alcotest.test_case "unread signature round trip" `Quick
       test_unread_sig_roundtrip;
     Alcotest.test_case "malformed input" `Quick test_malformed;
+    Alcotest.test_case "golden block bytes" `Quick test_golden_block_bytes;
+    Alcotest.test_case "tx count bounded by frame" `Quick test_tx_count_bound;
     QCheck_alcotest.to_alcotest fuzz_decode_total;
     QCheck_alcotest.to_alcotest roundtrip_random_blocks;
   ]

@@ -83,8 +83,8 @@ let model_prop =
             | Add i ->
                 let fresh = not (Hashtbl.mem r i) in
                 Hashtbl.replace r i ();
-                Bool.equal (Committed.add c i) fresh
-            | Mem i -> Bool.equal (Committed.mem c i) (Hashtbl.mem r i)
+                Bool.equal (Committed.add c ~client:i.client ~seq:i.seq) fresh
+            | Mem i -> Bool.equal (Committed.mem c ~client:i.client ~seq:i.seq) (Hashtbl.mem r i)
           in
           same && Committed.count c = Hashtbl.length r)
         ops)
@@ -99,11 +99,11 @@ let compacts order () =
   let c = Committed.create () in
   Array.iter
     (fun seq ->
-      Alcotest.(check bool) "new" true (Committed.add c (id ~client:(seq * 2 / count) seq)))
+      Alcotest.(check bool) "new" true (Committed.add c ~client:(seq * 2 / count) ~seq))
     order;
   Alcotest.(check int) "count" count (Committed.count c);
-  Alcotest.(check bool) "every id is known" true (Committed.mem c (id ~client:1 99_999));
-  Alcotest.(check bool) "a re-add is not new" false (Committed.add c (id ~client:0 0));
+  Alcotest.(check bool) "every id is known" true (Committed.mem c ~client:1 ~seq:99_999);
+  Alcotest.(check bool) "a re-add is not new" false (Committed.add c ~client:0 ~seq:0);
   let words c = Obj.reachable_words (Obj.repr c) in
   let fresh = words (Committed.create ()) in
   if words c > fresh + 500 then

@@ -9,16 +9,16 @@ let test_add_and_batch_fifo () =
   List.iter (fun t -> ignore (Mempool.add p t)) txs;
   Alcotest.(check int) "length" 5 (Mempool.length p);
   let batch = Mempool.batch p ~max:3 in
-  Alcotest.(check int) "batch size" 3 (List.length batch);
+  Alcotest.(check int) "batch size" 3 (Body.length batch);
   Alcotest.(check bool) "FIFO order" true
-    (List.for_all2 Tx.equal batch (List.filteri (fun i _ -> i < 3) txs));
+    (List.for_all2 Tx.equal (Body.to_list batch) (List.filteri (fun i _ -> i < 3) txs));
   Alcotest.(check int) "remaining" 2 (Mempool.length p)
 
 let test_batch_more_than_available () =
   let p = Mempool.create () in
   ignore (Mempool.add p (tx 1));
   let batch = Mempool.batch p ~max:10 in
-  Alcotest.(check int) "takes what exists" 1 (List.length batch)
+  Alcotest.(check int) "takes what exists" 1 (Body.length batch)
 
 let test_dedup () =
   let p = Mempool.create () in
@@ -72,7 +72,7 @@ let test_requeue_front_order () =
   let next = Mempool.batch p ~max:4 in
   Alcotest.(check (list int)) "front order preserved"
     [ 1; 2; 3; 4 ]
-    (List.map (fun (t : Tx.t) -> t.id.seq) next)
+    (List.init (Body.length next) (Body.seq next))
 
 let test_requeue_skips_committed () =
   let p = Mempool.create () in
@@ -86,13 +86,13 @@ let test_requeue_skips_foreign () =
   (* A forked block proposed by another replica contains txs this pool has
      never seen: they must not be adopted. *)
   Alcotest.(check int) "foreign skipped" 0
-    (Mempool.requeue_front p [ tx 42 ]);
+    (Mempool.requeue_front p (Body.of_list [ tx 42 ]));
   Alcotest.(check int) "still empty" 0 (Mempool.length p)
 
 let test_requeue_skips_queued () =
   let p = Mempool.create () in
   ignore (Mempool.add p (tx 1));
-  Alcotest.(check int) "already queued" 0 (Mempool.requeue_front p [ tx 1 ])
+  Alcotest.(check int) "already queued" 0 (Mempool.requeue_front p (Body.of_list [ tx 1 ]))
 
 let test_forget_blocks_readds () =
   let p = Mempool.create () in
@@ -108,11 +108,11 @@ let test_batch_skips_committed_in_queue () =
   let p = Mempool.create () in
   ignore (Mempool.add p (tx 1));
   ignore (Mempool.add p (tx 2));
-  Mempool.forget p [ tx 1 ];
+  Mempool.forget p (Body.of_list [ tx 1 ]);
   let batch = Mempool.batch p ~max:2 in
   Alcotest.(check (list int)) "only live tx"
     [ 2 ]
-    (List.map (fun (t : Tx.t) -> t.id.seq) batch)
+    (List.init (Body.length batch) (Body.seq batch))
 
 let test_requeue_respects_capacity () =
   let p = Mempool.create ~capacity:3 () in
@@ -133,8 +133,22 @@ let no_duplicate_batches_prop =
       List.iter (fun s -> ignore (Mempool.add p (tx s))) seqs;
       let b1 = Mempool.batch p ~max:10 in
       let b2 = Mempool.batch p ~max:10 in
-      let ids b = List.map (fun (t : Tx.t) -> t.Tx.id) b in
+      let ids b = List.map (fun (t : Tx.t) -> t.Tx.id) (Body.to_list b) in
       List.for_all (fun i -> not (List.mem i (ids b2))) (ids b1))
+
+(* A batch of 400 filler txs keeps three int columns and no per-tx
+   record: at most 4 words a tx plus a constant, where a list of boxed
+   [Tx.t]s holds 10. *)
+let test_batch_words () =
+  let n = 400 in
+  let p = Mempool.create ~capacity:n () in
+  List.iter (fun t -> ignore (Mempool.add p t)) (Helpers.txs ~client:3 n);
+  let body = Mempool.batch p ~max:n in
+  Alcotest.(check int) "full batch" n (Body.length body);
+  let words = Obj.reachable_words (Obj.repr body) in
+  let bound = (4 * n) + 16 in
+  if words > bound then
+    Alcotest.failf "a %d-tx body holds %d words (bound %d)" n words bound
 
 (* --- model test: the pool against the status-table pool it replaced ---
 
@@ -232,11 +246,16 @@ module Reference = struct
     | Some Committed | None -> false
 end
 
+(* [Forget_batched] and [Requeue_batched] hand the last batch back as
+   the pool packed it, as a replica does with a committed or forked
+   block; [Forget] and [Requeue] pack arbitrary lists. *)
 type op =
   | Add of Tx.t
   | Batch of int
   | Forget of Tx.t list
   | Requeue of Tx.t list
+  | Forget_batched
+  | Requeue_batched
   | Contains of Tx.t
 
 let pp_op = function
@@ -246,7 +265,18 @@ let pp_op = function
       "forget [" ^ String.concat ";" (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id) l) ^ "]"
   | Requeue l ->
       "requeue [" ^ String.concat ";" (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id) l) ^ "]"
+  | Forget_batched -> "forget last batch"
+  | Requeue_batched -> "requeue last batch"
   | Contains t -> "contains " ^ Tx.id_to_string t.id
+
+(* Some txs carry data, so a batch fills the data column as well. *)
+let a_tx_gen ~clients seq =
+  QCheck.Gen.(
+    map3
+      (fun client seq data ->
+        if data then Tx.make_with_data ~client ~seq ~data:(Printf.sprintf "P1:%d" seq)
+        else tx ~client seq)
+      clients seq (frequencyl [ (3, false); (1, true) ]))
 
 (* Two clients, seqs clustered in a small range (with a few negatives) so
    duplicates, out-of-order and forget-before-add are common, plus seqs
@@ -261,7 +291,7 @@ let op_gen =
         (1, map2 (fun hi lo -> (hi * 256) + lo) (int_range 1 4) (int_range 0 3));
       ]
   in
-  let a_tx = map2 (fun client seq -> tx ~client seq) (int_range 0 1) seq in
+  let a_tx = a_tx_gen ~clients:(int_range 0 1) seq in
   let txs = list_size (int_range 0 8) a_tx in
   frequency
     [
@@ -269,27 +299,41 @@ let op_gen =
       (2, map (fun k -> Batch k) (int_range 0 6));
       (3, map (fun l -> Forget l) txs);
       (2, map (fun l -> Requeue l) txs);
+      (1, return Forget_batched);
+      (1, return Requeue_batched);
       (1, map (fun t -> Contains t) a_tx);
     ]
 
 (* Runs [ops] on a pool and on the reference, comparing every answer,
-   the length and every stats field after each step. *)
+   the length and every stats field after each step. A batch must hold
+   the reference's txs, equal as records, in order: so a tx re-queued
+   from a packed body and batched again is rebuilt as it was added. *)
 let agrees (cap, ops) =
   let p = Mempool.create ~capacity:cap () and r = Reference.create cap in
-  let ids l = List.map (fun (t : Tx.t) -> t.Tx.id) l in
+  let last = ref (Body.empty, []) in
   List.for_all
     (fun op ->
       let same =
         match op with
         | Add t -> Bool.equal (Mempool.add p t) (Reference.add r t)
         | Batch k ->
-            List.equal ( = ) (ids (Mempool.batch p ~max:k))
-              (ids (Reference.batch r ~max:k))
+            let body = Mempool.batch p ~max:k and l = Reference.batch r ~max:k in
+            last := (body, l);
+            List.equal Tx.equal (Body.to_list body) l
         | Forget l ->
-            Mempool.forget p l;
+            Mempool.forget p (Body.of_list l);
             Reference.forget r l;
             true
-        | Requeue l -> Int.equal (Mempool.requeue_front p l) (Reference.requeue_front r l)
+        | Requeue l ->
+            Int.equal (Mempool.requeue_front p (Body.of_list l)) (Reference.requeue_front r l)
+        | Forget_batched ->
+            let body, l = !last in
+            Mempool.forget p body;
+            Reference.forget r l;
+            true
+        | Requeue_batched ->
+            let body, l = !last in
+            Int.equal (Mempool.requeue_front p body) (Reference.requeue_front r l)
         | Contains t ->
             Bool.equal (Mempool.contains p t.id) (Reference.contains r t.id)
       in
@@ -328,7 +372,7 @@ let growth_op_gen =
         (1, map2 (fun hi lo -> (hi * 512) - lo) (int_range 1 3) (int_range 1 8));
       ]
   in
-  let a_tx = map2 (fun client seq -> tx ~client seq) (oneofl [ 0; 1; 256 ]) seq in
+  let a_tx = a_tx_gen ~clients:(oneofl [ 0; 1; 256 ]) seq in
   let txs = list_size (int_range 0 24) a_tx in
   frequency
     [
@@ -336,6 +380,8 @@ let growth_op_gen =
       (2, map (fun k -> Batch k) (int_range 0 60));
       (2, map (fun l -> Forget l) txs);
       (1, map (fun l -> Requeue l) txs);
+      (1, return Forget_batched);
+      (1, return Requeue_batched);
       (1, map (fun t -> Contains t) a_tx);
     ]
 
@@ -364,6 +410,7 @@ let suite =
     Alcotest.test_case "batch skips committed" `Quick
       test_batch_skips_committed_in_queue;
     Alcotest.test_case "requeue capacity" `Quick test_requeue_respects_capacity;
+    Alcotest.test_case "batch words per tx" `Quick test_batch_words;
     QCheck_alcotest.to_alcotest no_duplicate_batches_prop;
     QCheck_alcotest.to_alcotest model_prop;
     QCheck_alcotest.to_alcotest growth_prop;

@@ -71,6 +71,31 @@ let test_cgr_ignores_unaccepted_junk () =
   Metrics.record_fork t ~now:2.6 ~nblocks:1 ~hashes:[ "junk" ];
   Alcotest.(check (float 1e-9)) "CGR stays 1" 1.0 (summarize t).cgr
 
+(* Each appended block's entry goes once its commit or fork is seen:
+   100,000 blocks that each resolve a few blocks behind leave the
+   collector the size it was after the first few, where keeping every
+   hash would hold about 6 words a block. *)
+let test_appended_bounded () =
+  let t = Metrics.create ~warmup:0.0 ~horizon:1e9 ~bucket:1e9 in
+  let hash i = Printf.sprintf "%032d" i in
+  let behind = 3 in
+  let words = ref 0 in
+  for i = 0 to 100_000 - 1 do
+    Metrics.record_append t ~now:1.0 ~hash:(hash i);
+    if i >= behind then begin
+      let h = hash (i - behind) in
+      if i mod 10 = 0 then Metrics.record_fork t ~now:1.0 ~nblocks:1 ~hashes:[ h ]
+      else Metrics.record_commit t ~now:1.0 ~ntxs:1 ~nblocks:1 ~hashes:[ h ]
+    end;
+    if i = 1000 then words := Obj.reachable_words (Obj.repr t)
+  done;
+  let final = Obj.reachable_words (Obj.repr t) in
+  if final > !words then
+    Alcotest.failf "collector grew from %d to %d words" !words final;
+  let s = summarize t in
+  Alcotest.(check int) "forked" 9_999 s.forked_blocks;
+  Alcotest.(check (float 1e-9)) "CGR" (89_998.0 /. 99_997.0) s.cgr
+
 let test_forked_counter () =
   let t = mk () in
   Metrics.record_fork t ~now:3.0 ~nblocks:2 ~hashes:[];
@@ -114,6 +139,7 @@ let suite =
   [
     Alcotest.test_case "window" `Quick test_window;
     Alcotest.test_case "throughput" `Quick test_throughput;
+    Alcotest.test_case "appended set bounded" `Quick test_appended_bounded;
     Alcotest.test_case "latency window rules" `Quick test_latency_window_rules;
     Alcotest.test_case "percentiles" `Quick test_percentiles_in_summary;
     Alcotest.test_case "CGR and BI" `Quick test_cgr_and_bi;

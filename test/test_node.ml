@@ -146,7 +146,7 @@ let test_txs_flow_into_blocks () =
     else begin
       settle net;
       let all_committed_txs =
-        List.concat_map (fun (_, (b : Block.t)) -> b.txs) net.committed
+        List.concat_map (fun (_, (b : Block.t)) -> Body.to_list b.body) net.committed
       in
       if
         List.for_all

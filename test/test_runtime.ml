@@ -337,14 +337,14 @@ let test_tx_records_chunks () =
     seqs;
   List.iter
     (fun seq ->
-      let slot = R.find r (tx seq) in
+      let slot = R.find r ~client:0 ~seq in
       Alcotest.(check int) "slot is the seq" seq slot;
       R.set r slot R.Batched_at (float_of_int (2 * seq)))
     seqs;
-  R.set_completed r (R.find r (tx 1024));
+  R.set_completed r (R.find r ~client:0 ~seq:1024);
   List.iter
     (fun seq ->
-      let slot = R.find r (tx seq) in
+      let slot = R.find r ~client:0 ~seq in
       Alcotest.(check int) "target" (seq mod 4) (R.target r slot);
       Alcotest.(check (float 0.0)) "issued" (float_of_int seq)
         (R.stamp r slot R.Issued_at);
@@ -355,12 +355,12 @@ let test_tx_records_chunks () =
       Alcotest.(check bool) "completed" (seq = 1024) (R.completed r slot);
       Alcotest.(check bool) "not counted" false (R.counted r slot))
     seqs;
-  Alcotest.(check int) "gap in a used chunk" (-1) (R.find r (tx 2000));
-  Alcotest.(check int) "past the last chunk" (-1) (R.find r (tx 1_000_000));
+  Alcotest.(check int) "gap in a used chunk" (-1) (R.find r ~client:0 ~seq:2000);
+  Alcotest.(check int) "past the last chunk" (-1) (R.find r ~client:0 ~seq:1_000_000);
   Alcotest.(check int) "other client" (-1)
-    (R.find r (Tx.make ~client:3 ~seq:1024 ~payload_len:0));
+    (R.find r ~client:3 ~seq:1024);
   R.record r (tx 1024) ~target:2 ~issued_at:9.0;
-  let slot = R.find r (tx 1024) in
+  let slot = R.find r ~client:0 ~seq:1024 in
   Alcotest.(check bool) "re-record clears flags" false (R.completed r slot);
   Alcotest.(check (float 0.0)) "re-record resets stamps" (-1.0)
     (R.stamp r slot R.Batched_at)
@@ -385,14 +385,14 @@ let test_tx_records_sliding_window () =
   let n = 100_000 and behind = 2_000 in
   for seq = 0 to n - 1 do
     R.record r (tx seq) ~target:0 ~issued_at:(float_of_int seq);
-    if seq >= behind then R.set_completed r (R.find r (tx (seq - behind)))
+    if seq >= behind then R.set_completed r (R.find r ~client:0 ~seq:(seq - behind))
   done;
   let words = Obj.reachable_words (Obj.repr r) in
   let bound = (22 * n / 10) + (5 * stamp_chunk_words) in
   if words > bound then
     Alcotest.failf "records hold %d words for %d txs (bound %d)" words n bound;
   for seq = n - behind to n - 1 do
-    let slot = R.find r (tx seq) in
+    let slot = R.find r ~client:0 ~seq in
     Alcotest.(check (float 0.0)) "pending stamps readable" (float_of_int seq)
       (R.stamp r slot R.Issued_at)
   done
@@ -422,7 +422,7 @@ let test_tx_records_release () =
   Alcotest.(check bool) "set on another released slot raises" true
     (raises_invalid (fun () -> R.set r 1000 R.Arrived_at 1.0));
   for seq = 0 to 1023 do
-    let slot = R.find r (tx seq) in
+    let slot = R.find r ~client:(seq mod 3) ~seq in
     Alcotest.(check int) "find" seq slot;
     Alcotest.(check int) "client" (seq mod 3) (R.client r slot);
     Alcotest.(check int) "target" (seq mod 4) (R.target r slot);
@@ -430,7 +430,7 @@ let test_tx_records_release () =
     Alcotest.(check bool) "counted" (seq = 9) (R.counted r slot)
   done;
   Alcotest.(check int) "other client" (-1)
-    (R.find r (Tx.make ~client:1 ~seq:9 ~payload_len:0));
+    (R.find r ~client:1 ~seq:9);
   let before = Obj.reachable_words (Obj.repr r) in
   R.record r (tx 2048) ~target:0 ~issued_at:1.0;
   let grown = Obj.reachable_words (Obj.repr r) - before in

@@ -266,7 +266,7 @@ let test_tcp_large_message () =
   Tcp.send a ~dst:1 msg;
   (match Tcp.recv b ~timeout_s:3.0 with
   | Some (Message.Proposal { block = got; _ }) ->
-      Alcotest.(check int) "txs intact" 2000 (List.length got.Block.txs);
+      Alcotest.(check int) "txs intact" 2000 (Bamboo_types.Body.length got.Block.body);
       Alcotest.(check string) "hash intact" block.Block.hash got.Block.hash
   | Some _ | None -> Alcotest.fail "bad delivery");
   Tcp.close a;

@@ -5,6 +5,13 @@ module Sig = Bamboo_crypto.Sig
 module Sha256 = Bamboo_crypto.Sha256
 
 let reg = Helpers.registry ()
+let root txs = Block.merkle_root (Body.of_list txs)
+
+(* Filler and data-bearing txs alternate. *)
+let mixed_txs count =
+  List.init count (fun i ->
+      if i mod 2 = 0 then Tx.make ~client:(i + 1) ~seq:(i * 100) ~payload_len:8
+      else Tx.make_with_data ~client:i ~seq:(-i) ~data:(String.make (i * 13) 'd'))
 
 (* --- transactions --- *)
 
@@ -33,25 +40,57 @@ let test_merkle_commits_to_data () =
   let a = [ Tx.make_with_data ~client:0 ~seq:0 ~data:"aaaa" ] in
   let b = [ Tx.make_with_data ~client:0 ~seq:0 ~data:"bbbb" ] in
   Alcotest.(check bool) "same id, different data, different root" true
-    (Block.merkle_root a <> Block.merkle_root b)
+    (root a <> root b)
+
+(* --- packed bodies --- *)
+
+let test_body_columns () =
+  let txs = mixed_txs 7 in
+  let b = Body.of_list txs in
+  Alcotest.(check int) "length" 7 (Body.length b);
+  Alcotest.(check bool) "records round trip" true
+    (List.equal Tx.equal txs (Body.to_list b));
+  Alcotest.(check int) "client" 3 (Body.client b 3);
+  Alcotest.(check int) "seq" (-3) (Body.seq b 3);
+  Alcotest.(check string) "data" (String.make 39 'd') (Body.data b 3);
+  Alcotest.(check int) "payload length" 8 (Body.payload_len b 2);
+  Alcotest.(check int) "wire size"
+    (List.fold_left (fun acc tx -> acc + Tx.wire_size tx) 0 txs)
+    (Body.wire_size b);
+  Alcotest.(check int) "empty" 0 (Body.length Body.empty);
+  Alcotest.check_raises "past the end" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Body.data (Body.of_list (Helpers.txs 2)) 2 : string))
+
+let test_body_builder () =
+  let bld = Body.Builder.create 4 in
+  Body.Builder.add_tx bld (Helpers.tx 1);
+  Body.Builder.add bld ~client:2 ~seq:5 ~payload_len:3 ~data:"kv!";
+  let b = Body.Builder.finish bld in
+  Alcotest.(check int) "trimmed to what was added" 2 (Body.length b);
+  Alcotest.(check string) "data before the first payload" "" (Body.data b 0);
+  Alcotest.(check string) "data" "kv!" (Body.data b 1);
+  let full = Body.Builder.create 1 in
+  Body.Builder.add_tx full (Helpers.tx 1);
+  Alcotest.check_raises "full" (Invalid_argument "Body.Builder.add: full")
+    (fun () -> Body.Builder.add_tx full (Helpers.tx 2))
 
 (* --- merkle root --- *)
 
 let test_merkle_empty () =
   Alcotest.(check string) "empty = H(\"\")" (Sha256.digest "")
-    (Block.merkle_root [])
+    (root [])
 
 let leaf (t : Tx.t) = Sha256.digest (Tx.id_to_string t.id ^ "|" ^ t.data)
 
 let test_merkle_single () =
   let t = Helpers.tx 1 in
-  Alcotest.(check string) "single leaf" (leaf t) (Block.merkle_root [ t ])
+  Alcotest.(check string) "single leaf" (leaf t) (root [ t ])
 
 let test_merkle_pair () =
   let a = Helpers.tx 1 and b = Helpers.tx 2 in
   Alcotest.(check string) "pair"
     (Sha256.digest (leaf a ^ leaf b))
-    (Block.merkle_root [ a; b ])
+    (root [ a; b ])
 
 let test_merkle_odd_duplicates_last () =
   let l = List.map leaf in
@@ -61,7 +100,7 @@ let test_merkle_odd_duplicates_last () =
         Sha256.digest (Sha256.digest (la ^ lb) ^ Sha256.digest (lc ^ lc))
       in
       Alcotest.(check string) "odd level" expected
-        (Block.merkle_root (Helpers.txs 3))
+        (root (Helpers.txs 3))
   | _ -> assert false
 
 (* The tree written out over concatenated strings, as a reference for the
@@ -79,18 +118,27 @@ let reference_merkle_root txs =
   in
   if txs = [] then Sha256.digest "" else level (List.map leaf txs)
 
+(* The same txs as a proposer packs them: added to a pool and batched. *)
+let batched txs =
+  let p = Bamboo_mempool.Mempool.create () in
+  List.iter (fun tx -> ignore (Bamboo_mempool.Mempool.add p tx : bool)) txs;
+  Bamboo_mempool.Mempool.batch p ~max:(List.length txs)
+
+(* Bodies packed from a list for 0..9 leaves, and one packed by
+   [Mempool.batch]. *)
+let reference_inputs () =
+  List.init 10 (fun count ->
+      let txs = mixed_txs count in
+      (Printf.sprintf "%d leaves" count, txs, Body.of_list txs))
+  @ [ (let txs = mixed_txs 13 in ("13 leaves, batched", txs, batched txs)) ]
+
 let test_merkle_matches_reference () =
-  for count = 0 to 9 do
-    let txs =
-      List.init count (fun i ->
-          if i mod 2 = 0 then Tx.make ~client:(i + 1) ~seq:(i * 100) ~payload_len:8
-          else Tx.make_with_data ~client:i ~seq:(-i) ~data:(String.make (i * 13) 'd'))
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "%d leaves" count)
-      (Sha256.hex (reference_merkle_root txs))
-      (Sha256.hex (Block.merkle_root txs))
-  done
+  List.iter
+    (fun (name, txs, body) ->
+      Alcotest.(check string) name
+        (Sha256.hex (reference_merkle_root txs))
+        (Sha256.hex (Block.merkle_root body)))
+    (reference_inputs ())
 
 (* The flat root written out as one concatenated preimage: every leaf
    followed by a comma. *)
@@ -100,27 +148,22 @@ let reference_flat_root txs =
        (List.map (fun (t : Tx.t) -> Tx.id_to_string t.id ^ "|" ^ t.data ^ ",") txs))
 
 let test_flat_matches_reference () =
-  for count = 0 to 9 do
-    let txs =
-      List.init count (fun i ->
-          if i mod 2 = 0 then Tx.make ~client:(i + 1) ~seq:(i * 100) ~payload_len:8
-          else Tx.make_with_data ~client:i ~seq:(-i) ~data:(String.make (i * 13) 'd'))
-    in
-    let b =
-      Block.create ~root:`Flat ~view:1 ~parent:Block.genesis
-        ~justify:(Helpers.qc_for reg Block.genesis) ~proposer:0 ~txs ()
-    in
-    Alcotest.(check string)
-      (Printf.sprintf "%d leaves" count)
-      (Sha256.hex (reference_flat_root txs))
-      (Sha256.hex b.tx_root)
-  done
+  List.iter
+    (fun (name, txs, body) ->
+      let b =
+        Block.of_body ~root:`Flat ~view:1 ~parent:Block.genesis
+          ~justify:(Helpers.qc_for reg Block.genesis) ~proposer:0 body
+      in
+      Alcotest.(check string) name
+        (Sha256.hex (reference_flat_root txs))
+        (Sha256.hex b.tx_root))
+    (reference_inputs ())
 
 let test_merkle_order_sensitive () =
   let a = Helpers.txs 4 in
   let b = List.rev a in
   Alcotest.(check bool) "order matters" true
-    (Block.merkle_root a <> Block.merkle_root b)
+    (root a <> root b)
 
 (* --- blocks --- *)
 
@@ -406,6 +449,8 @@ let suite =
     Alcotest.test_case "tx basics" `Quick test_tx_basics;
     Alcotest.test_case "tx negative payload" `Quick test_tx_negative_payload;
     Alcotest.test_case "tx with data" `Quick test_tx_with_data;
+    Alcotest.test_case "body columns" `Quick test_body_columns;
+    Alcotest.test_case "body builder" `Quick test_body_builder;
     Alcotest.test_case "merkle commits to data" `Quick test_merkle_commits_to_data;
     Alcotest.test_case "merkle empty" `Quick test_merkle_empty;
     Alcotest.test_case "merkle single" `Quick test_merkle_single;
