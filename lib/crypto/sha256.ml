@@ -1,42 +1,46 @@
-(* FIPS 180-4 SHA-256 over int32 words. The message schedule array is reused
-   across blocks to avoid per-block allocation. *)
+(* FIPS 180-4 SHA-256 on native ints. Each 32-bit word is held as an int
+   in [0, 2^32) and every sum is masked back into that range, so a block is
+   compressed without boxing an int32. The message schedule array is reused
+   across blocks. *)
+
+let mask = 0xffffffff
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-    0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-    0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-    0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-    0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-    0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-    0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-    0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-    0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-    0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+    0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+    0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+    0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+    0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+    0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+    0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+    0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+    0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+    0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array; (* 8 working hash values *)
+  h : int array; (* 8 working hash values *)
   block : Bytes.t; (* 64-byte input buffer *)
   mutable fill : int; (* bytes buffered in [block] *)
   mutable total : int; (* total message bytes absorbed *)
-  w : int32 array; (* 64-entry message schedule, reused *)
+  w : int array; (* 64-entry message schedule, reused *)
 }
 
 let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-        0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 64 0l;
+    w = Array.make 64 0;
   }
 
 (* The schedule is scratch space, so the copy gets its own: a context
@@ -48,60 +52,62 @@ let copy ctx =
     block = Bytes.copy ctx.block;
     fill = ctx.fill;
     total = ctx.total;
-    w = Array.make 64 0l;
+    w = Array.make 64 0;
   }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-
+(* Rotations use the doubled word [xx = x lor (x lsl 32)]: for n <= 31,
+   bits n .. n + 31 of [xx] are [rotr x n], so [(xx lsr n) land mask] is
+   the rotation, and a sum of three rotations needs one mask, not three.
+   Bit 31 of [x] falls off the top of [xx], but no rotation by n >= 1
+   reads bit n + 31 > 62. The schedule and round loops index [w] and [k]
+   (both of length 64) only within 0 .. 63, so they skip bounds checks. *)
 let compress ctx =
-  let w = ctx.w in
+  let w = ctx.w and blk = ctx.block in
   for t = 0 to 15 do
-    w.(t) <- Bytes.get_int32_be ctx.block (4 * t)
+    let i = 4 * t in
+    w.(t) <-
+      (Char.code (Bytes.unsafe_get blk i) lsl 24)
+      lor (Char.code (Bytes.unsafe_get blk (i + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get blk (i + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get blk (i + 3))
   done;
   for t = 16 to 63 do
-    let s0 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 15) 7) (rotr w.(t - 15) 18))
-        (Int32.shift_right_logical w.(t - 15) 3)
-    in
-    let s1 =
-      Int32.logxor
-        (Int32.logxor (rotr w.(t - 2) 17) (rotr w.(t - 2) 19))
-        (Int32.shift_right_logical w.(t - 2) 10)
-    in
-    w.(t) <- Int32.add (Int32.add (Int32.add w.(t - 16) s0) w.(t - 7)) s1
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)) land mask in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land mask)
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) in
-  let d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5) in
-  let g = ref ctx.h.(6) and h = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = Int32.logxor (Int32.logxor (rotr !e 6) (rotr !e 11)) (rotr !e 25) in
-    let ch = Int32.logxor (Int32.logand !e !f) (Int32.logand (Int32.lognot !e) !g) in
-    let t1 = Int32.add (Int32.add (Int32.add (Int32.add !h s1) ch) k.(t)) w.(t) in
-    let s0 = Int32.logxor (Int32.logxor (rotr !a 2) (rotr !a 13)) (rotr !a 22) in
-    let maj =
-      Int32.logxor
-        (Int32.logxor (Int32.logand !a !b) (Int32.logand !a !c))
-        (Int32.logand !b !c)
-    in
-    let t2 = Int32.add s0 maj in
-    h := !g;
+    let ev = !e and av = !a in
+    let ee = ev lor (ev lsl 32) and aa = av lor (av lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (ev land (!f lxor !g)) in
+    (* [t1] stays below 2^35 unmasked: it only enters masked sums. *)
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (av land !b) lor (!c land (av lor !b)) in
+    hh := !g;
     g := !f;
-    f := !e;
-    e := Int32.add !d t1;
+    f := ev;
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := Int32.add t1 t2
+    b := av;
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- Int32.add ctx.h.(0) !a;
-  ctx.h.(1) <- Int32.add ctx.h.(1) !b;
-  ctx.h.(2) <- Int32.add ctx.h.(2) !c;
-  ctx.h.(3) <- Int32.add ctx.h.(3) !d;
-  ctx.h.(4) <- Int32.add ctx.h.(4) !e;
-  ctx.h.(5) <- Int32.add ctx.h.(5) !f;
-  ctx.h.(6) <- Int32.add ctx.h.(6) !g;
-  ctx.h.(7) <- Int32.add ctx.h.(7) !h
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed_sub ctx s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
@@ -109,7 +115,7 @@ let feed_sub ctx s ~pos ~len =
   ctx.total <- ctx.total + len;
   let pos = ref pos and remaining = ref len in
   while !remaining > 0 do
-    let take = min !remaining (64 - ctx.fill) in
+    let take = Int.min !remaining (64 - ctx.fill) in
     Bytes.blit_string s !pos ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
     pos := !pos + take;
@@ -131,14 +137,26 @@ let feed_char ctx c =
     ctx.fill <- 0
   end
 
+(* [pow10.(i)] is 10^i; 10^18 is the largest power below [max_int]. *)
+let pow10 =
+  let p = Array.make 19 1 in
+  for i = 1 to 18 do
+    p.(i) <- 10 * p.(i - 1)
+  done;
+  p
+
 (* The bytes of [string_of_int n], without the string. Digits come from
    the non-positive [m] (the magnitude negated), so [min_int] needs no
-   special case: [m mod 10] lies in (-10, 0]. *)
+   special case: [m mod 10] lies in (-10, 0]. The digit count comes from
+   comparisons against [pow10], not from repeated division. *)
 let feed_int ctx n =
   if n < 0 then feed_char ctx '-';
   let m = if n < 0 then n else -n in
-  let rec width m d = if m > -10 then d else width (m / 10) (d + 1) in
-  let d = width m 1 in
+  let d = ref 1 in
+  while !d < 19 && m <= -pow10.(!d) do
+    incr d
+  done;
+  let d = !d in
   if ctx.fill + d <= 64 then begin
     (* The digits fit in the block: write them last to first. *)
     let m = ref m in
@@ -153,17 +171,11 @@ let feed_int ctx n =
       ctx.fill <- 0
     end
   end
-  else begin
+  else
     (* They straddle a block boundary: feed them first to last. *)
-    let p = ref 1 in
-    for _ = 2 to d do
-      p := !p * 10
-    done;
-    while !p > 0 do
-      feed_char ctx (Char.unsafe_chr (48 - (m / !p mod 10)));
-      p := !p / 10
+    for i = d - 1 downto 0 do
+      feed_char ctx (Char.unsafe_chr (48 - (m / pow10.(i) mod 10)))
     done
-  end
 
 let finalize ctx =
   let bitlen = Int64.mul (Int64.of_int ctx.total) 8L in
@@ -180,7 +192,7 @@ let finalize ctx =
   compress ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) ctx.h.(i)
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

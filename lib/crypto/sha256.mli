@@ -1,9 +1,15 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch on int32 words.
+(** SHA-256 (FIPS 180-4), implemented from scratch.
 
     Blocks are content-addressed by this hash (the paper's chains are
     "cryptographically linked together by hashes"). Both one-shot and
     incremental interfaces are provided; the incremental form is used by the
-    wire codec to hash streamed fields without concatenation. *)
+    wire codec to hash streamed fields without concatenation.
+
+    Absorbing allocates nothing: {!feed}, {!feed_sub}, {!feed_char} and
+    {!feed_int} compress each full 64-byte block in place, so hashing a
+    block's transactions costs a constant number of words however many
+    there are. Of the incremental calls, only {!init}, {!copy} and
+    {!finalize} allocate. *)
 
 type ctx
 

@@ -1,17 +1,23 @@
-(* Columns of one length, except [data], which is [||] when every payload
-   is empty. *)
+(* Columns of one length, except two that are [||] when they would only
+   repeat a constant: [lens] when every payload length is [len], [data]
+   when every payload is empty. *)
 type t = {
   clients : int array;
   seqs : int array;
+  len : int; (* every payload length, when [lens] is [||] *)
   lens : int array;
   data : string array;
 }
 
-let empty = { clients = [||]; seqs = [||]; lens = [||]; data = [||] }
+let empty = { clients = [||]; seqs = [||]; len = 0; lens = [||]; data = [||] }
 let length b = Array.length b.clients
 let client b i = b.clients.(i)
 let seq b i = b.seqs.(i)
-let payload_len b i = b.lens.(i)
+
+let payload_len b i =
+  if Array.length b.lens > 0 then b.lens.(i)
+  else if i >= 0 && i < length b then b.len
+  else invalid_arg "index out of bounds"
 
 let data b i =
   if Array.length b.data > 0 then b.data.(i)
@@ -28,7 +34,10 @@ let tx b i =
 let to_list b = List.init (length b) (tx b)
 
 (* [Tx.wire_size] of each: a 16-byte id header plus the payload. *)
-let wire_size b = Array.fold_left (fun acc len -> acc + 16 + len) 0 b.lens
+let wire_size b =
+  if Array.length b.lens > 0 then
+    Array.fold_left (fun acc len -> acc + 16 + len) 0 b.lens
+  else length b * (16 + b.len)
 
 module Builder = struct
   type body = t
@@ -36,7 +45,8 @@ module Builder = struct
   type t = {
     clients : int array;
     seqs : int array;
-    lens : int array;
+    mutable len : int; (* the first payload length *)
+    mutable lens : int array; (* [||] until a payload length differs *)
     mutable data : string array; (* [||] until a payload is non-empty *)
     mutable n : int;
   }
@@ -46,7 +56,8 @@ module Builder = struct
     {
       clients = Array.make cap 0;
       seqs = Array.make cap 0;
-      lens = Array.make cap 0;
+      len = 0;
+      lens = [||];
       data = [||];
       n = 0;
     }
@@ -58,7 +69,13 @@ module Builder = struct
     if i = Array.length t.clients then invalid_arg "Body.Builder.add: full";
     t.clients.(i) <- client;
     t.seqs.(i) <- seq;
-    t.lens.(i) <- payload_len;
+    if Array.length t.lens > 0 then t.lens.(i) <- payload_len
+    else if i = 0 then t.len <- payload_len
+    else if payload_len <> t.len then begin
+      (* The first length that differs: back-fill the ones before it. *)
+      t.lens <- Array.make (Array.length t.clients) t.len;
+      t.lens.(i) <- payload_len
+    end;
     if String.length data > 0 && Array.length t.data = 0 then
       t.data <- Array.make (Array.length t.clients) "";
     if Array.length t.data > 0 then t.data.(i) <- data;
@@ -72,12 +89,19 @@ module Builder = struct
     let n = t.n in
     if n = 0 then empty
     else if n = Array.length t.clients then
-      { clients = t.clients; seqs = t.seqs; lens = t.lens; data = t.data }
+      {
+        clients = t.clients;
+        seqs = t.seqs;
+        len = t.len;
+        lens = t.lens;
+        data = t.data;
+      }
     else
       let cut a = if Array.length a = 0 then a else Array.sub a 0 n in
       {
         clients = cut t.clients;
         seqs = cut t.seqs;
+        len = t.len;
         lens = cut t.lens;
         data = cut t.data;
       }

@@ -1,10 +1,12 @@
 (** A block's transactions, packed.
 
     A body is immutable and stores its transactions as flat columns:
-    client, seq and payload length in three int arrays, payload bytes in a
-    string array. The data column is left empty when every payload is
-    empty, as in simulation workloads. A body of [k] transactions
-    therefore costs 3 words a tx with no data and 4 with data, plus a
+    client, seq and payload length in int arrays, payload bytes in a
+    string array. The length column is replaced by one int when every
+    payload has the same length, and the data column is left empty when
+    every payload is empty, as in simulation workloads. A body of [k]
+    transactions therefore costs 2 words a tx with a uniform length and
+    no data, one more for a length column and one more for data, plus a
     constant. It holds no per-tx record and no cons cell. The committed
     chain keeps every block's body for the run, so this is most of the
     simulator's heap under load.

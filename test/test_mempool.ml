@@ -146,7 +146,7 @@ let test_batch_words () =
   let body = Mempool.batch p ~max:n in
   Alcotest.(check int) "full batch" n (Body.length body);
   let words = Obj.reachable_words (Obj.repr body) in
-  let bound = (4 * n) + 16 in
+  let bound = (3 * n) + 16 in
   if words > bound then
     Alcotest.failf "a %d-tx body holds %d words (bound %d)" n words bound
 

@@ -74,6 +74,56 @@ let test_body_builder () =
   Alcotest.check_raises "full" (Invalid_argument "Body.Builder.add: full")
     (fun () -> Body.Builder.add_tx full (Helpers.tx 2))
 
+(* A body whose payload lengths are all equal keeps one length, not a
+   column: 2 words a tx for client and seq. One differing length brings
+   the column back. *)
+let test_body_uniform_length () =
+  let n = 400 in
+  let uniform = List.init n (fun i -> Tx.make ~client:1 ~seq:i ~payload_len:128) in
+  let words txs = Obj.reachable_words (Obj.repr (Body.of_list txs)) in
+  let w = words uniform in
+  if w > (2 * n) + 16 then
+    Alcotest.failf "a uniform %d-tx body holds %d words (bound %d)" n w
+      ((2 * n) + 16);
+  let mixed =
+    List.mapi
+      (fun i (t : Tx.t) -> if i = n - 1 then { t with payload_len = 7 } else t)
+      uniform
+  in
+  let w = words mixed in
+  if w < 3 * n then
+    Alcotest.failf "a %d-tx body of two lengths holds only %d words" n w
+
+(* The first differing length may come at the start, in the middle or
+   last; every read must see the lengths of the records packed. *)
+let test_body_differing_length () =
+  let n = 9 in
+  List.iter
+    (fun at ->
+      let txs =
+        List.init n (fun i ->
+            Tx.make ~client:2 ~seq:i ~payload_len:(if i = at then 3 else 40))
+      in
+      let b = Body.of_list txs in
+      let name what = Printf.sprintf "%s, differing at %d" what at in
+      List.iteri
+        (fun i (t : Tx.t) ->
+          Alcotest.(check int) (name "payload_len") t.payload_len
+            (Body.payload_len b i);
+          Alcotest.(check bool) (name "tx") true (Tx.equal t (Body.tx b i)))
+        txs;
+      Alcotest.(check int) (name "wire size")
+        (List.fold_left (fun acc tx -> acc + Tx.wire_size tx) 0 txs)
+        (Body.wire_size b);
+      Alcotest.(check bool) (name "to_list") true
+        (List.equal Tx.equal txs (Body.to_list b)))
+    [ 0; n / 2; n - 1 ];
+  let b = Body.of_list (Helpers.txs 2) in
+  Alcotest.(check int) "uniform wire size" 32 (Body.wire_size b);
+  Alcotest.check_raises "uniform length past the end"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Body.payload_len b 2 : int))
+
 (* --- merkle root --- *)
 
 let test_merkle_empty () =
@@ -166,6 +216,32 @@ let test_merkle_order_sensitive () =
     (root a <> root b)
 
 (* --- blocks --- *)
+
+(* A flat root feeds every tx into one context, so [of_body ~root:`Flat]
+   allocates a per-call constant (the context, the header preimage, the
+   digests) that does not grow with the tx count. *)
+let test_flat_root_alloc () =
+  let justify = Helpers.qc_for reg Block.genesis in
+  let words n =
+    let body =
+      Body.of_list
+        (List.init n (fun i -> Tx.make ~client:(i mod 7) ~seq:(1000 + i) ~payload_len:0))
+    in
+    let calls = 50 in
+    Helpers.alloc_delta (fun () ->
+        for _ = 1 to calls do
+          ignore
+            (Sys.opaque_identity
+               (Block.of_body ~root:`Flat ~view:1 ~parent:Block.genesis ~justify
+                  ~proposer:0 body))
+        done)
+    /. float_of_int calls
+  in
+  let small = words 4 and large = words 400 in
+  (* Dev profile: 249 words a call at either size. *)
+  if large -. small > 40. || large > 400. then
+    Alcotest.failf "of_body ~root:`Flat allocates %.0f words at 400 txs, %.0f at 4"
+      large small
 
 let test_genesis () =
   let g = Block.genesis in
@@ -451,6 +527,8 @@ let suite =
     Alcotest.test_case "tx with data" `Quick test_tx_with_data;
     Alcotest.test_case "body columns" `Quick test_body_columns;
     Alcotest.test_case "body builder" `Quick test_body_builder;
+    Alcotest.test_case "body uniform length" `Quick test_body_uniform_length;
+    Alcotest.test_case "body differing length" `Quick test_body_differing_length;
     Alcotest.test_case "merkle commits to data" `Quick test_merkle_commits_to_data;
     Alcotest.test_case "merkle empty" `Quick test_merkle_empty;
     Alcotest.test_case "merkle single" `Quick test_merkle_single;
@@ -461,6 +539,7 @@ let suite =
       test_merkle_matches_reference;
     Alcotest.test_case "flat = concatenating reference" `Quick
       test_flat_matches_reference;
+    Alcotest.test_case "flat root allocation is constant" `Quick test_flat_root_alloc;
     Alcotest.test_case "genesis" `Quick test_genesis;
     Alcotest.test_case "block create" `Quick test_block_create;
     Alcotest.test_case "hash commits to fields" `Quick test_block_hash_commits_to_fields;
