@@ -26,24 +26,6 @@ module Http = Bamboo_network.Http
 module Runtime = Bamboo.Threaded_runtime.Make_batched (Ring)
 open Bamboo_types
 
-let query_params path =
-  match String.index_opt path '?' with
-  | None -> (path, [])
-  | Some i ->
-      let base = String.sub path 0 i in
-      let query = String.sub path (i + 1) (String.length path - i - 1) in
-      let params =
-        String.split_on_char '&' query
-        |> List.filter_map (fun kv ->
-               match String.index_opt kv '=' with
-               | Some j ->
-                   Some
-                     ( String.sub kv 0 j,
-                       String.sub kv (j + 1) (String.length kv - j - 1) )
-               | None -> Some (kv, ""))
-      in
-      (base, params)
-
 (* A replica id given in a query: decimal digits only, in [0, n). *)
 let parse_replica ~n v =
   let decimal = v <> "" && String.for_all (fun c -> '0' <= c && c <= '9') v in
@@ -89,7 +71,7 @@ let () =
   let[@guarded_by "seq_mutex"] rng = Bamboo_util.Rng.create ~seed:99 in
   let started = Unix.gettimeofday () in
   let handler (req : Http.request) =
-    let path, params = query_params req.path in
+    let path, params = Http.query_params req.path in
     let replica =
       match List.assoc_opt "replica" params with
       | Some v -> parse_replica ~n v

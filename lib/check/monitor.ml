@@ -1,9 +1,9 @@
 module Trace = Bamboo_obs.Trace
 module Schedule = Bamboo_faults.Schedule
 module Runtime = Bamboo.Runtime
+module Oracle = Bamboo.Agreement
 module Config = Bamboo.Config
 module Ids = Bamboo_types.Ids
-module Body = Bamboo_types.Body
 module Json = Bamboo_util.Json
 
 type invariant = Agreement | Cert_unique | Vote_safety | Liveness
@@ -36,62 +36,30 @@ let default_opts = { recover_views = 10 }
 
 (* --- agreement --- *)
 
-let check_agreement ~(ledgers : Runtime.ledger array) ~local_conflicts =
-  let out = ref [] in
-  let add detail = out := { invariant = Agreement; detail } :: !out in
-  Array.iteri
-    (fun i conflicted ->
-      if conflicted then
-        add
-          (Printf.sprintf
-             "replica %d saw a commit conflict with its finalized prefix" i))
-    local_conflicts;
-  let n = Array.length ledgers in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let li = ledgers.(i) and lj = ledgers.(j) in
-      let common = min (Array.length li) (Array.length lj) in
-      (* First height where the committed chains disagree, if any. *)
-      let divergence = ref None in
-      (try
-         for h = 0 to common - 1 do
-           if not (String.equal li.(h).Runtime.l_hash lj.(h).Runtime.l_hash)
-           then begin
-             divergence := Some h;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      match !divergence with
-      | Some h ->
-          add
-            (Printf.sprintf
-               "replicas %d and %d committed different blocks at height %d \
-                (%s vs %s)"
-               i j (h + 1)
-               (Ids.short li.(h).Runtime.l_hash)
-               (Ids.short lj.(h).Runtime.l_hash))
-      | None ->
-          (* Hashes agree on the whole common prefix; the committed tx
-             order must then be identical too (independent of hashing). *)
-          let ids_of (l : Runtime.ledger) =
-            Seq.concat_map
-              (fun (b : Runtime.ledger_block) ->
-                let body = b.Runtime.l_txs in
-                Seq.init (Body.length body) (fun k ->
-                    (Body.client body k, Body.seq body k)))
-              (Array.to_seq (Array.sub l 0 common))
-          in
-          let same (c, s) (c', s') = Int.equal c c' && Int.equal s s' in
-          if not (Seq.equal same (ids_of li) (ids_of lj)) then
-            add
-              (Printf.sprintf
-                 "replicas %d and %d agree on block hashes but diverge in \
-                  committed tx order over heights 1..%d"
-                 i j common)
-    done
-  done;
-  List.rev !out
+let check_agreement ?(show = Ids.short) ?(local_conflicts = [||])
+    (verdict : Oracle.verdict) =
+  let local i conflicted =
+    if conflicted then
+      [ Printf.sprintf "replica %d saw a commit conflict with its finalized prefix" i ]
+    else []
+  in
+  let line = function
+    | Oracle.Recommitted { replica; height; first; second } ->
+        Printf.sprintf "replica %d re-committed height %d with a different block (%s then %s)"
+          replica height (show first) (show second)
+    | Oracle.Diverged { i; j; height; hash_i; hash_j } ->
+        Printf.sprintf "replicas %d and %d committed different blocks at height %d (%s vs %s)"
+          i j height (show hash_i) (show hash_j)
+    | Oracle.Tx_order { i; j; upto } ->
+        Printf.sprintf
+          "replicas %d and %d agree on block hashes but diverge in committed tx order \
+           over heights 1..%d"
+          i j upto
+  in
+  List.map
+    (fun detail -> { invariant = Agreement; detail })
+    (List.concat (Array.to_list (Array.mapi local local_conflicts))
+    @ List.map line verdict.Oracle.conflicts)
 
 (* --- bounded liveness --- *)
 
@@ -220,16 +188,12 @@ let arg_int key (e : Trace.event) =
   | Some (Json.Int i) -> Some i
   | Some _ | None -> None
 
-let check_trace ?(byz_no = 0) ?expect_commit_after events =
+(* Certification, vote safety and [expect_commit_after] liveness in
+   trace order; every Commit event feeds [oracle], if any. *)
+let scan_trace ~byz_no ?expect_commit_after ?oracle events =
   let events = List.sort Trace.chronological events in
   let out = ref [] in
   let add invariant detail = out := { invariant; detail } :: !out in
-  (* agreement: per-node height -> hash from Commit events; conflicts
-     within a node or across nodes at the same height are violations.
-     [at_height] keeps per-height (node, hash) pairs in trace order so
-     cross-node comparison is deterministic. *)
-  let commits : (int * int, string) Hashtbl.t = Hashtbl.create 1024 in
-  let at_height : (int, (int * string) list) Hashtbl.t = Hashtbl.create 1024 in
   (* cert uniqueness: view -> certified hash from Qc_formed events. *)
   let certified : (int, string) Hashtbl.t = Hashtbl.create 256 in
   (* vote safety: (node, view) -> voted hash; node -> highest abandoned
@@ -254,41 +218,8 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
     (fun (e : Trace.event) ->
       match e.kind with
       | Trace.Commit -> (
-          match (arg_string "hash" e, arg_int "height" e) with
-          | Some hash, Some height -> (
-              (match Hashtbl.find_opt commits (e.node, height) with
-              | Some prev when not (String.equal prev hash) ->
-                  add Agreement
-                    (Printf.sprintf
-                       "replica %d re-committed height %d with a different \
-                        block (%s then %s)"
-                       e.node height prev hash)
-              | Some _ | None -> ());
-              Hashtbl.replace commits (e.node, height) hash;
-              (* Cross-node: compare against every other node's commit at
-                 this height seen so far (trace order). *)
-              let seen =
-                match Hashtbl.find_opt at_height height with
-                | Some l -> l
-                | None -> []
-              in
-              List.iter
-                (fun (n, other) ->
-                  if n <> e.node && not (String.equal other hash) then
-                    add Agreement
-                      (Printf.sprintf
-                         "replicas %d and %d committed different blocks at \
-                          height %d (%s vs %s)"
-                         (min n e.node) (max n e.node) height
-                         (if n < e.node then other else hash)
-                         (if n < e.node then hash else other)))
-                seen;
-              if
-                not
-                  (List.exists
-                     (fun (n, h) -> n = e.node && String.equal h hash)
-                     seen)
-              then Hashtbl.replace at_height height ((e.node, hash) :: seen))
+          match (oracle, arg_string "hash" e, arg_int "height" e) with
+          | Some o, Some hash, Some height -> Oracle.commit_hash o ~replica:e.node ~height hash
           | _ -> ())
       | Trace.Qc_formed -> (
           match arg_string "hash" e with
@@ -351,24 +282,28 @@ let check_trace ?(byz_no = 0) ?expect_commit_after events =
         (Printf.sprintf "no commit after t=%.2fs (expected the cluster to \
                          keep committing)" after)
   | Some _ | None -> ());
-  { violations = List.rev !out; skipped = [] }
+  List.rev !out
+
+let check_trace ?(byz_no = 0) ?expect_commit_after events =
+  let committers =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.kind = Trace.Commit then Some e.node else None)
+      events
+  in
+  let oracle = Oracle.create ~replicas:(Array.of_list (List.sort_uniq Int.compare committers)) in
+  let traced = scan_trace ~byz_no ?expect_commit_after ~oracle events in
+  (* Trace hashes are already short hex. *)
+  { violations = check_agreement ~show:Fun.id (Oracle.verdict oracle) @ traced; skipped = [] }
 
 (* --- full evaluation --- *)
 
 let evaluate ?(opts = default_opts) ~config ~(result : Runtime.result) ~events
     () =
   let agreement =
-    check_agreement ~ledgers:result.Runtime.ledgers
-      ~local_conflicts:result.Runtime.violations
+    check_agreement ~local_conflicts:result.Runtime.violations
+      result.Runtime.agreement
   in
-  (* The ledger comparison subsumes the trace's per-commit agreement
-     check (it also compares whole prefixes and tx order), so only the
-     trace's certification and vote-safety findings are kept. *)
-  let traced =
-    List.filter
-      (fun v -> v.invariant <> Agreement)
-      (check_trace ~byz_no:config.Config.byz_no events).violations
-  in
+  let traced = scan_trace ~byz_no:config.Config.byz_no events in
   let liveness, skipped =
     match check_liveness ~opts ~config events with
     | Ok v -> (v, [])

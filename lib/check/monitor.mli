@@ -20,10 +20,9 @@
       and none votes in a view it abandoned by broadcasting a timeout;
     - {e liveness}: a commit lands in a window [(after, until]].
 
-    A simulator run adds one strictly stronger check, {!check_agreement},
-    over the per-replica end-of-run ledgers that {!Bamboo.Runtime}
-    extracts from the block forests: full-prefix and committed-tx-order
-    agreement. {!evaluate} combines the two and derives the liveness
+    Agreement is the {!Bamboo.Agreement} oracle's: a simulator result
+    carries its verdict, and {!check_trace} feeds it [Commit] events.
+    {!evaluate} judges a finished simulator run and derives the liveness
     window from the fault schedule ({!check_liveness}). *)
 
 type invariant = Agreement | Cert_unique | Vote_safety | Liveness
@@ -56,11 +55,13 @@ val default_opts : opts
 (** {2 Individual monitors} *)
 
 val check_agreement :
-  ledgers:Bamboo.Runtime.ledger array ->
-  local_conflicts:bool array ->
+  ?show:(Bamboo_types.Ids.hash -> string) ->
+  ?local_conflicts:bool array ->
+  Bamboo.Agreement.verdict ->
   violation list
-(** Pairwise prefix compatibility and committed-tx-order identity across
-    all replica ledgers, plus any replica's local commit-conflict flag. *)
+(** One line per replica whose [local_conflicts] flag is set, then one per
+    oracle conflict; [show] (default {!Bamboo_types.Ids.short}) renders a
+    hash. *)
 
 val check_liveness :
   ?opts:opts ->
@@ -94,7 +95,7 @@ val check_trace :
 
     - {e agreement}: no replica re-commits a height with a different
       block, and no two replicas commit different blocks at the same
-      height ([Commit] events);
+      height ([Commit] events, one finding per pair, listed first);
     - {e certification uniqueness}: one certified block per view
       ([Qc_formed] events);
     - {e vote safety}: no honest replica (id [>= byz_no]) votes for two
@@ -116,7 +117,6 @@ val evaluate :
   events:Bamboo_obs.Trace.event list ->
   unit ->
   report
-(** One finished simulator run: {!check_agreement} over the ledgers, the
-    certification-uniqueness and vote-safety findings of {!check_trace}
-    (its commit-event agreement is subsumed by the ledgers), then
-    {!check_liveness}. *)
+(** One finished simulator run: {!check_agreement} over its verdict and
+    local conflict flags, {!check_trace}'s certification and vote-safety
+    checks, then {!check_liveness}. *)

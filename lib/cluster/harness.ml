@@ -60,24 +60,6 @@ let mkdir_p path =
   in
   go path
 
-let query_params path =
-  match String.index_opt path '?' with
-  | None -> (path, [])
-  | Some i ->
-      let base = String.sub path 0 i in
-      let query = String.sub path (i + 1) (String.length path - i - 1) in
-      let params =
-        String.split_on_char '&' query
-        |> List.filter_map (fun kv ->
-               match String.index_opt kv '=' with
-               | Some j ->
-                   Some
-                     ( String.sub kv 0 j,
-                       String.sub kv (j + 1) (String.length kv - j - 1) )
-               | None -> Some (kv, ""))
-      in
-      (base, params)
-
 let write_json_file path json =
   let oc = open_out path in
   output_string oc (Json.to_string ~indent:true json);
@@ -105,7 +87,7 @@ let run_node ~config ~self ~base_port ~client_port ~epoch ~trace_path
   let local_seq = Atomic.make 0 in
   let stop_requested = Atomic.make false in
   let handler (req : Http.request) =
-    let path, params = query_params req.path in
+    let path, params = Http.query_params req.path in
     match (req.meth, path) with
     | "POST", "/tx" -> (
         let client, seq =

@@ -34,14 +34,21 @@ let output trace ?span ~ts ~node out =
             Trace.Commit)
         blocks
   | Node.Proposed b ->
+      let txs = Body.length b.body in
       Trace.emit trace ~ts ~node ~view:b.view ~span:(span_of b.hash)
-        ~args:
-          [
-            hash b.hash;
-            ("height", Json.Int b.height);
-            ("txs", Json.Int (Body.length b.body));
-          ]
-        Trace.Proposal_sent
+        ~args:[ hash b.hash; ("height", Json.Int b.height); ("txs", Json.Int txs) ]
+        Trace.Proposal_sent;
+      if txs > 0 then
+        Trace.emit trace ~ts ~node ~view:b.view ~span:(span_of b.hash)
+          ~args:[ ("count", Json.Int txs) ]
+          Trace.Tx_dequeue
+  | Node.Forked blocks ->
+      List.iter
+        (fun (b : Block.t) ->
+          Trace.emit trace ~ts ~node ~view:b.view ~span:(span_of b.hash)
+            ~args:[ hash b.hash; ("height", Json.Int b.height) ]
+            Trace.Fork_prune)
+        blocks
   | Node.Qc_formed qc ->
       Trace.emit trace ~ts ~node ~view:qc.Qc.view ~span:(span_of qc.Qc.block)
         ~args:[ hash qc.Qc.block; ("height", Json.Int qc.Qc.height) ]
@@ -50,4 +57,4 @@ let output trace ?span ~ts ~node out =
       Trace.emit trace ~ts ~node ~view
         ~args:[ ("reason", Json.String reason) ]
         Trace.View_change
-  | Node.Set_timer _ | Node.Forked _ | Node.Voted _ -> ()
+  | Node.Set_timer _ | Node.Voted _ -> ()

@@ -13,39 +13,6 @@ module Fault_engine = Bamboo_faults.Engine
 module Registry = Bamboo_metrics.Registry
 module Snapshot = Bamboo_metrics.Snapshot
 
-type ledger_block = {
-  l_height : int;
-  l_hash : Ids.hash;
-  l_view : int;
-  l_txs : Body.t; (* the committed block's own body, shared *)
-}
-
-type ledger = ledger_block array
-
-(* The committed chain as a flat, genesis-free array: one entry per height
-   1..committed_height, lowest first. The committed prefix is contiguous
-   by construction (prefix finalization), so every height is present.
-   [memo] shares one entry per block hash across the replicas of a run,
-   which commit the same (physically shared) blocks. *)
-let ledger_of_forest memo forest =
-  Array.init (Forest.committed_height forest) (fun i ->
-      match Forest.committed_at forest (i + 1) with
-      | Some (b : Block.t) -> (
-          match Hashtbl.find_opt memo b.hash with
-          | Some l -> l
-          | None ->
-              let l =
-                {
-                  l_height = b.height;
-                  l_hash = b.hash;
-                  l_view = b.view;
-                  l_txs = b.body;
-                }
-              in
-              Hashtbl.add memo b.hash l;
-              l)
-      | None -> assert false)
-
 type result = {
   summary : Metrics.summary;
   series : (float * float) list;
@@ -55,7 +22,7 @@ type result = {
   consistent : bool;
   any_violation : bool;
   violations : bool array;
-  ledgers : ledger array;
+  agreement : Agreement.verdict;
   decomposition : Latency.summary;
   probe : Probe.summary list;
   sim_events : int;
@@ -135,6 +102,7 @@ type st = {
   trace : Trace.t;
   spans : (Ids.hash, int) Hashtbl.t; (* block hash -> trace span id *)
   decomp : Latency.t;
+  agreement : Agreement.t;
   mutable next_seq : int;
   mutable reissue : client:int -> after:float -> unit;
       (* closed-loop continuation, installed by [run] *)
@@ -402,6 +370,7 @@ and process_outputs st id outs =
       | Node.Committed { blocks; trigger_view } ->
           List.iter
             (fun (b : Block.t) ->
+              Agreement.commit st.agreement ~replica:id b;
               for i = 0 to Body.length b.body - 1 do
                 complete_tx st id ~client:(Body.client b.body i)
                   ~seq:(Body.seq b.body i)
@@ -435,18 +404,6 @@ and process_outputs st id outs =
               blocks
           end
       | Node.Forked blocks ->
-          if tracing then
-            List.iter
-              (fun (b : Block.t) ->
-                Trace.emit st.trace ~ts:now ~node:id ~view:b.view
-                  ~span:(span_of st b.hash)
-                  ~args:
-                    [
-                      ("hash", Json.String (Ids.short b.hash));
-                      ("height", Json.Int b.height);
-                    ]
-                  Trace.Fork_prune)
-              blocks;
           if id = st.observer then
             Metrics.record_fork st.metrics ~now:(Sim.now st.sim)
               ~nblocks:(List.length blocks)
@@ -455,13 +412,7 @@ and process_outputs st id outs =
           if id = st.observer then
             Metrics.record_append st.metrics ~now:(Sim.now st.sim)
               ~hash:b.Block.hash
-      | Node.Proposed b ->
-          proposed := b :: !proposed;
-          if tracing && Body.length b.Block.body > 0 then
-            Trace.emit st.trace ~ts:now ~node:id ~view:b.Block.view
-              ~span:(span_of st b.Block.hash)
-              ~args:[ ("count", Json.Int (Body.length b.Block.body)) ]
-              Trace.Tx_dequeue
+      | Node.Proposed b -> proposed := b :: !proposed
       | Node.Qc_formed _ | Node.Entered_view _ -> ())
     outs;
   let sends = List.rev !sends in
@@ -815,6 +766,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       trace;
       spans = Hashtbl.create 1024;
       decomp = Latency.create ();
+      agreement = Agreement.create ~replicas:(Array.init config.Config.n Fun.id);
       next_seq = 0;
       reissue = (fun ~client:_ ~after:_ -> ());
       notify = None;
@@ -885,23 +837,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       (fun m -> Machine.busy_seconds m `Cpu /. config.Config.runtime)
       machines
   in
-  (* Cross-replica consistency: all committed chains must agree on the
-     common prefix, checked hash-by-hash at each height (paper §III-A).
-     The per-replica ledgers double as the [bamboo_check] oracle's input
-     for the full agreement check (prefix compatibility + tx order). *)
-  let memo = Hashtbl.create 1024 in
-  let ledgers = Array.map (fun n -> ledger_of_forest memo (Node.forest n)) nodes in
-  let min_height =
-    Array.fold_left (fun acc l -> min acc (Array.length l)) max_int ledgers
-  in
-  let consistent = ref true in
-  for h = 0 to min_height - 1 do
-    let reference = ledgers.(0).(h).l_hash in
-    for i = 1 to config.Config.n - 1 do
-      if not (String.equal ledgers.(i).(h).l_hash reference) then
-        consistent := false
-    done
-  done;
+  let agreement = Agreement.verdict st.agreement in
   let violations = Array.map Node.safety_violation nodes in
   let any_violation = Array.exists Fun.id violations in
   publish_metrics mreg ~sim ~net ~machines ~nodes ~sig_registry:registry;
@@ -911,10 +847,10 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
     final_views;
     committed_heights;
     cpu_utilization;
-    consistent = !consistent;
+    consistent = agreement.Agreement.conflicts = [];
     any_violation;
     violations;
-    ledgers;
+    agreement;
     decomposition = Latency.summarize st.decomp;
     probe = (match probe with None -> [] | Some p -> Probe.summaries p);
     sim_events = Sim.fired sim;

@@ -8,21 +8,6 @@
     machines and wires are modelled. Runs are deterministic in
     [config.seed]. *)
 
-type ledger_block = {
-  l_height : int;
-  l_hash : Bamboo_types.Ids.hash;
-  l_view : int;
-  l_txs : Bamboo_types.Body.t;
-      (** Committed txs, proposal order: the block's own body, shared. *)
-}
-(** One committed block as seen by one replica, stripped to what the
-    cross-replica agreement check needs. *)
-
-type ledger = ledger_block array
-(** A replica's committed chain, heights 1..committed (genesis excluded),
-    lowest first. Extracted once at the end of a run; the [bamboo_check]
-    oracle diffs these across replicas. *)
-
 type result = {
   summary : Metrics.summary;
   series : (float * float) list;  (** Committed-throughput time series. *)
@@ -31,14 +16,12 @@ type result = {
   cpu_utilization : float array;
       (** Per-replica fraction of virtual time the modelled CPU was busy;
           identifies the bottleneck resource at saturation. *)
-  consistent : bool;
-      (** Cross-replica consistency check of §III-A: the committed chains
-          agree block-by-block on the common prefix. *)
+  consistent : bool;  (** The {!Agreement} oracle found no conflict. *)
   any_violation : bool;  (** Any replica's commit conflicted locally. *)
   violations : bool array;
       (** Per-replica local-conflict flags ({!Node.safety_violation});
           [any_violation] is their disjunction. *)
-  ledgers : ledger array;  (** Per-replica committed chains. *)
+  agreement : Agreement.verdict;  (** Per-replica heads and conflicts. *)
   decomposition : Bamboo_obs.Latency.summary;
       (** Per-transaction end-to-end latency split into client wire, CPU
           queueing, CPU service, mempool residency, NIC serialization and

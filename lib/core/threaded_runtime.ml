@@ -29,6 +29,7 @@ type shared = {
   mutable latency_total : float; [@guarded_by "mutex"]
   mutable latency_count : int; [@guarded_by "mutex"]
   committed : Committed.t; [@guarded_by "mutex"]
+  oracle : Agreement.t; [@guarded_by "mutex"] (* over the owned replicas *)
   grew : Condition.t; (* broadcast when [committed] grows *)
   mutable waiters : int; [@guarded_by "mutex"] (* threads parked on [grew] *)
   mutable ticking : bool; [@guarded_by "mutex"]
@@ -178,6 +179,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
             let before = Committed.count shared.committed in
             List.iter
               (fun (b : Block.t) ->
+                Agreement.commit shared.oracle ~replica:ctx.id b;
                 for i = 0 to Body.length b.body - 1 do
                   let client = Body.client b.body i
                   and seq = Body.seq b.body i in
@@ -282,6 +284,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         latency_total = 0.0;
         latency_count = 0;
         committed = Committed.create ();
+        oracle = Agreement.create ~replicas:owned;
         grew = Condition.create ();
         waiters = 0;
         ticking = false;
@@ -416,26 +419,11 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     let committed_blocks =
       Array.map (fun ctx -> Node.committed_count ctx.node) replicas
     in
-    (* Consistency: committed chains agree on the common prefix (across
-       the replicas this cluster owns). *)
     let heights =
       Array.map
         (fun ctx -> Forest.committed_height (Node.forest ctx.node))
         replicas
     in
-    let min_height = Array.fold_left min max_int heights in
-    let consistent = ref true in
-    for h = 0 to min_height do
-      match Forest.committed_at (Node.forest replicas.(0).node) h with
-      | None -> consistent := false
-      | Some reference ->
-          Array.iter
-            (fun ctx ->
-              match Forest.committed_at (Node.forest ctx.node) h with
-              | Some b when Block.equal b reference -> ()
-              | Some _ | None -> consistent := false)
-            replicas
-    done;
     (* Execution-layer agreement: replicas at the same committed height
        must hold byte-identical stores. *)
     let kv_consistent = ref true in
@@ -449,7 +437,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
       replicas;
     (* The replica threads are joined, but take the mutex anyway so the
        locking story stays uniform (and checkable) for these fields. *)
-    let committed_txs, latency_mean, latency_count =
+    let committed_txs, latency_mean, latency_count, consistent =
       Mutex.lock shared.mutex;
       let committed_txs = Committed.count shared.committed in
       let latency_mean =
@@ -457,8 +445,9 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         else shared.latency_total /. float_of_int shared.latency_count
       in
       let latency_count = shared.latency_count in
+      let consistent = (Agreement.verdict shared.oracle).Agreement.conflicts = [] in
       Mutex.unlock shared.mutex;
-      (committed_txs, latency_mean, latency_count)
+      (committed_txs, latency_mean, latency_count, consistent)
     in
     {
       duration = elapsed;
@@ -467,7 +456,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
       throughput = float_of_int committed_txs /. elapsed;
       latency_mean;
       latency_count;
-      consistent = !consistent;
+      consistent;
       kv_consistent = !kv_consistent;
       any_violation =
         Array.exists (fun ctx -> Node.safety_violation ctx.node) replicas;

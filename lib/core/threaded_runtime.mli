@@ -16,7 +16,7 @@ type report = {
   throughput : float;
   latency_mean : float;  (** Seconds, across completed transactions. *)
   latency_count : int;
-  consistent : bool;  (** Cross-replica committed-prefix agreement. *)
+  consistent : bool;  (** The {!Agreement} oracle found no conflict. *)
   kv_consistent : bool;
       (** All replicas' key-value stores hash identically (for equal
           committed heights this must hold; replicas still catching up are

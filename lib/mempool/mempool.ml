@@ -13,11 +13,9 @@ type status = Queued | In_flight
    from its home slot than the entry it would pass over, so a lookup
    stops at the first entry closer to home than itself, and a deletion
    shifts the entries after it back by one until an empty slot or an
-   entry at home. The home slot keeps a client's seqs in consecutive
-   slots; a dense window of them is one cluster of entries at home,
-   which a deletion leaves after one step. Robin Hood placement keeps
-   probe runs short up to a load of 7/8, where the table doubles; the
-   initial 256 slots then hold a block of 224 txs without growing. *)
+   entry at home. Robin Hood placement keeps probe runs short up to a
+   load of 7/8, where the table doubles; the initial 256 slots then hold
+   a block of 224 txs without growing. *)
 module Live = struct
   type t = {
     mutable clients : int array;
@@ -47,8 +45,11 @@ module Live = struct
   let[@inline] seq_at t i = Array.unsafe_get t.seqs i
   let[@inline] code_at t i = Bytes.unsafe_get t.status i
 
+  (* A multiplicative (Fibonacci) mix: the product's middle bits depend
+     on every bit of the key, so dense seq runs, and runs a table size
+     apart, spread over the table instead of sharing home slots. *)
   let[@inline] home t ~client ~seq =
-    ((client * 0x01000193) lxor seq) land mask t
+    (((client * 0x01000193) + seq) * 0x1E3779B97F4A7C15) lsr 23 land mask t
 
   (* How far the entry in occupied slot [i] sits past its home. *)
   let[@inline] dist t i =
@@ -121,6 +122,11 @@ module Live = struct
       shift t i;
       t.size <- t.size - 1
     end
+
+  let max_displacement t =
+    let m = ref 0 in
+    for i = 0 to mask t do if code_at t i <> empty then m := Int.max !m (dist t i) done;
+    !m
 end
 
 (* The queue holds every [Queued] tx, plus stale entries for txs
@@ -251,3 +257,4 @@ let forget t body =
   done
 
 let contains t (id : Tx.id) = Live.mem t.live ~client:id.client ~seq:id.seq
+let max_displacement t = Live.max_displacement t.live

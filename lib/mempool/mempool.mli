@@ -59,6 +59,9 @@ val forget : t -> Body.t -> unit
 val contains : t -> Tx.id -> bool
 (** Whether the id is queued or in flight (not yet forgotten). *)
 
+val max_displacement : t -> int
+(** The longest probe walk in the pool's id table, in slots; for tests. *)
+
 type stats = {
   peak_occupancy : int;  (** high-water mark of {!length} *)
   batches : int;  (** {!batch} calls over the pool's lifetime *)

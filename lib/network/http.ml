@@ -7,6 +7,18 @@ type request = {
 
 type response = { status : int; body : string }
 
+let after s i = String.sub s (i + 1) (String.length s - i - 1)
+
+let query_params path =
+  let param kv =
+    match String.index_opt kv '=' with
+    | Some j -> (String.sub kv 0 j, after kv j)
+    | None -> (kv, "")
+  in
+  match String.index_opt path '?' with
+  | None -> (path, [])
+  | Some i -> (String.sub path 0 i, List.map param (String.split_on_char '&' (after path i)))
+
 type server = {
   listener : Unix.file_descr;
   port_ : int;

@@ -14,6 +14,11 @@ type request = {
 
 type response = { status : int; body : string }
 
+val query_params : string -> string * (string * string) list
+(** Splits a path at its first ['?'] into the base path and its
+    [&]-separated [key=value] parameters, in order; a key without ['=']
+    reads as [""]. Values are not percent-decoded. *)
+
 type server
 
 val start :

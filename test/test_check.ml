@@ -88,43 +88,95 @@ let test_vote_safety () =
   Alcotest.(check (list string)) "vote in abandoned view flagged"
     [ "vote_safety" ] (names abandoned.Monitor.violations)
 
-(* --- agreement on synthetic ledgers --- *)
+(* --- the agreement oracle on synthetic chains --- *)
+
+module Agreement = Bamboo.Agreement
 
 let block ?(txs = []) h hash =
-  { Runtime.l_height = h; l_hash = hash; l_view = h; l_txs = Bamboo_types.Body.of_list txs }
+  {
+    Bamboo_types.Block.genesis with
+    hash;
+    height = h;
+    view = h;
+    body = Bamboo_types.Body.of_list txs;
+  }
+
+(* Feeds each replica's chain, one replica after another. *)
+let oracle_of chains =
+  let o = Agreement.create ~replicas:(Array.init (Array.length chains) Fun.id) in
+  Array.iteri
+    (fun replica chain -> List.iter (Agreement.commit o ~replica) chain)
+    chains;
+  o
+
+let agreement_of ?local_conflicts chains =
+  Monitor.check_agreement ?local_conflicts
+    (Agreement.verdict (oracle_of chains))
 
 let test_agreement () =
-  let a = [| block 1 "aa"; block 2 "bb" |] in
-  let matching = [| a; [| block 1 "aa" |] |] in
-  Alcotest.(check (list string)) "prefix-compatible ledgers pass" []
-    (names
-       (Monitor.check_agreement ~ledgers:matching
-          ~local_conflicts:[| false; false |]));
-  let diverged = [| a; [| block 1 "aa"; block 2 "cc" |] |] in
-  (match
-     Monitor.check_agreement ~ledgers:diverged
-       ~local_conflicts:[| false; false |]
-   with
+  let a = [ block 1 "aa"; block 2 "bb" ] in
+  Alcotest.(check (list string)) "prefix-compatible chains pass" []
+    (names (agreement_of [| a; [ block 1 "aa" ] |]));
+  (match agreement_of [| a; [ block 1 "aa"; block 2 "cc" ] |] with
   | [ { Monitor.invariant = Monitor.Agreement; detail } ] ->
       Alcotest.(check bool) "detail names the height" true
         (contains detail "height 2")
   | vs -> Alcotest.failf "expected one agreement violation, got %d" (List.length vs));
   (* Same hashes but diverging committed tx order is still a violation. *)
   let t c s = Bamboo_types.Tx.make ~client:c ~seq:s ~payload_len:0 in
-  let diverging_txs =
-    [| [| block ~txs:[ t 1 1; t 1 2 ] 1 "aa" |];
-       [| block ~txs:[ t 1 2; t 1 1 ] 1 "aa" |] |]
-  in
   Alcotest.(check (list string)) "tx order divergence flagged" [ "agreement" ]
     (names
-       (Monitor.check_agreement ~ledgers:diverging_txs
-          ~local_conflicts:[| false; false |]));
+       (agreement_of
+          [| [ block ~txs:[ t 1 1; t 1 2 ] 1 "aa" ];
+             [ block ~txs:[ t 1 2; t 1 1 ] 1 "aa" ] |]));
   (* A replica-local commit conflict is a violation on its own. *)
   Alcotest.(check (list string)) "local conflict flagged" [ "agreement" ]
-    (names
-       (Monitor.check_agreement
-          ~ledgers:[| a; a |]
-          ~local_conflicts:[| false; true |]))
+    (names (agreement_of ~local_conflicts:[| false; true |] [| a; a |]))
+
+(* The verdict does not depend on how the replicas' commits interleave. *)
+let test_agreement_interleaved () =
+  let chain prefix = List.init 6 (fun h -> block (h + 1) (prefix h)) in
+  let honest = chain (Printf.sprintf "h%d") in
+  let forked = chain (fun h -> if h < 3 then Printf.sprintf "h%d" h else Printf.sprintf "f%d" h) in
+  let chains = [| honest; forked; honest |] in
+  let sequential = Agreement.verdict (oracle_of chains) in
+  let o = Agreement.create ~replicas:[| 0; 1; 2 |] in
+  for h = 0 to 5 do
+    (* the replicas' order alternates between odd and even heights *)
+    List.iter
+      (fun replica -> Agreement.commit o ~replica (List.nth chains.(replica) h))
+      (if h mod 2 = 0 then [ 2; 0; 1 ] else [ 1; 2; 0 ])
+  done;
+  let interleaved = Agreement.verdict o in
+  Alcotest.(check (list string)) "same findings"
+    (List.map (fun v -> v.Monitor.detail) (Monitor.check_agreement sequential))
+    (List.map (fun v -> v.Monitor.detail) (Monitor.check_agreement interleaved));
+  Alcotest.(check bool) "same heads" true
+    (sequential.Agreement.heads = interleaved.Agreement.heads);
+  Alcotest.(check int) "one finding per diverging pair" 2
+    (List.length sequential.Agreement.conflicts)
+
+(* A height every replica has committed without conflict is dropped; the
+   heads still pin the chains. *)
+let test_agreement_drops_heights () =
+  let o = Agreement.create ~replicas:[| 0; 1 |] in
+  Agreement.commit o ~replica:0 (block 1 "aa");
+  Agreement.commit o ~replica:0 (block 2 "bb");
+  Alcotest.(check int) "heights open while replica 1 lags" 2
+    (Agreement.open_heights o);
+  Agreement.commit o ~replica:1 (block 1 "aa");
+  Alcotest.(check int) "a height committed by all is dropped" 1
+    (Agreement.open_heights o);
+  Agreement.commit o ~replica:1 (block 2 "bb");
+  Alcotest.(check int) "no state once both agree" 0 (Agreement.open_heights o);
+  let v = Agreement.verdict o in
+  Alcotest.(check (list string)) "heads" [ "bb"; "bb" ] (Array.to_list v.Agreement.heads);
+  Alcotest.(check int) "no conflicts" 0 (List.length v.Agreement.conflicts);
+  (* A re-commit of an open height with another block is a conflict. *)
+  Agreement.commit o ~replica:0 (block 3 "cc");
+  Agreement.commit o ~replica:0 (block 3 "dd");
+  Alcotest.(check (list string)) "re-commit flagged" [ "agreement" ]
+    (names (Monitor.check_agreement (Agreement.verdict o)))
 
 (* --- bounded liveness gating and verdicts --- *)
 
@@ -259,8 +311,11 @@ let test_monitoring_is_inert () =
   let blind = run Trace.null in
   Alcotest.(check bool) "summaries identical" true
     (observed.Runtime.summary = blind.Runtime.summary);
-  Alcotest.(check bool) "ledgers identical" true
-    (observed.Runtime.ledgers = blind.Runtime.ledgers)
+  (* A head hash pins its replica's whole committed chain. *)
+  Alcotest.(check bool) "committed heights and heads identical" true
+    (observed.Runtime.committed_heights = blind.Runtime.committed_heights
+    && observed.Runtime.agreement.Agreement.heads
+       = blind.Runtime.agreement.Agreement.heads)
 
 (* --- acceptance: planted unsafe voting rule caught, shrunk, replayed --- *)
 
@@ -460,6 +515,10 @@ let suite =
     Alcotest.test_case "cert-unique monitor" `Quick test_cert_unique;
     Alcotest.test_case "vote-safety monitor" `Quick test_vote_safety;
     Alcotest.test_case "agreement monitor" `Quick test_agreement;
+    Alcotest.test_case "agreement order-independent" `Quick
+      test_agreement_interleaved;
+    Alcotest.test_case "agreement drops settled heights" `Quick
+      test_agreement_drops_heights;
     Alcotest.test_case "liveness monitor" `Quick test_liveness;
     Alcotest.test_case "deployment trace agreement" `Quick
       test_check_trace_agreement;

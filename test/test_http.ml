@@ -91,9 +91,23 @@ let test_connection_refused () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected connection failure"
 
+let test_query_params () =
+  let check label expect path =
+    Alcotest.(check (pair string (list (pair string string))))
+      label expect (Http.query_params path)
+  in
+  check "no query" ("/kv/a", []) "/kv/a";
+  check "key and value" ("/tx", [ ("replica", "1"); ("wait", "true") ])
+    "/tx?replica=1&wait=true";
+  check "key without =" ("/tx", [ ("wait", ""); ("replica", "2") ])
+    "/tx?wait&replica=2";
+  check "empty value" ("/tx", [ ("replica", "") ]) "/tx?replica=";
+  check "only the first ? splits" ("/a", [ ("k", "v?w=x") ]) "/a?k=v?w=x"
+
 let suite =
   [
     Alcotest.test_case "GET" `Quick test_get;
+    Alcotest.test_case "query params" `Quick test_query_params;
     Alcotest.test_case "POST body" `Quick test_post_body;
     Alcotest.test_case "status codes" `Quick test_status_codes;
     Alcotest.test_case "handler exception = 500" `Quick test_handler_exception_is_500;

@@ -393,6 +393,18 @@ let growth_prop =
   Test.make ~name:"pool agrees with the reference through table growth" ~count:150
     (make ~print:print_ops gen) agrees
 
+(* Client-broadcast pools hold dense windows of seqs. Two runs exactly
+   one table size (4,096 slots at this occupancy) apart must not pile onto
+   the same home slots: that made every probe walk the whole cluster. *)
+let test_dense_runs_displacement () =
+  let m = Mempool.create ~capacity:4096 () in
+  let add seq = ignore (Mempool.add m (Tx.make ~client:1 ~seq ~payload_len:0) : bool) in
+  for seq = 0 to 1399 do add seq done;
+  for seq = 4096 to 5495 do add seq done;
+  Alcotest.(check int) "all queued" 2800 (Mempool.length m);
+  let d = Mempool.max_displacement m in
+  if d > 16 then Alcotest.failf "longest displacement %d slots (bound 16)" d
+
 let suite =
   [
     Alcotest.test_case "add/batch FIFO" `Quick test_add_and_batch_fifo;
@@ -411,6 +423,8 @@ let suite =
       test_batch_skips_committed_in_queue;
     Alcotest.test_case "requeue capacity" `Quick test_requeue_respects_capacity;
     Alcotest.test_case "batch words per tx" `Quick test_batch_words;
+    Alcotest.test_case "dense seq runs stay near home" `Quick
+      test_dense_runs_displacement;
     QCheck_alcotest.to_alcotest no_duplicate_batches_prop;
     QCheck_alcotest.to_alcotest model_prop;
     QCheck_alcotest.to_alcotest growth_prop;
