@@ -4,9 +4,9 @@
    Two halves, both reached through the [bamboo cluster] CLI:
 
    - {!run_node} is the child-process entry point: one replica over the
-     TCP transport, a per-node HTTP ingest endpoint with admission
-     control (503 on mempool rejection), a JSONL consensus trace with a
-     shared epoch, and a JSON summary written on graceful SIGTERM.
+     TCP transport behind the {!Host} HTTP front end, a JSONL consensus
+     trace with a shared epoch, and the host's JSON summary written on
+     graceful SIGTERM.
 
    - {!run_cluster} is the parent orchestrator: it spawns n node
      processes on loopback, drives them with an open-loop client swarm,
@@ -27,10 +27,7 @@ module Schedule = Bamboo_faults.Schedule
 module Json = Bamboo_util.Json
 module Http = Bamboo_network.Http
 module Tcp = Bamboo_network.Tcp_transport
-module Registry = Bamboo_metrics.Registry
-module Snapshot = Bamboo_metrics.Snapshot
-module Runtime = Bamboo.Threaded_runtime.Make_batched (Tcp)
-open Bamboo_types
+module Tcp_host = Host.Make (Bamboo.Threaded_runtime.Make_batched (Tcp))
 
 let default_base_port = 7400
 
@@ -41,10 +38,6 @@ let client_port_offset = 1000
 let swarm_client_base = 1000
 (* Client ids used by the swarm: node [i]'s generator submits as client
    [swarm_client_base + i], so tx ids never collide across nodes. *)
-
-let local_client_base = 2000
-(* Client id for requests that arrive without explicit [client]/[seq]
-   query parameters (e.g. a human with curl). *)
 
 (* ------------------------------------------------------------------ *)
 (* Small shared helpers                                               *)
@@ -77,114 +70,34 @@ let run_node ~config ~self ~base_port ~client_port ~epoch ~trace_path
   let addresses = Tcp.loopback_addresses ~n ~base_port in
   let endpoint = Tcp.create ~self ~addresses () in
   let trace_oc = open_out trace_path in
-  let trace = Trace.jsonl trace_oc in
-  let cluster =
-    Runtime.start ~owned:[| self |] ~traces:[| trace |] ~epoch ~config
-      ~endpoints:[| endpoint |] ()
+  let until ~port:_ =
+    let stop_requested = Atomic.make false in
+    let request_stop _ = Atomic.set stop_requested true in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+    while not (Atomic.get stop_requested) do
+      Thread.delay 0.05
+    done
   in
-  let accepted = Atomic.make 0 in
-  let shed = Atomic.make 0 in
-  let local_seq = Atomic.make 0 in
-  let stop_requested = Atomic.make false in
-  let handler (req : Http.request) =
-    let path, params = Http.query_params req.path in
-    match (req.meth, path) with
-    | "POST", "/tx" -> (
-        let client, seq =
-          match
-            (List.assoc_opt "client" params, List.assoc_opt "seq" params)
-          with
-          | Some c, Some s -> (
-              match (int_of_string_opt c, int_of_string_opt s) with
-              | Some c, Some s -> (c, s)
-              | _ ->
-                  (local_client_base + self, Atomic.fetch_and_add local_seq 1))
-          | _ -> (local_client_base + self, Atomic.fetch_and_add local_seq 1)
-        in
-        let tx = Tx.make_with_data ~client ~seq ~data:req.body in
-        match Runtime.submit_admission cluster ~replica:self [ tx ] with
-        | 0 ->
-            Atomic.incr shed;
-            {
-              Http.status = 503;
-              body =
-                Printf.sprintf
-                  {|{"error": "overloaded", "client": %d, "seq": %d}|} client
-                  seq;
-            }
-        | _ ->
-            Atomic.incr accepted;
-            {
-              Http.status = 200;
-              body =
-                Printf.sprintf {|{"client": %d, "seq": %d, "node": %d}|}
-                  client seq self;
-            })
-    | "GET", "/health" ->
-        {
-          Http.status = 200;
-          body = Printf.sprintf {|{"status": "up", "node": %d}|} self;
-        }
-    | "GET", "/metrics" ->
-        let reg = Registry.create () in
-        Tcp.publish_metrics endpoint reg;
-        Registry.Counter.add
-          (Registry.counter reg
-             ~labels:[ ("node", string_of_int self) ]
-             "cluster_ingest_accepted")
-          (Atomic.get accepted);
-        Registry.Counter.add
-          (Registry.counter reg
-             ~labels:[ ("node", string_of_int self) ]
-             "cluster_ingest_shed")
-          (Atomic.get shed);
-        Registry.Counter.add
-          (Registry.counter reg
-             ~labels:[ ("node", string_of_int self) ]
-             "cluster_committed_txs")
-          (Runtime.committed_txs cluster);
-        let snap = Snapshot.of_registry reg in
-        let body =
-          match List.assoc_opt "format" params with
-          | Some "json" -> Json.to_string (Snapshot.to_json snap)
-          | _ -> Snapshot.to_prometheus snap
-        in
-        { Http.status = 200; body }
-    | _ -> { Http.status = 404; body = "unknown route" }
-  in
-  let server = Http.start ~port:client_port ~handler in
-  let request_stop _ = Atomic.set stop_requested true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-  while not (Atomic.get stop_requested) do
-    Thread.delay 0.05
-  done;
-  Http.stop server;
-  let report = Runtime.stop cluster in
-  close_out trace_oc;
-  let st = Tcp.stats endpoint in
-  let summary =
+  let transport () =
+    let st = Tcp.stats endpoint in
     Json.Obj
       [
-        ("node", Json.Int self);
-        ("duration", Json.Float report.duration);
-        ("committed_txs", Json.Int report.committed_txs);
-        ("throughput", Json.Float report.throughput);
-        ("ingest_accepted", Json.Int (Atomic.get accepted));
-        ("ingest_shed", Json.Int (Atomic.get shed));
-        ( "transport",
-          Json.Obj
-            [
-              ("sends", Json.Int st.Tcp.sends);
-              ("dropped_full", Json.Int st.Tcp.dropped_full);
-              ("reconnects", Json.Int st.Tcp.reconnects);
-              ("conn_failures", Json.Int st.Tcp.conn_failures);
-              ("recv_msgs", Json.Int st.Tcp.recv_msgs);
-              ("recv_dropped", Json.Int st.Tcp.recv_dropped);
-              ("peak_depth", Json.Int st.Tcp.peak_depth);
-            ] );
+        ("sends", Json.Int st.Tcp.sends);
+        ("dropped_full", Json.Int st.Tcp.dropped_full);
+        ("reconnects", Json.Int st.Tcp.reconnects);
+        ("conn_failures", Json.Int st.Tcp.conn_failures);
+        ("recv_msgs", Json.Int st.Tcp.recv_msgs);
+        ("recv_dropped", Json.Int st.Tcp.recv_dropped);
+        ("peak_depth", Json.Int st.Tcp.peak_depth);
       ]
   in
+  let summary =
+    Tcp_host.serve ~traces:[| Trace.jsonl trace_oc |] ~epoch
+      ~publish:(Tcp.publish_metrics endpoint) ~config ~owned:[| self |]
+      ~endpoints:[| endpoint |] ~port:client_port ~until ~transport ()
+  in
+  close_out trace_oc;
   write_json_file summary_path summary
 
 (* ------------------------------------------------------------------ *)

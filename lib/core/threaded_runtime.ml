@@ -97,13 +97,11 @@ module type RUNTIME = sig
     unit ->
     cluster
 
-  val submit : cluster -> replica:int -> Bamboo_types.Tx.t list -> unit
   val submit_admission : cluster -> replica:int -> Bamboo_types.Tx.t list -> int
   val committed_txs : cluster -> int
   val rejected_txs : cluster -> int
   val tx_committed : cluster -> Bamboo_types.Tx.id -> bool
   val kv_get : cluster -> replica:int -> string -> string option
-  val kv_state_hash : cluster -> replica:int -> string
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
   val wait_tx_committed : cluster -> Bamboo_types.Tx.id -> timeout_s:float -> bool
   val stop : cluster -> report
@@ -227,8 +225,9 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     while not (Atomic.get shared.stop) do
       let now = Unix.gettimeofday () in
       let timeout_s =
-        (* Peek under the node mutex: [submit] pushes timers from client
-           threads, and a concurrent [Heap.push] can tear the peek. *)
+        (* Peek under the node mutex: [submit_admission] pushes timers
+           from client threads, and a concurrent [Heap.push] can tear
+           the peek. *)
         Mutex.lock ctx.node_mutex;
         let t =
           match Heap.peek ctx.timers with
@@ -361,9 +360,6 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     Mutex.unlock ctx.node_mutex;
     List.length admitted
 
-  let submit cluster ~replica txs =
-    ignore (submit_admission cluster ~replica txs : int)
-
   let rejected_txs cluster =
     Array.fold_left
       (fun acc ctx ->
@@ -393,13 +389,6 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     let v = Kvstore.get ctx.kv key in
     Mutex.unlock ctx.node_mutex;
     v
-
-  let kv_state_hash cluster ~replica =
-    let ctx = ctx_of cluster ~replica in
-    Mutex.lock ctx.node_mutex;
-    let h = Kvstore.state_hash ctx.kv in
-    Mutex.unlock ctx.node_mutex;
-    h
 
   let wait_committed cluster ~count ~timeout_s =
     await cluster.shared ~timeout_s (fun c -> Committed.count c >= count)
@@ -478,7 +467,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
               incr seq;
               Tx.make ~client:1 ~seq:!seq ~payload_len:config.Config.psize)
         in
-        submit cluster ~replica:target txs
+        ignore (submit_admission cluster ~replica:target txs : int)
       end;
       Thread.delay batch_interval
     done;

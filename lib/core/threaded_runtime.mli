@@ -6,8 +6,8 @@
     modelling: real SHA-256 hashing, real HMAC signature verification, real
     sockets when the TCP transport is used, and the {!Kvstore} execution
     layer applied to every committed transaction. Used by the integration
-    tests, the deployment example and the REST server; the paper's
-    experiments use {!Runtime}. *)
+    tests, the deployment example and the deployed HTTP front end
+    ([Bamboo_cluster.Host]); the paper's experiments use {!Runtime}. *)
 
 type report = {
   duration : float;  (** Wall-clock seconds measured. *)
@@ -49,20 +49,16 @@ module type RUNTIME = sig
       with timestamps relative to [epoch] (default: now) — pass the same
       epoch to every process so merged traces share a clock. *)
 
-  val submit : cluster -> replica:int -> Bamboo_types.Tx.t list -> unit
-  (** Injects client transactions at an owned replica (thread-safe).
-      Transactions are tracked for latency from this call until their
-      commit; only the admitted ones are tracked, and each is forgotten
-      when it commits. Raises [Invalid_argument] for a replica this cluster does
-      not own. *)
-
   val submit_admission :
     cluster -> replica:int -> Bamboo_types.Tx.t list -> int
-  (** Like {!submit}, but returns how many of the transactions the
-      replica's mempool actually admitted — the ingest path's
-      backpressure signal: a short count means the pool is full (or the
-      txs are duplicates) and the client should be shed, not silently
-      dropped. *)
+  (** Injects client transactions at an owned replica (thread-safe) and
+      returns how many of them the replica's mempool admitted — the
+      ingest path's backpressure signal: a short count means the pool is
+      full (or the txs are duplicates) and the client should be shed,
+      not silently dropped. Only the admitted transactions are tracked
+      for latency, from this call until their commit, and each is
+      forgotten when it commits. Raises [Invalid_argument] for a replica
+      this cluster does not own. *)
 
   val committed_txs : cluster -> int
 
@@ -73,8 +69,6 @@ module type RUNTIME = sig
 
   val kv_get : cluster -> replica:int -> string -> string option
   (** Reads the replica's executed key-value state. *)
-
-  val kv_state_hash : cluster -> replica:int -> string
 
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
   (** Blocks until at least [count] distinct transactions have committed,

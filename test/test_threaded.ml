@@ -22,8 +22,8 @@ let test_cluster_progress () =
     (Array.for_all (fun c -> c > 0) report.committed_blocks);
   Alcotest.(check bool) "consistent" true report.consistent;
   Alcotest.(check bool) "no violation" false report.any_violation;
-  (* Every committed tx went through [submit], so its stamp is read
-     exactly once: a stamp pruned before its commit would be missed. *)
+  (* Every committed tx went through [submit_admission], so its stamp is
+     read exactly once: a stamp pruned before its commit would be missed. *)
   Alcotest.(check int) "every commit has a latency" report.committed_txs
     report.latency_count;
   Alcotest.(check bool) "latency sane" true
@@ -53,8 +53,8 @@ let test_with_silent_byzantine () =
   Alcotest.(check bool) "no violation" false report.any_violation
 
 let test_kv_execution () =
-  (* Submit real key-value commands through start/submit/stop and check
-     that every replica executed the same state. *)
+  (* Submit real key-value commands through start/submit_admission/stop
+     and check that every replica executed the same state. *)
   let cluster = Ring.create_cluster ~n:4 () in
   let endpoints = Array.init 4 (Ring.endpoint cluster) in
   let c = Ring_runtime.start ~config ~endpoints () in
@@ -62,8 +62,11 @@ let test_kv_execution () =
     Bamboo_types.Tx.make_with_data ~client:2 ~seq
       ~data:(Bamboo.Kvstore.encode_command (Bamboo.Kvstore.Put { key; value }))
   in
-  Ring_runtime.submit c ~replica:0 [ kv_tx 1 "alpha" "1"; kv_tx 2 "beta" "2" ];
-  Ring_runtime.submit c ~replica:3 [ kv_tx 3 "alpha" "override" ];
+  Alcotest.(check int) "both admitted" 2
+    (Ring_runtime.submit_admission c ~replica:0
+       [ kv_tx 1 "alpha" "1"; kv_tx 2 "beta" "2" ]);
+  Alcotest.(check int) "one admitted" 1
+    (Ring_runtime.submit_admission c ~replica:3 [ kv_tx 3 "alpha" "override" ]);
   Alcotest.(check bool) "commits within deadline" true
     (Ring_runtime.wait_committed c ~count:3 ~timeout_s:5.0);
   Alcotest.(check bool) "tx_committed" true
