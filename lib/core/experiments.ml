@@ -47,8 +47,8 @@ let set_jobs n =
 let jobs () = !jobs_ref
 
 (* Like [jobs_ref]: set once on the main domain before any experiment
-   runs. Pool workers only record through the registry's sharded,
-   domain-safe handles. *)
+   runs. Pool workers only record through the registry's domain-safe
+   handles. *)
 let[@lint.allow "domain-safety"] metrics_ref = ref Registry.null
 
 let set_metrics reg = metrics_ref := reg
@@ -66,8 +66,7 @@ let run_cells (project : Runtime.result -> 'a) (cells : cell list) : 'a list =
   let reg = !metrics_ref in
   let probe =
     (* Per-cell wall-clock latency, recorded from the worker domain that
-       ran the cell — the one multi-domain writer, exercising the
-       registry's sharded path for real. *)
+       ran the cell: one locked update per cell. *)
     if Registry.enabled reg then begin
       let tasks = Registry.counter reg "pool_tasks" in
       let lat = Registry.histogram reg "pool_task_latency_ns" in

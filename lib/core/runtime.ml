@@ -608,7 +608,7 @@ let install_probe ~config ~sim ~machines ~trace ~registry =
 
 (* Publish the run's tallies into the metrics registry. The hot paths
    update plain per-run ints (always on, a few instructions each); the
-   sharded registry is only written here, once per run, so enabling
+   registry is only written here, once per run, so enabling
    metrics costs nothing measurable on the simulation itself and the
    registry stays the single export surface. Skipped entirely for a
    disabled registry. *)

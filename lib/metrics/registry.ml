@@ -1,69 +1,50 @@
 (* Aggregate metrics registry: monotonic counters, gauges and log-bucketed
-   histograms, sharded per domain so Pool workers never contend on a cache
-   line. Writers touch only their own domain's shard; readers merge all
-   shards on demand ([read]). The fast path is allocation-free: a disabled
-   registry costs one load and one branch per record, and an enabled one
-   costs a shard scan (the shard array has one entry per domain, so the scan
-   is a handful of compares) plus an array store.
+   histograms. Each registered metric owns one cell, and every access to a
+   cell (recording and reading alike) holds the registry's one mutex, so
+   counts are exact under domains and systhreads. Every writer records a
+   handful of samples per run or per experiment cell, so the lock is never
+   contended. Recording is allocation-free: a disabled registry costs one
+   load and one branch per record, and an enabled one a lock, a few stores
+   and an unlock.
 
    Metrics are observe-only by construction: nothing in this module feeds
    back into simulation state, and the registry is a per-run value (like
    Trace.t), never ambient global state. *)
 
-type kind = K_counter | K_gauge | K_hist
-
-type def = {
-  d_name : string;
-  d_labels : (string * string) list; (* sorted by key *)
-  d_kind : kind;
-}
+module Tbl = Bamboo_util.Tbl
 
 (* All-float record: gets the flat float-array representation, so mutating a
    field stores an unboxed float. A mixed int/float record would box on
    every [Gauge.set]. The sample count is therefore carried as a float. *)
 type gcell = {
-  mutable g_last : float;
-  mutable g_min : float;
-  mutable g_max : float;
-  mutable g_sum : float;
-  mutable g_count : float;
+  mutable g_last : float; [@guarded_by "lock"]
+  mutable g_min : float; [@guarded_by "lock"]
+  mutable g_max : float; [@guarded_by "lock"]
+  mutable g_sum : float; [@guarded_by "lock"]
+  mutable g_count : float; [@guarded_by "lock"]
 }
+
+type ccell = { mutable c_value : int [@guarded_by "lock"] }
 
 type hcell = {
-  mutable h_sum : int;
-  mutable h_count : int;
-  mutable h_max : int;
-  h_buckets : int array;
+  mutable h_sum : int; [@guarded_by "lock"]
+  mutable h_count : int; [@guarded_by "lock"]
+  mutable h_max : int; [@guarded_by "lock"]
+  h_buckets : int array; [@guarded_by "lock"]
 }
 
-type shard = {
-  s_dom : int; (* Domain.id of the owning domain *)
-  mutable s_counters : int array; (* indexed by def id; 0 for other kinds *)
-  mutable s_gauges : gcell option array; (* cell allocated on first set *)
-  mutable s_hists : hcell option array; (* cell allocated on first observe *)
-}
+type cell = C of ccell | G of gcell | H of hcell
 
 type t = {
   enabled : bool;
-  lock : Mutex.t; (* guards registration and shard creation *)
-  mutable defs : def array; [@guarded_by "lock"] (* slots [0, n_defs) live *)
-  mutable n_defs : int; [@guarded_by "lock"]
-  by_key : (string, int) Hashtbl.t; [@guarded_by "lock"]
-      (* "name{k=v,...}" -> def id *)
-  shards : shard array Atomic.t; (* append-only *)
+  lock : Mutex.t; (* guards registration and every cell *)
+  metrics : (string * string, (string * string) list * cell) Hashtbl.t;
+      [@guarded_by "lock"]
+      (* (name, label key) -> (canonical labels, cell) *)
 }
 
-let no_def = { d_name = ""; d_labels = []; d_kind = K_counter }
-
 let create ?(enabled = true) () =
-  {
-    enabled;
-    lock = Mutex.create ();
-    defs = Array.make 16 no_def;
-    n_defs = 0;
-    by_key = Hashtbl.create 32;
-    shards = Atomic.make [||];
-  }
+  { enabled; lock = Mutex.create (); metrics = Hashtbl.create 32 }
 
 let null = create ~enabled:false ()
 let enabled t = t.enabled
@@ -83,8 +64,6 @@ let canon_labels labels =
 
 let label_key labels =
   String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-
-let def_key name labels = name ^ "{" ^ label_key labels ^ "}"
 
 (* ----------------------------------------------------------- histograms *)
 
@@ -123,235 +102,133 @@ let bucket_lower idx =
   if idx < first_log then idx
   else (16 + (idx land 15)) lsl ((idx lsr sub_bits) - 1)
 
-(* ------------------------------------------------------------- sharding *)
-
-let rec shard_slot arr dom i n =
-  if i = n then -1
-  else if (Array.unsafe_get arr i).s_dom = dom then i
-  else shard_slot arr dom (i + 1) n
-
-let new_shard t dom =
-  let n = max 8 t.n_defs in
-  {
-    s_dom = dom;
-    s_counters = Array.make n 0;
-    s_gauges = Array.make n None;
-    s_hists = Array.make n None;
-  }
-
-(* Cold path: first record from this domain (or, under systhreads, a racing
-   thread of the same domain — the lock plus re-check keeps the shard list
-   one-entry-per-domain). *)
-let add_shard t dom =
-  Mutex.lock t.lock;
-  let arr = Atomic.get t.shards in
-  let n = Array.length arr in
-  let s =
-    let i = shard_slot arr dom 0 n in
-    if i >= 0 then Array.unsafe_get arr i
-    else begin
-      let s = new_shard t dom in
-      let arr' = Array.make (n + 1) s in
-      Array.blit arr 0 arr' 0 n;
-      Atomic.set t.shards arr';
-      s
-    end
-  in
-  Mutex.unlock t.lock;
-  s
-
-let my_shard t =
-  let dom = (Domain.self () :> int) in
-  let arr = Atomic.get t.shards in
-  let n = Array.length arr in
-  let i = shard_slot arr dom 0 n in
-  if i >= 0 then Array.unsafe_get arr i else add_shard t dom
-
-(* Shard arrays grow only when a metric was registered after the shard was
-   created; the owning domain performs the copy, readers see either array. *)
-let grow len need =
-  let cap = max need (max 8 (2 * len)) in
-  cap
-
-let grow_counters s need =
-  let old = s.s_counters in
-  let len = Array.length old in
-  let a = Array.make (grow len need) 0 in
-  Array.blit old 0 a 0 len;
-  s.s_counters <- a
-
-let grow_gauges s need =
-  let old = s.s_gauges in
-  let len = Array.length old in
-  let a = Array.make (grow len need) None in
-  Array.blit old 0 a 0 len;
-  s.s_gauges <- a
-
-let grow_hists s need =
-  let old = s.s_hists in
-  let len = Array.length old in
-  let a = Array.make (grow len need) None in
-  Array.blit old 0 a 0 len;
-  s.s_hists <- a
-
 (* -------------------------------------------------------------- handles *)
 
 module Counter = struct
-  type nonrec t = { reg : t; id : int }
+  type nonrec t = { reg : t; cell : ccell }
 
   let add h v =
     if h.reg.enabled then begin
-      let s = my_shard h.reg in
-      if h.id >= Array.length s.s_counters then grow_counters s (h.id + 1);
-      let a = s.s_counters in
-      Array.unsafe_set a h.id (Array.unsafe_get a h.id + v)
+      Mutex.lock h.reg.lock;
+      h.cell.c_value <- h.cell.c_value + v;
+      Mutex.unlock h.reg.lock
     end
 
   let incr h = add h 1
 
   let value h =
-    if not h.reg.enabled then 0
-    else begin
-      let arr = Atomic.get h.reg.shards in
-      let total = Array.fold_left
-          (fun acc s ->
-            if h.id < Array.length s.s_counters then acc + s.s_counters.(h.id)
-            else acc)
-          0 arr
-      in
-      total
-    end
+    Mutex.lock h.reg.lock;
+    let v = h.cell.c_value in
+    Mutex.unlock h.reg.lock;
+    v
 end
 
 module Gauge = struct
-  type nonrec t = { reg : t; id : int }
-
-  let cell s id =
-    match s.s_gauges.(id) with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            g_last = 0.0;
-            g_min = infinity;
-            g_max = neg_infinity;
-            g_sum = 0.0;
-            g_count = 0.0;
-          }
-        in
-        s.s_gauges.(id) <- Some c;
-        c
+  type nonrec t = { reg : t; cell : gcell }
 
   let set h v =
     if h.reg.enabled then begin
-      let s = my_shard h.reg in
-      if h.id >= Array.length s.s_gauges then grow_gauges s (h.id + 1);
-      let c = cell s h.id in
+      Mutex.lock h.reg.lock;
+      let c = h.cell in
       c.g_last <- v;
       if v < c.g_min then c.g_min <- v;
       if v > c.g_max then c.g_max <- v;
       c.g_sum <- c.g_sum +. v;
-      c.g_count <- c.g_count +. 1.0
+      c.g_count <- c.g_count +. 1.0;
+      Mutex.unlock h.reg.lock
     end
 
   let samples h =
-    if not h.reg.enabled then 0
-    else
-      Array.fold_left
-        (fun acc s ->
-          if h.id < Array.length s.s_gauges then
-            match s.s_gauges.(h.id) with
-            | Some c -> acc + int_of_float c.g_count
-            | None -> acc
-          else acc)
-        0
-        (Atomic.get h.reg.shards)
+    Mutex.lock h.reg.lock;
+    let n = int_of_float h.cell.g_count in
+    Mutex.unlock h.reg.lock;
+    n
 end
 
 module Histogram = struct
-  type nonrec t = { reg : t; id : int }
-
-  let cell s id =
-    match s.s_hists.(id) with
-    | Some c -> c
-    | None ->
-        let c =
-          { h_sum = 0; h_count = 0; h_max = 0; h_buckets = Array.make n_buckets 0 }
-        in
-        s.s_hists.(id) <- Some c;
-        c
+  type nonrec t = { reg : t; cell : hcell }
 
   let observe h v =
     if h.reg.enabled then begin
       let v = if v < 0 then 0 else v in
-      let s = my_shard h.reg in
-      if h.id >= Array.length s.s_hists then grow_hists s (h.id + 1);
-      let c = cell s h.id in
+      let i = bucket_index v in
+      Mutex.lock h.reg.lock;
+      let c = h.cell in
       c.h_sum <- c.h_sum + v;
       c.h_count <- c.h_count + 1;
       if v > c.h_max then c.h_max <- v;
       let b = c.h_buckets in
-      let i = bucket_index v in
-      Array.unsafe_set b i (Array.unsafe_get b i + 1)
+      Array.unsafe_set b i (Array.unsafe_get b i + 1);
+      Mutex.unlock h.reg.lock
     end
 
   (* Seconds -> nanoseconds, the unit every *_ns histogram records. *)
   let observe_s h secs = observe h (int_of_float (secs *. 1e9))
 
   let count h =
-    if not h.reg.enabled then 0
-    else
-      Array.fold_left
-        (fun acc s ->
-          if h.id < Array.length s.s_hists then
-            match s.s_hists.(h.id) with
-            | Some c -> acc + c.h_count
-            | None -> acc
-          else acc)
-        0
-        (Atomic.get h.reg.shards)
+    Mutex.lock h.reg.lock;
+    let n = h.cell.h_count in
+    Mutex.unlock h.reg.lock;
+    n
 end
 
 (* --------------------------------------------------------- registration *)
 
-let register t kind labels name =
+let new_counter () = C { c_value = 0 }
+
+let new_gauge () =
+  G
+    {
+      g_last = 0.0;
+      g_min = infinity;
+      g_max = neg_infinity;
+      g_sum = 0.0;
+      g_count = 0.0;
+    }
+
+let new_hist () =
+  H { h_sum = 0; h_count = 0; h_max = 0; h_buckets = Array.make n_buckets 0 }
+
+(* The cell registered under (name, labels), made by [fresh] on first
+   registration. A disabled registry stores nothing: its handles' cells
+   are never written, since every record operation checks [enabled]. *)
+let register t ~fresh labels name =
   if not (valid_name name) then
     invalid_arg ("Registry: metric name must be snake_case: " ^ name);
-  if not t.enabled then -1
+  if not t.enabled then fresh ()
   else begin
-    Mutex.lock t.lock;
     let labels = canon_labels labels in
-    let key = def_key name labels in
-    let id, err =
-      match Hashtbl.find_opt t.by_key key with
-      | Some id ->
-          if t.defs.(id).d_kind <> kind then (-1, true) else (id, false)
+    let key = (name, label_key labels) in
+    Mutex.lock t.lock;
+    let cell =
+      match Hashtbl.find_opt t.metrics key with
+      | Some (_, cell) -> cell
       | None ->
-          let id = t.n_defs in
-          if id = Array.length t.defs then begin
-            let a = Array.make (2 * id) no_def in
-            Array.blit t.defs 0 a 0 id;
-            t.defs <- a
-          end;
-          t.defs.(id) <- { d_name = name; d_labels = labels; d_kind = kind };
-          t.n_defs <- id + 1;
-          Hashtbl.add t.by_key key id;
-          (id, false)
+          let cell = fresh () in
+          Hashtbl.add t.metrics key (labels, cell);
+          cell
     in
     Mutex.unlock t.lock;
-    if err then
-      invalid_arg ("Registry: " ^ name ^ " re-registered with a different kind");
-    id
+    cell
   end
 
+let kind_mismatch name =
+  invalid_arg ("Registry: " ^ name ^ " re-registered with a different kind")
+
 let counter t ?(labels = []) name : Counter.t =
-  { Counter.reg = t; id = register t K_counter labels name }
+  match register t ~fresh:new_counter labels name with
+  | C cell -> { Counter.reg = t; cell }
+  | G _ | H _ -> kind_mismatch name
 
 let gauge t ?(labels = []) name : Gauge.t =
-  { Gauge.reg = t; id = register t K_gauge labels name }
+  match register t ~fresh:new_gauge labels name with
+  | G cell -> { Gauge.reg = t; cell }
+  | C _ | H _ -> kind_mismatch name
 
 let histogram t ?(labels = []) name : Histogram.t =
-  { Histogram.reg = t; id = register t K_hist labels name }
+  match register t ~fresh:new_hist labels name with
+  | H cell -> { Histogram.reg = t; cell }
+  | C _ | G _ -> kind_mismatch name
 
 (* --------------------------------------------------------------- reading *)
 
@@ -371,89 +248,40 @@ type merged =
       buckets : (int * int) list; (* (bucket lower bound, count), ascending *)
     }
 
-let merge_counter shards id =
-  Array.fold_left
-    (fun acc s ->
-      if id < Array.length s.s_counters then acc + s.s_counters.(id) else acc)
-    0 shards
+(* Called with the lock held. *)
+let merged = function
+  | C c -> M_counter c.c_value
+  | G g ->
+      let empty = g.g_count = 0.0 in
+      M_gauge
+        {
+          last = g.g_last;
+          min_v = (if empty then 0.0 else g.g_min);
+          max_v = (if empty then 0.0 else g.g_max);
+          sum = g.g_sum;
+          samples = int_of_float g.g_count;
+        }
+  | H h ->
+      let present = ref [] in
+      for i = n_buckets - 1 downto 0 do
+        let n = h.h_buckets.(i) in
+        if n > 0 then present := (bucket_lower i, n) :: !present
+      done;
+      M_hist
+        { count = h.h_count; sum = h.h_sum; max_v = h.h_max; buckets = !present }
 
-let merge_gauge shards id =
-  let last = ref 0.0
-  and min_v = ref infinity
-  and max_v = ref neg_infinity
-  and sum = ref 0.0
-  and count = ref 0.0 in
-  Array.iter
-    (fun s ->
-      if id < Array.length s.s_gauges then
-        match s.s_gauges.(id) with
-        | Some c ->
-            (* [last] is only meaningful for single-domain writers; with
-               several writing shards we keep the last of the first shard
-               that saw a sample, deterministically (shard order is
-               creation order, which registration makes deterministic for
-               the single-writer runs that read [last]). *)
-            if !count = 0.0 then last := c.g_last;
-            if c.g_min < !min_v then min_v := c.g_min;
-            if c.g_max > !max_v then max_v := c.g_max;
-            sum := !sum +. c.g_sum;
-            count := !count +. c.g_count
-        | None -> ())
-    shards;
-  M_gauge
-    {
-      last = !last;
-      min_v = (if !count = 0.0 then 0.0 else !min_v);
-      max_v = (if !count = 0.0 then 0.0 else !max_v);
-      sum = !sum;
-      samples = int_of_float !count;
-    }
-
-let merge_hist shards id =
-  let sum = ref 0 and count = ref 0 and max_v = ref 0 in
-  let buckets = Array.make n_buckets 0 in
-  Array.iter
-    (fun s ->
-      if id < Array.length s.s_hists then
-        match s.s_hists.(id) with
-        | Some c ->
-            sum := !sum + c.h_sum;
-            count := !count + c.h_count;
-            if c.h_max > !max_v then max_v := c.h_max;
-            for i = 0 to n_buckets - 1 do
-              buckets.(i) <- buckets.(i) + c.h_buckets.(i)
-            done
-        | None -> ())
-    shards;
-  let present = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if buckets.(i) > 0 then present := (bucket_lower i, buckets.(i)) :: !present
-  done;
-  M_hist { count = !count; sum = !sum; max_v = !max_v; buckets = !present }
+let compare_key (n1, l1) (n2, l2) =
+  match String.compare n1 n2 with 0 -> String.compare l1 l2 | c -> c
 
 let read t =
   if not t.enabled then []
   else begin
     Mutex.lock t.lock;
-    let n = t.n_defs in
-    let defs = Array.sub t.defs 0 n in
+    let rows =
+      List.map
+        (fun ((name, _), (labels, cell)) -> (name, labels, merged cell))
+        (Tbl.sorted_bindings ~compare:compare_key t.metrics)
+    in
     Mutex.unlock t.lock;
-    let shards = Atomic.get t.shards in
-    let rows = ref [] in
-    for id = n - 1 downto 0 do
-      let d = defs.(id) in
-      let m =
-        match d.d_kind with
-        | K_counter -> M_counter (merge_counter shards id)
-        | K_gauge -> merge_gauge shards id
-        | K_hist -> merge_hist shards id
-      in
-      rows := (d.d_name, d.d_labels, m) :: !rows
-    done;
-    List.sort
-      (fun (n1, l1, _) (n2, l2, _) ->
-        match String.compare n1 n2 with
-        | 0 -> String.compare (label_key l1) (label_key l2)
-        | c -> c)
-      !rows
+    rows
   end

@@ -1,17 +1,16 @@
 (** Aggregate metrics: counters, gauges and HDR-style log-bucketed
-    histograms behind a per-domain sharded registry.
+    histograms in one registry.
 
     The registry is a per-run value (like [Trace.t]) — create one per
     simulation or benchmark run and pass it down; there is no ambient
-    global. Writers record into their own domain's shard without taking any
-    lock, so Pool workers never contend; readers merge all shards on demand.
+    global. Each registered metric owns one cell. Registration, recording
+    and {!read} all take the registry's one mutex, so counts are exact
+    under parallel domains and systhreads alike. Writers record a few
+    samples per run or per experiment cell, so the lock is uncontended.
 
-    Recording is allocation-free on the hot path: against a disabled
-    registry (e.g. {!null}) every record operation is one load and one
-    branch, and against an enabled one it is a shard scan (one entry per
-    domain) plus an array store. Counters are exact under parallel domains;
-    under systhreads sharing a domain, concurrent increments may coalesce
-    (counts are then best-effort, never a crash).
+    Recording is allocation-free: against a disabled registry (e.g.
+    {!null}) every record operation is one load and one branch, and
+    against an enabled one it is a lock, a few stores and an unlock.
 
     Metrics are observe-only: nothing recorded here feeds back into
     simulation state, so enabling metrics cannot change simulation output. *)
@@ -41,7 +40,6 @@ module Counter : sig
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  (** Merged value across all shards. *)
 end
 
 module Gauge : sig
@@ -51,7 +49,6 @@ module Gauge : sig
   (** Records a sample: updates last/min/max/sum/count. *)
 
   val samples : t -> int
-  (** Merged sample count across all shards. *)
 end
 
 module Histogram : sig
@@ -66,7 +63,7 @@ module Histogram : sig
   (** [observe_s h secs] records [secs] converted to nanoseconds. *)
 
   val count : t -> int
-  (** Merged observation count across all shards. *)
+  (** Number of observations so far. *)
 end
 
 (** {1 Registration}
@@ -104,9 +101,8 @@ type merged =
     }
 
 val read : t -> (string * (string * string) list * merged) list
-(** Merge-on-read view of every registered metric, sorted by (name, labels)
-    so output is deterministic. Intended to be taken after parallel writers
-    have joined; a snapshot raced with live writers is best-effort. *)
+(** Every registered metric, sorted by (name, labels) so output is
+    deterministic. *)
 
 (** {1 Histogram bucket maths} (exposed for tests and exporters) *)
 

@@ -27,7 +27,7 @@ val empty : t
 val is_empty : t -> bool
 
 val of_registry : Registry.t -> t
-(** Merge-on-read snapshot; empty for a disabled registry. *)
+(** Every registered metric; empty for a disabled registry. *)
 
 val find : t -> ?labels:(string * string) list -> string -> metric option
 

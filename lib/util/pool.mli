@@ -20,7 +20,7 @@ val map :
     [probe], when given, is called as [probe i seconds] after each
     completed task with the task's submission index and its wall-clock
     latency — on the worker domain that ran the task, so it must be
-    domain-safe (the metrics registry's sharded handles are). Tasks that
+    domain-safe (the metrics registry's handles are). Tasks that
     raise are not probed. The probe observes scheduling, it cannot affect
     results.
 

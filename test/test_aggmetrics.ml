@@ -1,6 +1,6 @@
 (* The aggregate metrics registry (Bamboo_metrics): counters, gauges,
-   log-bucketed histograms, the per-domain sharded merge, the two export
-   formats, and the observe-only contract against the runtime. *)
+   log-bucketed histograms, exact counts under parallel writers, the two
+   export formats, and the observe-only contract against the runtime. *)
 
 module Registry = Bamboo_metrics.Registry
 module Snapshot = Bamboo_metrics.Snapshot
@@ -171,9 +171,9 @@ let test_percentile () =
   Alcotest.(check int) "p95 in second bucket" 100 (p 95.0);
   Alcotest.(check int) "p100 exact max" 1234 (p 100.0)
 
-(* --- sharded merge determinism --- *)
+(* --- parallel writers --- *)
 
-let shard_read ~jobs =
+let pool_read ~jobs =
   let reg = Registry.create () in
   let c = Registry.counter reg "tasks_done" in
   let h = Registry.histogram reg "task_cost_ns" in
@@ -188,10 +188,10 @@ let shard_read ~jobs =
   Alcotest.(check (list int)) "pool order" (List.init 64 Fun.id) results;
   Registry.read reg
 
-let test_shard_merge_determinism () =
-  (* counters and histograms merge commutatively, so the merged read is
+let test_merge_determinism () =
+  (* counters and histograms accumulate commutatively, so the read is
      identical whether 1 or 4 worker domains did the recording *)
-  let r1 = shard_read ~jobs:1 and r4 = shard_read ~jobs:4 in
+  let r1 = pool_read ~jobs:1 and r4 = pool_read ~jobs:4 in
   Alcotest.(check bool) "jobs 1 == jobs 4" true (r1 = r4);
   match r1 with
   | [
@@ -200,6 +200,35 @@ let test_shard_merge_determinism () =
   ] ->
       ()
   | _ -> Alcotest.fail "unexpected merged shape"
+
+let test_systhreads_exact () =
+  (* systhreads share one domain and can be preempted mid-update; the
+     registry's lock keeps every increment *)
+  let reg = Registry.create () in
+  let c = Registry.counter reg "thread_incrs" in
+  let h = Registry.histogram reg "thread_obs" in
+  let per_thread = 10_000 in
+  let threads =
+    List.init 4 (fun t ->
+        Thread.create
+          (fun () ->
+            for i = 1 to per_thread do
+              Registry.Counter.incr c;
+              Registry.Histogram.observe h (t + i)
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  match Registry.read reg with
+  | [
+   ("thread_incrs", [], Registry.M_counter n);
+   ("thread_obs", [], Registry.M_hist { count; buckets; _ });
+  ] ->
+      Alcotest.(check int) "counter exact" 40_000 n;
+      Alcotest.(check int) "histogram count exact" 40_000 count;
+      Alcotest.(check int) "bucket total exact" 40_000
+        (List.fold_left (fun acc (_, k) -> acc + k) 0 buckets)
+  | _ -> Alcotest.fail "unexpected read shape"
 
 (* --- export goldens --- *)
 
@@ -320,10 +349,6 @@ let test_enabled_steady_state_alloc () =
   let c = Registry.counter reg "hot_c" in
   let h = Registry.histogram reg "hot_h" in
   let g = Registry.gauge reg "hot_g" in
-  (* warm up: create this domain's shard and the lazy cells *)
-  Registry.Counter.incr c;
-  Registry.Histogram.observe h 1;
-  Registry.Gauge.set g 0.0;
   let v = 2.5 in
   let delta =
     alloc_delta (fun () ->
@@ -374,7 +399,7 @@ let test_runtime_identity () =
     (Snapshot.counter_value snap "net_sends" > 0)
 
 let test_probe_registry_consistency () =
-  (* the probe routes sampled gauges through the registry: the probe
+  (* the probe records its samples only in the registry: the probe
      summary and the metrics export must report one consistent number *)
   let config = { run_config with probe_interval = 0.05 } in
   let reg = Registry.create () in
@@ -410,8 +435,9 @@ let suite =
     Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
     Alcotest.test_case "histogram observe_s" `Quick test_histogram_observe_s;
     Alcotest.test_case "percentile" `Quick test_percentile;
-    Alcotest.test_case "shard merge determinism" `Quick
-      test_shard_merge_determinism;
+    Alcotest.test_case "parallel merge determinism" `Quick
+      test_merge_determinism;
+    Alcotest.test_case "systhreads count exactly" `Quick test_systhreads_exact;
     Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "snapshot lookups" `Quick test_snapshot_lookups;

@@ -206,12 +206,34 @@ let test_probe_gauges () =
   Probe.sample p ~now:0.01;
   g := 3.0;
   Probe.sample p ~now:0.02;
-  match Probe.find p ~node:0 ~name:"g" with
+  match Probe.find_summary (Probe.summaries p) ~node:0 ~name:"g" with
   | None -> Alcotest.fail "gauge not found"
   | Some s ->
       Alcotest.(check int) "two samples" 2 s.samples;
       Alcotest.(check (float 1e-9)) "mean" 2.0 s.mean;
       Alcotest.(check (float 1e-9)) "max" 3.0 s.max
+
+let test_probe_memory_flat () =
+  (* samples live in the registry's running aggregates, so a probe's
+     footprint does not depend on how many samples it took *)
+  let p = Probe.create () in
+  List.iteri
+    (fun i name -> Probe.add_gauge p ~node:i ~name (fun () -> float_of_int i))
+    [ "g_a"; "g_b"; "g_c" ];
+  let sample_times n =
+    for i = 1 to n do
+      Probe.sample p ~now:(float_of_int i)
+    done
+  in
+  sample_times 100;
+  let short = Obj.reachable_words (Obj.repr p) in
+  sample_times 19_900;
+  Alcotest.(check int) "reachable words after 20,000 samples" short
+    (Obj.reachable_words (Obj.repr p));
+  Alcotest.(check (option int)) "samples counted" (Some 20_000)
+    (Option.map
+       (fun (s : Probe.summary) -> s.samples)
+       (Probe.find_summary (Probe.summaries p) ~node:2 ~name:"g_c"))
 
 let test_probe_saturated_run () =
   (* Drive 4-node HotStuff near saturation and require the probes to see a
@@ -269,6 +291,7 @@ let suite =
     Alcotest.test_case "tracing does not perturb the run" `Slow
       test_tracing_does_not_perturb;
     Alcotest.test_case "probe gauges" `Quick test_probe_gauges;
+    Alcotest.test_case "probe memory flat" `Quick test_probe_memory_flat;
     Alcotest.test_case "probe sees saturated CPUs" `Slow
       test_probe_saturated_run;
     Alcotest.test_case "decomposition sums to latency" `Slow
