@@ -42,6 +42,9 @@ type t = {
          embedded in proposals, timeout messages and vote quorums — and
          each verification is a whole HMAC batch. Failures are never
          cached, and a tampered copy has a different key. *)
+  verified_order : (Ids.view * string) Queue.t;
+      (* the cache's keys in insertion order with their QC's view, so a
+         commit drops the entries below the committed view *)
   pending_blocks : (Block.t * Tcert.t option) list Hash_tbl.t;
       (* children waiting for a missing parent, keyed by parent hash *)
   pending_qcs : Qc.t Hash_tbl.t; (* QCs for not-yet-seen blocks *)
@@ -121,6 +124,7 @@ let create ~config ~self ~registry ?(verify_sigs = true) ?(root = `Merkle)
     safety;
     certified;
     verified_qcs = Hashtbl.create 64;
+    verified_order = Queue.create ();
     pending_blocks = Hash_tbl.create 16;
     pending_qcs = Hash_tbl.create 16;
     seen = Seen_tbl.create ~n:config.Config.n;
@@ -147,9 +151,26 @@ let verify_qc t qc =
   if Hashtbl.mem t.verified_qcs key then true
   else if Qc.verify t.registry ~quorum:(Quorum.quorum_size t.quorum) qc then begin
     Hashtbl.add t.verified_qcs key ();
+    Queue.add (qc.view, key) t.verified_order;
     true
   end
   else false
+
+(* Certificates below the committed view rarely arrive again (late
+   duplicates, block sync), and one that does is verified anew; without
+   this the cache would hold a key per certified block for the whole
+   run. An old QC verified late sits behind newer keys and leaves with
+   them. *)
+let forget_verified_below t view =
+  let rec drop () =
+    match Queue.peek_opt t.verified_order with
+    | Some (v, key) when v < view ->
+        ignore (Queue.take t.verified_order : Ids.view * string);
+        Hashtbl.remove t.verified_qcs key;
+        drop ()
+    | Some _ | None -> ()
+  in
+  drop ()
 
 let do_commit t out target ~trigger_view =
   match Forest.commit t.forest target with
@@ -159,7 +180,9 @@ let do_commit t out target ~trigger_view =
         (fun (b : Block.t) ->
           ignore (Mempool.requeue_front t.mempool b.body : int))
         forked;
-      Quorum.gc t.quorum ~below_view:(Forest.last_committed t.forest).Block.view;
+      let committed_view = (Forest.last_committed t.forest).Block.view in
+      Quorum.gc t.quorum ~below_view:committed_view;
+      forget_verified_below t committed_view;
       emit out (Committed { blocks = newly; trigger_view });
       if forked <> [] then emit out (Forked forked)
   | Error Forest.Already_committed -> ()
@@ -518,6 +541,7 @@ let mempool_size t = Mempool.length t.mempool
 let high_qc t = t.safety.Safety.high_qc ()
 let locked t = t.safety.Safety.locked ()
 let committed_count t = Forest.committed_count t.forest - 1
+let verified_qcs t = Hashtbl.length t.verified_qcs
 let rejected_txs t = t.rejected_txs
 let safety_violation t = t.violation
 let view_changes t = t.view_changes

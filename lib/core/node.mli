@@ -86,7 +86,8 @@ val verify_qc : t -> Qc.t -> bool
     content key ({!Bamboo_types.Qc.cache_key}), so re-presenting a
     verified certificate skips the HMAC batch while any tampered variant
     — same view, different content — is still verified and rejected.
-    Exposed for the cache's unit tests. *)
+    A commit drops the entries below the committed view. Exposed for the
+    cache's unit tests. *)
 
 (** {2 Introspection} *)
 
@@ -108,6 +109,10 @@ val locked : t -> (Ids.hash * Ids.view) option
 
 val committed_count : t -> int
 (** Committed blocks excluding genesis. *)
+
+val verified_qcs : t -> int
+(** Certificates held by {!verify_qc}'s cache: those verified since the
+    committed view, not one per certified block. *)
 
 val rejected_txs : t -> int
 (** Transactions refused because the mempool was full. *)

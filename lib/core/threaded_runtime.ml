@@ -34,12 +34,15 @@ type shared = {
   mutable waiters : int; [@guarded_by "mutex"] (* threads parked on [grew] *)
   mutable ticking : bool; [@guarded_by "mutex"]
       (* a deadline ticker is running *)
+  mutable earliest : float; [@guarded_by "mutex"]
+      (* earliest deadline of the waiters parked since the last broadcast *)
   stop : bool Atomic.t;
 }
 
 (* Deadline resolution of the commit waits: [Condition] has no timed
-   wait, so while a waiter is parked a ticker wakes it this often to
-   check its deadline. Commits wake it at once. *)
+   wait, so while a waiter is parked a ticker checks this often whether
+   the earliest waiter deadline has passed, and only then wakes the
+   waiters. Commits wake them at once. *)
 let wait_tick_s = 0.005
 
 (* Called by the deadline ticker before each tick: the ticker lives while
@@ -52,9 +55,15 @@ let ticker_live shared =
   Mutex.unlock shared.mutex;
   live
 
+(* Every broadcast wakes every waiter, and each one that parks again
+   registers its deadline again, so a broadcast clears [earliest]. *)
+let wake_waiters shared =
+  shared.earliest <- infinity;
+  Condition.broadcast shared.grew
+
 let tick shared =
   Mutex.lock shared.mutex;
-  Condition.broadcast shared.grew;
+  if Unix.gettimeofday () >= shared.earliest then wake_waiters shared;
   Mutex.unlock shared.mutex
 
 (* Blocks until [ready] holds of the committed set or [timeout_s]
@@ -67,6 +76,7 @@ let await shared ~timeout_s ready =
     else if Unix.gettimeofday () >= deadline then false
     else begin
       shared.waiters <- shared.waiters + 1;
+      shared.earliest <- Float.min shared.earliest deadline;
       if not shared.ticking then begin
         shared.ticking <- true;
         ignore
@@ -196,7 +206,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
                 done)
               blocks;
             if shared.waiters > 0 && Committed.count shared.committed > before
-            then Condition.broadcast shared.grew;
+            then wake_waiters shared;
             Mutex.unlock shared.mutex
         | Node.Proposed _ | Node.Qc_formed _ | Node.Entered_view _
         | Node.Forked _ | Node.Voted _ -> ())
@@ -287,6 +297,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         grew = Condition.create ();
         waiters = 0;
         ticking = false;
+        earliest = infinity;
         stop = Atomic.make false;
       }
     in

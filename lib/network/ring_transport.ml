@@ -53,13 +53,15 @@ let create_cluster ?(capacity = default_capacity) ~n () =
       live = Atomic.make n;
     }
   in
-  (* Bounded receive timeouts: the ticker rings every parked doorbell each
-     period (see Wakeup); it exits once every endpoint is closed. *)
+  (* Bounded receive timeouts: the ticker wakes each doorbell whose
+     deadline has passed (see Wakeup); it exits once every endpoint is
+     closed. *)
   ignore
     (Wakeup.start_ticker ~period_s:tick_period_s
        ~live:(fun () -> Atomic.get cluster.live > 0)
        ~wake:(fun () ->
-         Array.iter (fun ep -> Wakeup.ring ep.bell) cluster.endpoints)
+         let now = Unix.gettimeofday () in
+         Array.iter (fun ep -> Wakeup.expire ep.bell ~now) cluster.endpoints)
       : Wakeup.ticker);
   cluster
 

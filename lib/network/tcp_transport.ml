@@ -212,9 +212,9 @@ let writer_loop t peer =
     | [] ->
         if give_up () then close_fd ()
         else begin
-          let deadline = Unix.gettimeofday () +. 0.05 in
+          (* No deadline: a send or [close] rings the bell. *)
           ignore
-            (Wakeup.park peer.bell ~deadline ~ready:(fun () ->
+            (Wakeup.park peer.bell ~deadline:infinity ~ready:(fun () ->
                  give_up () || not (Ring.is_empty peer.outbox))
               : bool);
           loop ()
@@ -302,14 +302,16 @@ let create ?(outbox_capacity = default_outbox_capacity)
       | Some peer -> peer.writer <- Some (Thread.create (writer_loop t) peer))
     peers;
   (* Bounded park deadlines: the stdlib Condition has no timed wait, so a
-     per-endpoint ticker rings every bell each period (see Wakeup). *)
+     per-endpoint ticker wakes each bell whose deadline has passed (see
+     Wakeup). *)
   ignore
     (Wakeup.start_ticker ~period_s:tick_period_s
        ~live:(fun () -> not (shutting_down t))
        ~wake:(fun () ->
-         Wakeup.ring t.inbox_bell;
+         let now = Unix.gettimeofday () in
+         Wakeup.expire t.inbox_bell ~now;
          Array.iter
-           (function None -> () | Some p -> Wakeup.ring p.bell)
+           (function None -> () | Some p -> Wakeup.expire p.bell ~now)
            t.peers)
       : Wakeup.ticker);
   t

@@ -6,10 +6,16 @@ type doorbell = {
   mutex : Mutex.t;
   cond : Condition.t;
   parked : bool Atomic.t;
+  due : float Atomic.t; (* deadline of the latest [park] *)
 }
 
 let doorbell () =
-  { mutex = Mutex.create (); cond = Condition.create (); parked = Atomic.make false }
+  {
+    mutex = Mutex.create ();
+    cond = Condition.create ();
+    parked = Atomic.make false;
+    due = Atomic.make infinity;
+  }
 
 let ring db =
   (* Producer fast path: one atomic load. The parked flag is set under the
@@ -24,8 +30,15 @@ let ring db =
     Mutex.unlock db.mutex
   end
 
+(* [park] publishes [due] before [parked] and this reads them in the
+   other order, so a tick that finds the consumer parked compares [now]
+   with that park's deadline (or a later park's). *)
+let expire db ~now =
+  if Atomic.get db.parked && now >= Atomic.get db.due then ring db
+
 let park db ~deadline ~ready =
   Mutex.lock db.mutex;
+  Atomic.set db.due deadline;
   Atomic.set db.parked true;
   let rec loop () =
     if ready () then true

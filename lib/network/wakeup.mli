@@ -9,11 +9,13 @@
     nothing.
 
     The stdlib's [Condition] has no timed wait, so bounded timeouts are
-    implemented by a {!ticker} thread that rings every parked doorbell it
-    covers at a fixed period. Consequently a [park] deadline (and any
-    transport [recv] timeout built on it) is honored within one tick
-    (1 ms in both transports); the cost is paid only when idle, and a
-    message arrival or close wakes the consumer immediately. *)
+    implemented by a {!ticker} thread that calls {!expire} on every
+    doorbell it covers at a fixed period. [expire] wakes a parked
+    consumer only once its [park] deadline has passed, so a consumer
+    parked with a later deadline (or none, [infinity]) sleeps through
+    the ticks. A [park] deadline (and any transport [recv] timeout built
+    on it) is honored within one tick (1 ms in both transports); a
+    message arrival or close still wakes the consumer immediately. *)
 
 type doorbell
 
@@ -24,11 +26,17 @@ val ring : doorbell -> unit
     already visible (e.g. after the ring-buffer publish): one atomic load
     when nobody is parked. Safe from any thread or domain. *)
 
+val expire : doorbell -> now:float -> unit
+(** [expire db ~now] is a ticker's wakeup: it {!ring}s [db] only when
+    [now] is at or past the deadline of the consumer parked there. A
+    consumer parked with a later deadline is left asleep. *)
+
 val park : doorbell -> deadline:float -> ready:(unit -> bool) -> bool
 (** [park db ~deadline ~ready] blocks the calling thread until [ready ()]
     is true (returns [true]) or [Unix.gettimeofday () >= deadline]
     (returns [false], within one ticker period when a {!ticker} covers
-    this doorbell). [ready] is re-evaluated on every wakeup and must be
+    this doorbell). With [deadline = infinity] it returns only once a
+    {!ring} finds [ready]. [ready] is re-evaluated on every wakeup and must be
     cheap and lock-free. At most one thread may park a given doorbell at
     a time. *)
 
@@ -37,5 +45,7 @@ type ticker
 val start_ticker : period_s:float -> live:(unit -> bool) -> wake:(unit -> unit) -> ticker
 (** Background thread calling [wake ()] every [period_s] while [live ()]
     holds; exits (and is collected) the first time [live] is false. Used
-    one per ring cluster or TCP endpoint to bound park deadlines, and by
-    the threaded runtime's commit waits while a waiter is parked. *)
+    one per ring cluster or TCP endpoint, whose [wake] calls {!expire} on
+    each doorbell, and by the threaded runtime's commit waits while a
+    waiter is parked, whose [wake] broadcasts only once the earliest
+    waiter deadline has passed. *)

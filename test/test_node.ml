@@ -439,6 +439,26 @@ let test_qc_cache_rejects_tampered () =
   Alcotest.(check bool) "verification disabled accepts" true
     (Node.verify_qc unchecked forged)
 
+(* The cache holds the certificates of the views since the last commit,
+   not one per certified block for the whole run; a dropped one still
+   verifies, anew. *)
+let test_qc_cache_bounded_by_commits () =
+  let net = make_net () in
+  start net;
+  settle net;
+  let node = net.nodes.(0) in
+  let committed = Node.committed_count node in
+  if committed < 100 then Alcotest.failf "only %d blocks committed" committed;
+  let cached = Node.verified_qcs node in
+  if cached > 8 then
+    Alcotest.failf "%d certificates cached after %d commits" cached committed;
+  match committed_of net 1 with
+  | b :: _ ->
+      let registry = Bamboo_crypto.Sig.setup ~n:4 ~master:"t" in
+      Alcotest.(check bool) "an old certificate verifies anew" true
+        (Node.verify_qc node (Helpers.qc_for registry b))
+  | [] -> Alcotest.fail "nothing committed"
+
 (* The runtimes ask [seen_before] on every delivery; for a proposal or a
    vote already handled it must answer without building a key string. *)
 let test_seen_before_alloc () =
@@ -485,6 +505,8 @@ let suite =
       test_blind_qc_defers_proposal;
     Alcotest.test_case "invalid create" `Quick test_invalid_create;
     Alcotest.test_case "seen_before allocates nothing" `Quick test_seen_before_alloc;
+    Alcotest.test_case "QC cache bounded by commits" `Quick
+      test_qc_cache_bounded_by_commits;
     Alcotest.test_case "QC cache rejects tampered certificates" `Quick
       test_qc_cache_rejects_tampered;
   ]

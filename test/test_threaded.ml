@@ -84,7 +84,7 @@ let test_kv_execution () =
 
 (* With no traffic the count stays 0: a reached count returns at once,
    and an unreachable one (or an unknown tx) times out within 50 ms of
-   its deadline. *)
+   its deadline, also when another waiter is parked with a later one. *)
 let test_commit_waits () =
   let cluster = Ring.create_cluster ~n:4 () in
   let endpoints = Array.init 4 (Ring.endpoint cluster) in
@@ -107,6 +107,22 @@ let test_commit_waits () =
   check_timeout "unknown tx" (fun () ->
       Ring_runtime.wait_tx_committed c { Bamboo_types.Tx.client = 2; seq = 1 }
         ~timeout_s:0.2);
+  (* Waiters with different deadlines: the ticker wakes them when the
+     earliest passes, and the later one parks again until its own. *)
+  let late = ref (true, 0.0) in
+  let later =
+    Thread.create
+      (fun () ->
+        late := timed (fun () -> Ring_runtime.wait_committed c ~count:1 ~timeout_s:0.5))
+      ()
+  in
+  check_timeout "earlier of two waiters" (fun () ->
+      Ring_runtime.wait_committed c ~count:1 ~timeout_s:0.2);
+  Thread.join later;
+  let reached, s = !late in
+  Alcotest.(check bool) "later of two waiters" false reached;
+  if s < 0.5 || s > 0.55 then
+    Alcotest.failf "later of two waiters returned after %.3f s, timeout 0.5 s" s;
   ignore (Ring_runtime.stop c : Bamboo.Threaded_runtime.report)
 
 let test_ring_cluster_progress () =

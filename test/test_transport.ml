@@ -84,9 +84,28 @@ module Conformance (T : CLUSTERED) = struct
     Thread.join sender;
     Alcotest.(check bool) "received across threads" true (got <> None)
 
+  (* An empty inbox: the timeout is a park deadline, which only the
+     ticker can end. *)
+  let test_recv_timeout () =
+    let cluster = T.create_cluster ~n:2 in
+    let b = T.endpoint cluster 1 in
+    List.iter
+      (fun timeout_s ->
+        let t0 = Unix.gettimeofday () in
+        let got = T.recv b ~timeout_s in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) "nothing received" true (got = None);
+        if elapsed < timeout_s || elapsed > timeout_s +. 0.2 then
+          Alcotest.failf "recv ~timeout_s:%.2f returned after %.3f s" timeout_s
+            elapsed)
+      [ 0.05; 0.01; 0.1 ];
+    T.close (T.endpoint cluster 0);
+    T.close b
+
   let tests prefix =
     [
       Alcotest.test_case (prefix ^ " send/recv") `Quick test_send_recv;
+      Alcotest.test_case (prefix ^ " recv timeout") `Quick test_recv_timeout;
       Alcotest.test_case (prefix ^ " FIFO") `Quick test_fifo;
       Alcotest.test_case (prefix ^ " broadcast") `Quick test_broadcast;
       Alcotest.test_case (prefix ^ " close") `Quick test_close;
@@ -146,6 +165,137 @@ let test_ring_close_while_blocked () =
   Alcotest.(check bool)
     (Printf.sprintf "woken promptly (%.3fs)" elapsed)
     true (elapsed < 2.0)
+
+(* --- doorbells under a ticker ---
+
+   The ticker wakes a parked consumer only once its deadline has passed,
+   so nothing but [ring] ends an early park: a lost wakeup shows as a
+   stall, not as a 1 ms delay. *)
+
+module Wakeup = Bamboo_network.Wakeup
+
+let tick_period_s = 0.001
+
+(* Runs [f] under a 1 ms ticker expiring [bells]; stops the ticker after. *)
+let with_ticker bells f =
+  let live = Atomic.make true in
+  let (_ : Wakeup.ticker) =
+    Wakeup.start_ticker ~period_s:tick_period_s
+      ~live:(fun () -> Atomic.get live)
+      ~wake:(fun () ->
+        let now = Unix.gettimeofday () in
+        List.iter (fun db -> Wakeup.expire db ~now) bells)
+  in
+  Fun.protect ~finally:(fun () -> Atomic.set live false) f
+
+(* Parks on a never-ready bell until [deadline_s] from now. A watchdog
+   rings the bell after 2 s, so a deadline the ticker never honours
+   fails the test instead of hanging it. Returns the park's result, the
+   elapsed time and the number of [ready] calls. *)
+let park_idle db ~deadline_s =
+  let calls = ref 0 in
+  let rescued = Atomic.make false and parked = Atomic.make true in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let until = Unix.gettimeofday () +. 2.0 in
+        while Atomic.get parked && Unix.gettimeofday () < until do
+          Thread.delay 0.01
+        done;
+        if Atomic.get parked then begin
+          Atomic.set rescued true;
+          Wakeup.ring db
+        end)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Wakeup.park db ~deadline:(t0 +. deadline_s) ~ready:(fun () ->
+        incr calls;
+        Atomic.get rescued)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Atomic.set parked false;
+  Thread.join watchdog;
+  if Atomic.get rescued then
+    Alcotest.failf "a %.3f s park outlived its deadline; the watchdog rang it"
+      deadline_s;
+  (r, elapsed, !calls)
+
+let test_tick_wakes_only_when_due () =
+  let db = Wakeup.doorbell () in
+  with_ticker [ db ] (fun () ->
+      let r, elapsed, calls = park_idle db ~deadline_s:0.05 in
+      Alcotest.(check bool) "timed out" false r;
+      (* One check on entry, one at the first tick past the deadline; a
+         ticker that woke every park would make about 50. *)
+      if calls > 5 then
+        Alcotest.failf "ready evaluated %d times in a 50 ms park" calls;
+      if elapsed < 0.05 || elapsed > 0.05 +. 0.1 then
+        Alcotest.failf "50 ms park returned after %.3f s" elapsed;
+      (* A short park after the long one uses its own deadline. *)
+      let r, elapsed, _ = park_idle db ~deadline_s:0.01 in
+      Alcotest.(check bool) "second park timed out" false r;
+      if elapsed < 0.01 || elapsed > 0.01 +. 0.1 then
+        Alcotest.failf "10 ms park returned after %.3f s" elapsed)
+
+(* Two threads bat a counter back and forth through two doorbells with
+   10 s deadlines, so only [ring] can wake them in time. A lost wakeup
+   stalls one round trip until its deadline; the first stalled round
+   ends the game, so the test fails instead of stalling again. *)
+let test_ping_pong_no_lost_wakeup () =
+  let rounds = 10_000 in
+  let a = Wakeup.doorbell () and b = Wakeup.doorbell () in
+  let ball = Atomic.make 0 in
+  let over = -1 in
+  let deadline () = Unix.gettimeofday () +. 10.0 in
+  with_ticker [ a; b ] (fun () ->
+      let pong =
+        Thread.create
+          (fun () ->
+            let rec serve i =
+              if i <= rounds then begin
+                ignore
+                  (Wakeup.park b ~deadline:(deadline ()) ~ready:(fun () ->
+                       let v = Atomic.get ball in
+                       v = (2 * i) - 1 || v = over)
+                    : bool);
+                (* Fails once the game is over (or this park timed out). *)
+                if Atomic.compare_and_set ball ((2 * i) - 1) (2 * i) then begin
+                  Wakeup.ring a;
+                  serve (i + 1)
+                end
+              end
+            in
+            serve 1)
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      let rec play i slowest =
+        if i > rounds then (rounds, slowest)
+        else begin
+          let s = Unix.gettimeofday () in
+          Atomic.set ball ((2 * i) - 1);
+          Wakeup.ring b;
+          let returned =
+            Wakeup.park a ~deadline:(deadline ()) ~ready:(fun () ->
+                Atomic.get ball = 2 * i)
+          in
+          let took = Unix.gettimeofday () -. s in
+          if returned && took < 2.0 then play (i + 1) (Float.max slowest took)
+          else begin
+            Atomic.set ball over;
+            Wakeup.ring b;
+            (i - 1, took)
+          end
+        end
+      in
+      let completed, slowest = play 1 0.0 in
+      let total = Unix.gettimeofday () -. t0 in
+      Thread.join pong;
+      if completed < rounds then
+        Alcotest.failf "round %d took %.3f s after %d in %.2f s" (completed + 1)
+          slowest completed total)
 
 (* --- TCP transport --- *)
 
@@ -255,6 +405,22 @@ let test_tcp_queue_full_drops () =
     (st.Tcp.sends + st.Tcp.dropped_full = 64);
   Tcp.close a
 
+(* Writers park with no deadline once their outbox is empty; [close]
+   must still wake and join them at once. *)
+let test_tcp_close_idle_writers () =
+  let addresses = fresh_ports 3 in
+  let a = Tcp.create ~self:0 ~addresses () in
+  let b = Tcp.create ~self:1 ~addresses () in
+  Tcp.send a ~dst:1 (sample_msg ());
+  Alcotest.(check bool) "delivered" true (Tcp.recv b ~timeout_s:2.0 <> None);
+  (* Let the writer to 1 go idle; the writer to 2 never had work. *)
+  Thread.delay 0.1;
+  let t0 = Unix.gettimeofday () in
+  Tcp.close a;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 0.5 then Alcotest.failf "close took %.3f s" elapsed;
+  Tcp.close b
+
 let test_tcp_large_message () =
   let addresses = fresh_ports 2 in
   let a = Tcp.create ~self:0 ~addresses () in
@@ -281,6 +447,10 @@ let suite =
         test_ring_backpressure_drops;
       Alcotest.test_case "ring close while blocked" `Quick
         test_ring_close_while_blocked;
+      Alcotest.test_case "ticker wakes a park only when due" `Quick
+        test_tick_wakes_only_when_due;
+      Alcotest.test_case "ping-pong loses no wakeup" `Quick
+        test_ping_pong_no_lost_wakeup;
       Alcotest.test_case "tcp round trip" `Quick test_tcp_round_trip;
       Alcotest.test_case "tcp broadcast" `Quick test_tcp_broadcast;
       Alcotest.test_case "tcp self send" `Quick test_tcp_send_to_self;
@@ -291,4 +461,6 @@ let suite =
         test_tcp_kill_reconnect;
       Alcotest.test_case "tcp queue-full drops" `Quick
         test_tcp_queue_full_drops;
+      Alcotest.test_case "tcp close with idle writers" `Quick
+        test_tcp_close_idle_writers;
     ]
