@@ -5,44 +5,24 @@
      model       - print the analytic model's building blocks and curve
      experiment  - regenerate one paper table/figure (or "all")
      config      - print the default configuration as JSON
-     check       - invariant fuzzer: "check fuzz" and "check replay"
+     check       - invariant oracle: "check fuzz", "check replay",
+                   "check trace" and "check explore" (explore_cli.ml)
      metrics     - simulate one configuration and export its aggregate
                    perf counters/histograms (Prometheus text or JSON)
+     cluster     - multi-process TCP deployment (cluster_cli.ml)
      lint        - AST-level determinism linter over the OCaml sources
    A JSON configuration file (--config) seeds any subcommand's settings;
-   individual flags override it.
+   individual flags override it. Converters, file loading and the check
+   flags the subcommands share live in cli.ml.
 
    Exit codes are uniform across subcommands: 0 = success and all
    invariants held; 1 = an invariant was violated (safety violation or
    inconsistent prefixes in "run", a failing scenario in "check",
    diverged rows in the bench harness, an error-severity lint finding);
-   2 = usage or configuration error. *)
+   2 = usage or configuration error, including any flag value a
+   converter rejects. *)
 
 open Cmdliner
-
-let protocol_conv =
-  let parse s =
-    match Bamboo.Config.protocol_of_name s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Bamboo.Config.protocol_name p))
-
-let strategy_conv =
-  let parse = function
-    | "honest" -> Ok Bamboo.Config.Honest
-    | "silence" -> Ok Bamboo.Config.Silence
-    | "fork" -> Ok Bamboo.Config.Fork
-    | s -> Error (`Msg (Printf.sprintf "unknown strategy %S" s))
-  in
-  let print fmt s =
-    Format.pp_print_string fmt
-      (match s with
-      | Bamboo.Config.Honest -> "honest"
-      | Bamboo.Config.Silence -> "silence"
-      | Bamboo.Config.Fork -> "fork")
-  in
-  Arg.conv (parse, print)
 
 let config_file =
   Arg.(
@@ -50,37 +30,15 @@ let config_file =
     & opt (some file) None
     & info [ "config" ] ~docv:"FILE" ~doc:"JSON configuration file (Table I parameters).")
 
-let read_file path =
-  match open_in path with
-  | exception Sys_error e ->
-      Printf.eprintf "bamboo: %s\n" e;
-      exit 2
-  | ic ->
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      close_in ic;
-      raw
-
-let parse_json ~path raw =
-  try Bamboo_util.Json.of_string raw
-  with Bamboo_util.Json.Parse_error e ->
-    Printf.eprintf "error in %s: invalid JSON: %s\n" path e;
-    exit 2
-
 let load_config = function
   | None -> Bamboo.Config.default
-  | Some path -> (
-      match Bamboo.Config.of_json (parse_json ~path (read_file path)) with
-      | Ok c -> c
-      | Error e ->
-          Printf.eprintf "error in %s: %s\n" path e;
-          exit 2)
+  | Some path -> Cli.load_json Bamboo.Config.of_json path
 
 (* Flags shared by run/model; each is optional and overrides the file. *)
-let protocol_t = Arg.(value & opt (some protocol_conv) None & info [ "protocol"; "p" ] ~docv:"NAME")
+let protocol_t = Arg.(value & opt (some Cli.protocol) None & info [ "protocol"; "p" ] ~docv:"NAME")
 let n_t = Arg.(value & opt (some int) None & info [ "n" ] ~docv:"REPLICAS")
 let byz_t = Arg.(value & opt (some int) None & info [ "byz" ] ~docv:"COUNT" ~doc:"Number of Byzantine replicas.")
-let strategy_t = Arg.(value & opt (some strategy_conv) None & info [ "strategy" ] ~docv:"NAME" ~doc:"honest, silence or fork.")
+let strategy_t = Arg.(value & opt (some Cli.strategy) None & info [ "strategy" ] ~docv:"NAME" ~doc:"honest, silence or fork.")
 let bsize_t = Arg.(value & opt (some int) None & info [ "bsize" ] ~docv:"TXS")
 let psize_t = Arg.(value & opt (some int) None & info [ "psize" ] ~docv:"BYTES")
 let delay_t = Arg.(value & opt (some float) None & info [ "delay" ] ~docv:"MS" ~doc:"Added network delay, milliseconds.")
@@ -89,10 +47,12 @@ let backoff_t = Arg.(value & opt (some float) None & info [ "backoff" ] ~docv:"F
 let runtime_t = Arg.(value & opt (some float) None & info [ "runtime" ] ~docv:"SECONDS")
 let seed_t = Arg.(value & opt (some int) None & info [ "seed" ])
 
-let jobs_t =
+(* [jobs_conv] is [int] where {!Bamboo.Config.validate} judges the value, and
+   bounded where the command uses it directly. *)
+let jobs_arg jobs_conv =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for independent simulation cells (default: the \
@@ -100,16 +60,7 @@ let jobs_t =
            machine's recommended domain count). Changes wall-clock time \
            only; experiment output is identical at any value.")
 
-let trace_format_conv =
-  let parse s =
-    match Bamboo.Config.trace_format_of_name s with
-    | Ok f -> Ok f
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    ( parse,
-      fun fmt f ->
-        Format.pp_print_string fmt (Bamboo.Config.trace_format_name f) )
+let positive_jobs_t = jobs_arg (Cli.at_least Arg.int 1)
 
 let trace_t =
   Arg.(
@@ -121,7 +72,7 @@ let trace_t =
 let trace_format_t =
   Arg.(
     value
-    & opt (some trace_format_conv) None
+    & opt (some Cli.trace_format) None
     & info [ "trace-format" ] ~docv:"FORMAT"
         ~doc:
           "Trace format: $(b,jsonl) (one JSON event per line) or \
@@ -147,13 +98,6 @@ let faults_t =
            the configuration's $(b,faults) section); replaces any schedule \
            from --config. See README \"Fault injection\".")
 
-let load_faults path =
-  match Bamboo_faults.Schedule.of_json (parse_json ~path (read_file path)) with
-  | Ok s -> s
-  | Error e ->
-      Printf.eprintf "error in %s: %s\n" path e;
-      exit 2
-
 let override config protocol n byz strategy bsize psize delay timeout backoff
     runtime seed jobs trace trace_format probe_interval faults =
   let set v f config = match v with None -> config | Some v -> f config v in
@@ -175,14 +119,18 @@ let override config protocol n byz strategy bsize psize delay timeout backoff
   |> set probe_interval (fun c p ->
          { c with Bamboo.Config.probe_interval = p /. 1000.0 })
   |> set faults (fun c path ->
-         { c with Bamboo.Config.faults = load_faults path })
+         {
+           c with
+           Bamboo.Config.faults =
+             Cli.load_json Bamboo_faults.Schedule.of_json path;
+         })
 
 let common_t =
   Term.(
     const override $ Term.(const load_config $ config_file) $ protocol_t $ n_t
     $ byz_t $ strategy_t $ bsize_t $ psize_t $ delay_t $ timeout_t $ backoff_t
-    $ runtime_t $ seed_t $ jobs_t $ trace_t $ trace_format_t $ probe_interval_t
-    $ faults_t)
+    $ runtime_t $ seed_t $ jobs_arg Arg.int $ trace_t $ trace_format_t
+    $ probe_interval_t $ faults_t)
 
 (* --- run --- *)
 
@@ -230,12 +178,7 @@ let run_cmd =
           match config.Bamboo.Config.trace_file with
           | None -> (None, Bamboo_obs.Trace.null)
           | Some path ->
-              let oc =
-                try open_out path
-                with Sys_error e ->
-                  Printf.eprintf "cannot open trace file: %s\n" e;
-                  exit 2
-              in
+              let oc = Cli.open_out_or_exit path in
               let t =
                 match config.Bamboo.Config.trace_format with
                 | Bamboo.Config.Jsonl -> Bamboo_obs.Trace.jsonl oc
@@ -327,14 +270,7 @@ let metrics_cmd =
         (match out with
         | None -> print_string rendered
         | Some path ->
-            let oc =
-              try open_out path
-              with Sys_error e ->
-                Printf.eprintf "bamboo: cannot open output file: %s\n" e;
-                exit 2
-            in
-            output_string oc rendered;
-            close_out oc;
+            Cli.write_file path rendered;
             Printf.eprintf "metrics written to %s\n" path);
         if r.Bamboo.Runtime.any_violation || not r.Bamboo.Runtime.consistent
         then exit 1
@@ -393,18 +329,13 @@ let experiment_cmd =
     let scale =
       if full then Bamboo.Experiments.Full else Bamboo.Experiments.Quick
     in
-    (* Flag beats the configuration file's [jobs] key beats the default. *)
+    (* Flag beats the configuration file's [jobs] key beats the default;
+       the file's value is validated on load. *)
     let jobs =
       match jobs with
       | Some j -> j
       | None -> (load_config config_path).Bamboo.Config.jobs
     in
-    if jobs < 1 then begin
-      Printf.eprintf
-        "bamboo: --jobs must be >= 1 (got %d); it counts worker domains\n"
-        jobs;
-      exit 2
-    end;
     Bamboo.Experiments.set_jobs jobs;
     if name = "all" then Bamboo.Experiments.run_all ~scale ()
     else
@@ -416,7 +347,7 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a paper table or figure.")
-    Term.(const run $ name_t $ full_t $ config_file $ jobs_t)
+    Term.(const run $ name_t $ full_t $ config_file $ positive_jobs_t)
 
 (* --- config --- *)
 
@@ -431,73 +362,14 @@ let config_cmd =
 
 (* --- check --- *)
 
-let protocols_t =
-  let all =
-    [
-      Bamboo.Config.Hotstuff;
-      Bamboo.Config.Twochain;
-      Bamboo.Config.Streamlet;
-      Bamboo.Config.Fasthotstuff;
-    ]
-  in
-  Arg.(
-    value
-    & opt (list protocol_conv) all
-    & info [ "protocols" ] ~docv:"NAMES"
-        ~doc:"Comma-separated protocols to sample scenarios from.")
-
-let recover_views_t =
-  Arg.(
-    value
-    & opt int Bamboo_check.Monitor.default_opts.Bamboo_check.Monitor.recover_views
-    & info [ "recover-views" ] ~docv:"VIEWS"
-        ~doc:
-          "Bounded-liveness budget: after the last fault heals, a commit \
-           must land within $(docv) view timeouts.")
-
-let break_voting_t =
-  Arg.(
-    value & flag
-    & info [ "plant-broken-voting" ]
-        ~doc:
-          "Self-test of the oracle: plant a deliberately unsafe voting \
-           rule (ignores the lock) in every replica so the agreement \
-           monitor has a real violation to catch. Never use for \
-           protocol measurements.")
-
-let check_wrap break_voting =
-  if break_voting then Some Bamboo_check.Fuzz.broken_voting_rule else None
-
-let check_opts recover_views =
-  if recover_views < 1 then begin
-    Printf.eprintf "bamboo: --recover-views must be >= 1 (got %d)\n"
-      recover_views;
-    exit 2
-  end;
-  { Bamboo_check.Monitor.recover_views }
-
-let print_report label (r : Bamboo_check.Monitor.report) =
-  List.iter
-    (fun ((inv : Bamboo_check.Monitor.invariant), reason) ->
-      Printf.printf "  skip %s: %s\n"
-        (Bamboo_check.Monitor.invariant_name inv)
-        reason)
-    r.Bamboo_check.Monitor.skipped;
-  List.iter
-    (fun (v : Bamboo_check.Monitor.violation) ->
-      Printf.printf "  FAIL %s: %s\n"
-        (Bamboo_check.Monitor.invariant_name v.Bamboo_check.Monitor.invariant)
-        v.Bamboo_check.Monitor.detail)
-    r.Bamboo_check.Monitor.violations;
-  if Bamboo_check.Monitor.pass r then Printf.printf "  pass %s\n" label
-
 let fuzz_cmd =
   let seed_t =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Root seed.")
   in
   let budget_t =
     Arg.(
-      value & opt int 50
+      value
+      & opt (Cli.at_least int 0) 50
       & info [ "budget" ] ~docv:"N" ~doc:"Number of scenarios to run.")
   in
   let out_t =
@@ -507,22 +379,8 @@ let fuzz_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Where to write the shrunk reproducer on failure.")
   in
-  let run seed budget jobs protocols recover_views break_voting out =
-    if budget < 0 then begin
-      Printf.eprintf "bamboo: --budget must be >= 0 (got %d)\n" budget;
-      exit 2
-    end;
-    let jobs = match jobs with Some j -> j | None -> 1 in
-    if jobs < 1 then begin
-      Printf.eprintf "bamboo: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 2
-    end;
-    if protocols = [] then begin
-      Printf.eprintf "bamboo: --protocols must name at least one protocol\n";
-      exit 2
-    end;
-    let opts = check_opts recover_views in
-    let wrap = check_wrap break_voting in
+  let run seed budget jobs protocols opts wrap out =
+    let jobs = Option.value jobs ~default:1 in
     let verdicts =
       Bamboo_check.Fuzz.fuzz ?wrap ~opts ~root_seed:seed ~budget ~jobs
         ~protocols ()
@@ -532,7 +390,7 @@ let fuzz_cmd =
       (fun (v : Bamboo_check.Fuzz.verdict) ->
         let s = v.Bamboo_check.Fuzz.scenario in
         Printf.printf "%s\n" (Bamboo_check.Scenario.describe s);
-        print_report s.Bamboo_check.Scenario.label v.Bamboo_check.Fuzz.report)
+        Cli.print_report s.Bamboo_check.Scenario.label v.Bamboo_check.Fuzz.report)
       verdicts;
     Printf.printf
       "fuzz: root_seed=%d budget=%d protocols=%s \
@@ -554,17 +412,7 @@ let fuzz_cmd =
           s.Bamboo_check.Scenario.config.Bamboo.Config.n
           s.Bamboo_check.Scenario.config.Bamboo.Config.runtime
           m.Bamboo_check.Fuzz.runs m.Bamboo_check.Fuzz.detail;
-        let oc =
-          try open_out out
-          with Sys_error e ->
-            Printf.eprintf "bamboo: cannot write reproducer: %s\n" e;
-            exit 2
-        in
-        output_string oc
-          (Bamboo_util.Json.to_string ~indent:true
-             (Bamboo_check.Fuzz.artifact_to_json m));
-        output_char oc '\n';
-        close_out oc;
+        Cli.write_json out (Bamboo_check.Fuzz.artifact_to_json m);
         Printf.printf "reproducer written to %s\n" out;
         exit 1
   in
@@ -576,8 +424,8 @@ let fuzz_cmd =
           minimal reproducer. Output is byte-identical for the same seed, \
           budget and protocols at any --jobs value.")
     Term.(
-      const run $ seed_t $ budget_t $ jobs_t $ protocols_t $ recover_views_t
-      $ break_voting_t $ out_t)
+      const run $ seed_t $ budget_t $ positive_jobs_t $ Cli.protocols_t
+      $ Cli.opts_t $ Cli.wrap_t $ out_t)
 
 let replay_cmd =
   let file_t =
@@ -586,23 +434,14 @@ let replay_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"Reproducer JSON written by check fuzz.")
   in
-  let run file recover_views break_voting =
-    let opts = check_opts recover_views in
-    let wrap = check_wrap break_voting in
-    let json = parse_json ~path:file (read_file file) in
-    let scenario, invariant =
-      match Bamboo_check.Fuzz.artifact_of_json json with
-      | Ok v -> v
-      | Error e ->
-          Printf.eprintf "error in %s: %s\n" file e;
-          exit 2
-    in
-    let schedule =
-      match Bamboo_explore.Strategy.schedule_of_json json with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "error in %s: %s\n" file e;
-          exit 2
+  let run file opts wrap =
+    let (scenario, invariant), schedule =
+      Cli.load_json
+        (fun json ->
+          Result.bind (Bamboo_check.Fuzz.artifact_of_json json) (fun a ->
+              Result.map (fun s -> (a, s))
+                (Bamboo_explore.Strategy.schedule_of_json json)))
+        file
     in
     Printf.printf "%s\n" (Bamboo_check.Scenario.describe scenario);
     let report =
@@ -623,7 +462,7 @@ let replay_cmd =
           in
           outcome.Bamboo_explore.Scheduler.o_verdict.Bamboo_check.Fuzz.report
     in
-    print_report scenario.Bamboo_check.Scenario.label report;
+    Cli.print_report scenario.Bamboo_check.Scenario.label report;
     let reproduced =
       List.exists
         (fun (viol : Bamboo_check.Monitor.violation) ->
@@ -648,7 +487,7 @@ let replay_cmd =
           counterexample with a recorded delivery schedule — and report \
           whether the recorded invariant violation occurs again (exit 1 \
           if it does).")
-    Term.(const run $ file_t $ recover_views_t $ break_voting_t)
+    Term.(const run $ file_t $ Cli.opts_t $ Cli.wrap_t)
 
 let trace_cmd =
   let file_t =
@@ -684,7 +523,7 @@ let trace_cmd =
       Bamboo_check.Monitor.check_trace ~byz_no ?expect_commit_after:commit_after
         events
     in
-    print_report (Filename.basename file) report;
+    Cli.print_report (Filename.basename file) report;
     if not (Bamboo_check.Monitor.pass report) then exit 1
   in
   Cmd.v
@@ -703,7 +542,7 @@ let check_cmd =
          checker (agreement, certification uniqueness, vote safety, \
          bounded liveness)."
   in
-  Cmd.group info [ fuzz_cmd; replay_cmd; trace_cmd; Bamboo_explore.Explore_cli.cmd ]
+  Cmd.group info [ fuzz_cmd; replay_cmd; trace_cmd; Explore_cli.cmd ]
 
 let () =
   let doc = "Bamboo: prototyping and evaluation of chained-BFT protocols" in
@@ -712,7 +551,7 @@ let () =
     Cmd.eval_value
       (Cmd.group info
          [ run_cmd; model_cmd; experiment_cmd; config_cmd; check_cmd;
-           metrics_cmd; Bamboo_cluster.Cluster_cli.cmd; Lint_cli.cmd ])
+           metrics_cmd; Cluster_cli.cmd; Lint_cli.cmd ])
   with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> exit 0
   | Error _ -> exit 2

@@ -1,44 +1,18 @@
 (* The [bamboo cluster] command group: [run] orchestrates an n-process
-   TCP deployment with chaos, [node] is the (internal) child entry
-   point. Kept in the library so the single [bamboo] binary can act as
-   both parent and child — the parent re-executes its own binary with
+   TCP deployment with chaos, [node] is the (internal) child entry point.
+   Both are subcommands of the one [bamboo] binary because
+   [Harness.spawn_node] re-executes [Sys.executable_name] with
    [cluster node] arguments. *)
 
 module Config = Bamboo.Config
 module Schedule = Bamboo_faults.Schedule
-module Monitor = Bamboo_check.Monitor
-module Json = Bamboo_util.Json
+module Harness = Bamboo_cluster.Harness
 open Cmdliner
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e ->
-      prerr_endline e;
-      exit 2
-  | ic ->
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      close_in ic;
-      raw
-
-let parse_json ~path raw =
-  match Json.of_string raw with
-  | j -> j
-  | exception Json.Parse_error e ->
-      Printf.eprintf "%s: %s\n" path e;
-      exit 2
 
 (* --- cluster node (internal child entry point) --- *)
 
 let node_run self config_path base_port client_port epoch trace summary =
-  let config =
-    match Config.of_json (parse_json ~path:config_path (read_file config_path))
-    with
-    | Ok c -> c
-    | Error e ->
-        Printf.eprintf "%s: %s\n" config_path e;
-        exit 2
-  in
+  let config = Cli.load_json Config.of_json config_path in
   Harness.run_node ~config ~self ~base_port ~client_port ~epoch
     ~trace_path:trace ~summary_path:summary
 
@@ -100,22 +74,10 @@ let node_cmd =
 
 let cluster_run n protocol bsize memsize timeout duration rate base_port
     client_port_base faults_path outdir seed health_timeout =
-  let protocol =
-    match Config.protocol_of_name protocol with
-    | Ok p -> p
-    | Error e ->
-        prerr_endline e;
-        exit 2
-  in
   let faults =
     match faults_path with
     | None -> Schedule.empty
-    | Some path -> (
-        match Schedule.of_json (parse_json ~path (read_file path)) with
-        | Ok s -> s
-        | Error e ->
-            Printf.eprintf "%s: %s\n" path e;
-            exit 2)
+    | Some path -> Cli.load_json Schedule.of_json path
   in
   let config =
     {
@@ -165,12 +127,7 @@ let cluster_run n protocol bsize memsize timeout duration rate base_port
       if o.Harness.o_skipped_lines > 0 then
         Printf.printf "cluster: skipped %d torn/unparseable trace lines\n"
           o.Harness.o_skipped_lines;
-      List.iter
-        (fun (v : Monitor.violation) ->
-          Printf.printf "  FAIL %s: %s\n"
-            (Monitor.invariant_name v.Monitor.invariant)
-            v.Monitor.detail)
-        o.Harness.o_report.Monitor.violations;
+      Cli.print_violations o.Harness.o_report;
       Printf.printf "cluster: summary %s\ncluster: merged trace %s\n%!"
         o.Harness.o_summary_path o.Harness.o_merged_path;
       if Harness.outcome_pass o then print_endline "cluster: PASS"
@@ -186,7 +143,7 @@ let run_cmd =
   let protocol =
     Arg.(
       value
-      & opt string "hotstuff"
+      & opt Cli.protocol Config.Hotstuff
       & info [ "protocol" ] ~docv:"NAME"
           ~doc:"hotstuff|twochain|streamlet|fasthotstuff.")
   in

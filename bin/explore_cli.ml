@@ -1,37 +1,21 @@
+(* The [bamboo check explore] subcommand: bounded model checking of
+   delivery schedules over the simulator (DFS + state hashing + sleep-set
+   POR, or PCT randomized priorities). Exit codes: 0 no violation, 1 a
+   violation was found and a replayable counterexample written, 2 usage
+   error.
+
+   Output discipline: every line is a pure function of the flags (never of
+   --jobs or wall-clock), because CI diffs the output of parallel and
+   sequential runs to enforce the determinism contract. *)
+
 open Cmdliner
 module Config = Bamboo.Config
 module Monitor = Bamboo_check.Monitor
 module Fuzz = Bamboo_check.Fuzz
 module Scenario = Bamboo_check.Scenario
-module Json = Bamboo_util.Json
 module Schedule = Bamboo_faults.Schedule
-
-(* Output discipline: every line is a pure function of the flags (never of
-   --jobs or wall-clock), because CI diffs the output of parallel and
-   sequential runs to enforce the determinism contract. *)
-
-let protocol_conv =
-  let parse s =
-    match Config.protocol_of_name s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    (parse, fun fmt p -> Format.pp_print_string fmt (Config.protocol_name p))
-
-let adversary_name = function
-  | Config.Honest -> "honest"
-  | Config.Silence -> "silence"
-  | Config.Fork -> "fork"
-
-let adversary_conv =
-  let parse = function
-    | "honest" -> Ok Config.Honest
-    | "silence" -> Ok Config.Silence
-    | "fork" -> Ok Config.Fork
-    | s -> Error (`Msg (Printf.sprintf "unknown adversary %S" s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (adversary_name s))
+module Scheduler = Bamboo_explore.Scheduler
+module Strategy = Bamboo_explore.Strategy
 
 let strategy_t =
   Arg.(
@@ -42,18 +26,6 @@ let strategy_t =
           "Exploration strategy: $(b,dfs) (exhaustive bounded DFS with \
            state hashing and sleep-set POR) or $(b,pct) (randomized \
            priority schedules).")
-
-let protocols_t =
-  let all =
-    [
-      Config.Hotstuff; Config.Twochain; Config.Streamlet; Config.Fasthotstuff;
-    ]
-  in
-  Arg.(
-    value
-    & opt (list protocol_conv) all
-    & info [ "protocols" ] ~docv:"NAMES"
-        ~doc:"Comma-separated protocols to explore.")
 
 let n_t =
   Arg.(
@@ -67,7 +39,7 @@ let byz_t =
 
 let adversary_t =
   Arg.(
-    value & opt adversary_conv Config.Honest
+    value & opt Cli.strategy Config.Honest
     & info [ "adversary" ] ~docv:"NAME"
         ~doc:"Byzantine strategy: honest, silence or fork.")
 
@@ -87,7 +59,8 @@ let timeout_t =
 
 let window_t =
   Arg.(
-    value & opt float 1e-4
+    value
+    & opt (Cli.at_least float 0.0) 1e-4
     & info [ "window" ] ~docv:"SECONDS"
         ~doc:
           "Commutativity window: deliveries within $(docv) of the \
@@ -106,7 +79,8 @@ let explore_after_t =
 
 let depth_t =
   Arg.(
-    value & opt int 6
+    value
+    & opt (Cli.at_least int 1) 6
     & info [ "depth" ] ~docv:"N"
         ~doc:
           "Decision-depth bound: each execution records at most $(docv) \
@@ -115,7 +89,8 @@ let depth_t =
 
 let max_runs_t =
   Arg.(
-    value & opt int 5000
+    value
+    & opt (Cli.at_least int 1) 5000
     & info [ "max-runs" ] ~docv:"N"
         ~doc:
           "Execution budget per protocol. DFS that drains its frontier \
@@ -134,7 +109,8 @@ let pct_d_t =
 
 let jobs_t =
   Arg.(
-    value & opt int 1
+    value
+    & opt (Cli.at_least int 1) 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel re-execution. Never affects \
@@ -149,22 +125,6 @@ let no_por_t =
           "Brute-force baseline (DFS only): disable state-hash \
            deduplication and sleep-set partial-order reduction, for \
            measuring the reduction itself.")
-
-let recover_views_t =
-  Arg.(
-    value
-    & opt int Monitor.default_opts.Monitor.recover_views
-    & info [ "recover-views" ] ~docv:"VIEWS"
-        ~doc:"Bounded-liveness budget, in view timeouts.")
-
-let break_voting_t =
-  Arg.(
-    value & flag
-    & info [ "plant-broken-voting" ]
-        ~doc:
-          "Self-test: plant a deliberately unsafe voting rule (ignores \
-           the lock) in every replica, so the search has a real \
-           schedule-dependent violation to find.")
 
 (* "AT:UNTIL:ID[,ID...]" — isolate the listed replicas from the rest of
    the cluster during [AT, UNTIL). *)
@@ -246,35 +206,8 @@ let pp_stats proto strategy (st : Strategy.stats) verdict =
     st.Strategy.runs st.Strategy.decisions strat_fields verdict
 
 let run strategy protocols n byz adversary horizon timeout window
-    explore_after depth max_runs seed pct_d jobs no_por recover_views
-    break_voting partitions out =
-  if protocols = [] then begin
-    Printf.eprintf "bamboo: --protocols must name at least one protocol\n";
-    exit 2
-  end;
-  if jobs < 1 then begin
-    Printf.eprintf "bamboo: --jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
-  if depth < 1 then begin
-    Printf.eprintf "bamboo: --depth must be >= 1 (got %d)\n" depth;
-    exit 2
-  end;
-  if max_runs < 1 then begin
-    Printf.eprintf "bamboo: --max-runs must be >= 1 (got %d)\n" max_runs;
-    exit 2
-  end;
-  if window < 0.0 then begin
-    Printf.eprintf "bamboo: --window must be >= 0\n";
-    exit 2
-  end;
-  if recover_views < 1 then begin
-    Printf.eprintf "bamboo: --recover-views must be >= 1 (got %d)\n"
-      recover_views;
-    exit 2
-  end;
-  let opts = { Monitor.recover_views } in
-  let wrap = if break_voting then Some Fuzz.broken_voting_rule else None in
+    explore_after depth max_runs seed pct_d jobs no_por opts wrap partitions
+    out =
   let strategy_name = match strategy with `Dfs -> "dfs" | `Pct -> "pct" in
   Printf.printf
     "explore: strategy=%s protocols=%s n=%d byz=%d adversary=%s \
@@ -282,7 +215,9 @@ let run strategy protocols n byz adversary horizon timeout window
      seed=%d por=%s partitions=%d\n"
     strategy_name
     (String.concat "," (List.map Config.protocol_name protocols))
-    n byz (adversary_name adversary) window explore_after depth max_runs
+    n byz
+    (Config.strategy_name adversary)
+    window explore_after depth max_runs
     horizon timeout seed
     (if no_por then "off" else "on")
     (List.length partitions);
@@ -332,16 +267,7 @@ let run strategy protocols n byz adversary horizon timeout window
         (List.length c.Strategy.c_choices)
         m.Fuzz.scenario.Scenario.config.Config.runtime c.Strategy.c_shrink_runs
         m.Fuzz.detail;
-      let oc =
-        try open_out out
-        with Sys_error e ->
-          Printf.eprintf "bamboo: cannot write counterexample: %s\n" e;
-          exit 2
-      in
-      output_string oc
-        (Json.to_string ~indent:true (Strategy.counterexample_to_json c));
-      output_char oc '\n';
-      close_out oc;
+      Cli.write_json out (Strategy.counterexample_to_json c);
       Printf.printf "counterexample written to %s\n" out;
       exit 1
 
@@ -356,7 +282,7 @@ let cmd =
           was found, 1 on a violation (a replayable counterexample is \
           written), 2 on usage errors.")
     Term.(
-      const run $ strategy_t $ protocols_t $ n_t $ byz_t $ adversary_t
+      const run $ strategy_t $ Cli.protocols_t $ n_t $ byz_t $ adversary_t
       $ horizon_t $ timeout_t $ window_t $ explore_after_t $ depth_t
-      $ max_runs_t $ seed_t $ pct_d_t $ jobs_t $ no_por_t $ recover_views_t
-      $ break_voting_t $ partitions_t $ out_t)
+      $ max_runs_t $ seed_t $ pct_d_t $ jobs_t $ no_por_t $ Cli.opts_t
+      $ Cli.wrap_t $ partitions_t $ out_t)

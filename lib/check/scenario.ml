@@ -182,18 +182,13 @@ let generate ~root_seed ~index ~protocols =
 
 let describe t =
   let c = t.config in
-  let strategy =
-    match c.Config.strategy with
-    | Config.Honest -> "honest"
-    | Config.Silence -> "silence"
-    | Config.Fork -> "fork"
-  in
   Printf.sprintf
     "%s %-12s n=%d byz=%d/%-7s timeout=%3.0fms faults=%d rate=%4.0f \
      runtime=%.2fs seed=%d"
     t.label
     (Config.protocol_name c.Config.protocol)
-    c.Config.n c.Config.byz_no strategy
+    c.Config.n c.Config.byz_no
+    (Config.strategy_name c.Config.strategy)
     (c.Config.timeout *. 1000.0)
     (List.length c.Config.faults)
     t.rate c.Config.runtime c.Config.seed

@@ -103,6 +103,14 @@ val of_json : Bamboo_util.Json.t -> (t, string) result
 val protocol_name : protocol -> string
 
 val protocol_of_name : string -> (protocol, string) result
+(** Accepts each {!protocol_name} and the short aliases [hs], [2chs], [sl]
+    and [fhs]. The JSON configuration and every command-line flag that
+    names a protocol parse it here. *)
+
+val strategy_name : strategy -> string
+
+val strategy_of_name : string -> (strategy, string) result
+(** Accepts each {!strategy_name} and the alias [forking]. *)
 
 val trace_format_name : trace_format -> string
 

@@ -32,8 +32,6 @@ let reason_label = function
   | Via_tc _ -> "tc"
   | Startup -> "startup"
 
-let base_timeout t = t.timeout
-
 let consecutive_timeouts t = t.consecutive
 
 let timer_duration t =

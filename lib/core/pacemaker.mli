@@ -35,8 +35,6 @@ val reason_label : entry_reason -> string
 val timer_duration : t -> float
 (** Duration for the current view's timer, including any backoff. *)
 
-val base_timeout : t -> float
-
 val consecutive_timeouts : t -> int
 (** Views entered through TCs since the last QC-driven advance. *)
 

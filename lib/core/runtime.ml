@@ -693,17 +693,14 @@ let publish_metrics reg ~sim ~net ~machines ~nodes ~sig_registry =
       nodes
   end
 
-let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
+let run ~config ~workload ?(bucket = 0.5) ?(trace = Trace.null)
     ?(metrics = Registry.null) ?wrap_safety ?scheduler () =
   let mreg = metrics in
   (match Config.validate config with
   | Ok _ -> ()
   | Error e -> invalid_arg ("Runtime.run: " ^ e));
-  let observer =
-    match observer with
-    | Some o -> o
-    | None -> min config.Config.byz_no (config.Config.n - 1)
-  in
+  (* The first honest replica supplies the view/commit counts. *)
+  let observer = min config.Config.byz_no (config.Config.n - 1) in
   let master = Rng.create ~seed:config.Config.seed in
   let net_rng = Rng.split master in
   let workload_rng = Rng.split master in

@@ -86,7 +86,6 @@ val run :
   config:Config.t ->
   workload:Workload.t ->
   ?bucket:float ->
-  ?observer:int ->
   ?trace:Bamboo_obs.Trace.t ->
   ?metrics:Bamboo_metrics.Registry.t ->
   ?wrap_safety:(Bamboo_types.Ids.replica -> Safety.t -> Safety.t) ->
@@ -94,8 +93,8 @@ val run :
   unit ->
   result
 (** [run ~config ~workload ()] simulates [config.runtime] virtual seconds.
-    [observer] (default: the first honest replica) supplies the
-    view/commit counts for CGR and BI. [bucket] (default 0.5 s) is the
+    The first honest replica supplies the view/commit counts for CGR
+    and BI. [bucket] (default 0.5 s) is the
     time-series granularity. [trace] (default {!Bamboo_obs.Trace.null})
     receives structured protocol/machine events; with the null sink all
     instrumentation reduces to one tag check and the simulation's event

@@ -94,6 +94,18 @@ let await shared ~timeout_s ready =
   Mutex.unlock shared.mutex;
   reached
 
+(* Execution-layer agreement: each store is compared with the first one
+   seen at its committed height. *)
+let kv_consistent stores =
+  let rec go seen = function
+    | [] -> true
+    | (height, hash) :: rest -> (
+        match List.find_opt (fun (h, _) -> Int.equal h height) seen with
+        | Some (_, first) -> String.equal first hash && go seen rest
+        | None -> go ((height, hash) :: seen) rest)
+  in
+  go [] stores
+
 module type RUNTIME = sig
   type endpoint
   type cluster
@@ -424,17 +436,13 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         (fun ctx -> Forest.committed_height (Node.forest ctx.node))
         replicas
     in
-    (* Execution-layer agreement: replicas at the same committed height
-       must hold byte-identical stores. *)
-    let kv_consistent = ref true in
-    let reference_height = heights.(0) in
-    let reference_hash = Kvstore.state_hash replicas.(0).kv in
-    Array.iteri
-      (fun i ctx ->
-        if i > 0 && heights.(i) = reference_height then
-          if not (String.equal (Kvstore.state_hash ctx.kv) reference_hash) then
-            kv_consistent := false)
-      replicas;
+    let kv_consistent =
+      kv_consistent
+        (Array.to_list
+           (Array.mapi
+              (fun i ctx -> (heights.(i), Kvstore.state_hash ctx.kv))
+              replicas))
+    in
     (* The replica threads are joined, but take the mutex anyway so the
        locking story stays uniform (and checkable) for these fields. *)
     let committed_txs, latency_mean, latency_count, consistent =
@@ -457,7 +465,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
       latency_mean;
       latency_count;
       consistent;
-      kv_consistent = !kv_consistent;
+      kv_consistent;
       any_violation =
         Array.exists (fun ctx -> Node.safety_violation ctx.node) replicas;
     }

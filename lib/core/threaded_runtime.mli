@@ -18,11 +18,15 @@ type report = {
   latency_count : int;
   consistent : bool;  (** The {!Agreement} oracle found no conflict. *)
   kv_consistent : bool;
-      (** All replicas' key-value stores hash identically (for equal
-          committed heights this must hold; replicas still catching up are
-          compared on the common prefix count only when equal). *)
+      (** {!kv_consistent} over every replica's committed height and
+          store hash. *)
   any_violation : bool;
 }
+
+val kv_consistent : (int * string) list -> bool
+(** Execution-layer agreement over [(committed height, store hash)]
+    pairs: every pair of stores at an equal height must hash identically.
+    Stores at different heights are not compared. *)
 
 (** Interface of an instantiated runtime; [endpoint] is the transport's
     endpoint type. *)

@@ -46,7 +46,7 @@ type outcome = {
    instant, which is exactly what makes the commutativity window group
    them into decisions) and no machine contention to model — the runtime's
    controlled mode abstracts the pipelines away regardless. *)
-let scenario ?(label = "explore") ?(faults = []) ~protocol ~n ~byz_no
+let scenario ?(faults = []) ~protocol ~n ~byz_no
     ~strategy ~horizon ~timeout () =
   let config =
     {
@@ -71,7 +71,7 @@ let scenario ?(label = "explore") ?(faults = []) ~protocol ~n ~byz_no
     }
   in
   match Config.validate config with
-  | Ok config -> { Scenario.label; rate = 0.0; config }
+  | Ok config -> { Scenario.label = "explore"; rate = 0.0; config }
   | Error e -> invalid_arg ("Scheduler.scenario: " ^ e)
 
 (* Matches the fuzzer's ring size; explore cells are far smaller. *)

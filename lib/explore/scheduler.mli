@@ -64,7 +64,6 @@ type outcome = {
 }
 
 val scenario :
-  ?label:string ->
   ?faults:Bamboo_faults.Schedule.t ->
   protocol:Bamboo.Config.protocol ->
   n:int ->

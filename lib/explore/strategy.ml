@@ -5,7 +5,6 @@ module Fuzz = Bamboo_check.Fuzz
 module Pool = Bamboo_util.Pool
 module Rng = Bamboo_util.Rng
 module Json = Bamboo_util.Json
-module Registry = Bamboo_metrics.Registry
 
 type stats = {
   runs : int;
@@ -26,22 +25,6 @@ type counterexample = {
   c_choices : int list;
   c_shrink_runs : int;
 }
-
-let publish_metrics reg (st : stats) =
-  if Registry.enabled reg then begin
-    Registry.Counter.add (Registry.counter reg "explore_runs") st.runs;
-    Registry.Counter.add (Registry.counter reg "explore_states") st.states;
-    Registry.Counter.add (Registry.counter reg "explore_decisions") st.decisions;
-    Registry.Counter.add
-      (Registry.counter reg "explore_pruned_sleep")
-      st.pruned_sleep;
-    Registry.Counter.add
-      (Registry.counter reg "explore_pruned_visited")
-      st.pruned_visited;
-    Registry.Gauge.set
-      (Registry.gauge reg "explore_frontier_peak")
-      (float_of_int st.frontier_peak)
-  end
 
 (* --- schedule shrinking --- *)
 
@@ -159,7 +142,7 @@ let make_counterexample ?wrap ?opts ?(explore_after = 0.0) ~strategy ~window
 
 (* --- exhaustive DFS with sleep sets and state hashing --- *)
 
-let dfs ?wrap ?opts ?(metrics = Registry.null) ?(por = true)
+let dfs ?wrap ?opts ?(por = true)
     ?(explore_after = 0.0) ~window ~max_decisions ~max_runs ~jobs
     (s : Scenario.t) =
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
@@ -262,7 +245,6 @@ let dfs ?wrap ?opts ?(metrics = Registry.null) ?(por = true)
       exhausted = !frontier = [];
     }
   in
-  publish_metrics metrics stats;
   let cex =
     Option.map
       (fun (prefix, outcome) ->
@@ -279,7 +261,7 @@ let dfs ?wrap ?opts ?(metrics = Registry.null) ?(por = true)
    job count. *)
 let pct_seed ~root_seed ~index = (root_seed * 1_000_003) + (index * 7919)
 
-let pct ?wrap ?opts ?(metrics = Registry.null) ?(explore_after = 0.0) ~window
+let pct ?wrap ?opts ?(explore_after = 0.0) ~window
     ~max_decisions ~max_runs ~d ~root_seed ~jobs (s : Scenario.t) =
   let n = s.Scenario.config.Config.n in
   let outcomes =
@@ -342,7 +324,6 @@ let pct ?wrap ?opts ?(metrics = Registry.null) ?(explore_after = 0.0) ~window
       exhausted = false;
     }
   in
-  publish_metrics metrics stats;
   let cex =
     Option.map
       (fun outcome ->

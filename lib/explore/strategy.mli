@@ -41,7 +41,6 @@ type counterexample = {
 val dfs :
   ?wrap:(Bamboo_types.Ids.replica -> Bamboo.Safety.t -> Bamboo.Safety.t) ->
   ?opts:Bamboo_check.Monitor.opts ->
-  ?metrics:Bamboo_metrics.Registry.t ->
   ?por:bool ->
   ?explore_after:float ->
   window:float ->
@@ -60,7 +59,6 @@ val dfs :
 val pct :
   ?wrap:(Bamboo_types.Ids.replica -> Bamboo.Safety.t -> Bamboo.Safety.t) ->
   ?opts:Bamboo_check.Monitor.opts ->
-  ?metrics:Bamboo_metrics.Registry.t ->
   ?explore_after:float ->
   window:float ->
   max_decisions:int ->
@@ -76,19 +74,6 @@ val pct :
     {!Bamboo_check.Scenario.generate}), picks the highest-priority
     destination at each decision, and demotes the winner at change
     points. *)
-
-val shrink_schedule :
-  ?wrap:(Bamboo_types.Ids.replica -> Bamboo.Safety.t -> Bamboo.Safety.t) ->
-  ?opts:Bamboo_check.Monitor.opts ->
-  ?explore_after:float ->
-  window:float ->
-  invariant:Bamboo_check.Monitor.invariant ->
-  Bamboo_check.Scenario.t ->
-  int list ->
-  Bamboo_check.Fuzz.minimized * int list
-(** Greedy deterministic minimization of a failing schedule: truncate
-    choices from the end, zero survivors, shorten the horizon, to a
-    three-round fixpoint — every kept candidate re-verified by replay. *)
 
 (** {2 Replayable artifacts}
 

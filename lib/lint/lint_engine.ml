@@ -589,8 +589,7 @@ let compare_findings (a : finding) (b : finding) =
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
 
-let lint_sources ?trace_kinds ?metric_names ?(only = fun _ -> true) ~rules
-    sources =
+let lint_sources ?(only = fun _ -> true) ~rules sources =
   let parsed, parse_errors =
     List.fold_left
       (fun (parsed, errs) (path, contents) ->
@@ -601,14 +600,9 @@ let lint_sources ?trace_kinds ?metric_names ?(only = fun _ -> true) ~rules
   in
   let parsed = List.rev parsed and parse_errors = List.rev parse_errors in
   let trace_kinds =
-    match trace_kinds with
-    | Some k -> k
-    | None ->
-        Option.value (trace_kinds_of parsed) ~default:default_trace_kinds
+    Option.value (trace_kinds_of parsed) ~default:default_trace_kinds
   in
-  let metric_names =
-    match metric_names with Some m -> m | None -> metric_names_of parsed
-  in
+  let metric_names = metric_names_of parsed in
   (* Pre-passes above see every source so cross-file tables stay whole;
      [only] restricts which files are actually linted and reported
      (the [--since REF] incremental mode). *)
@@ -664,7 +658,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_paths ?trace_kinds ?metric_names ?(only = fun _ -> true) ~rules paths
+let lint_paths ?(only = fun _ -> true) ~rules paths
     : (int * finding list, string) result =
   match collect_files paths with
   | Error e -> Error e
@@ -682,7 +676,7 @@ let lint_paths ?trace_kinds ?metric_names ?(only = fun _ -> true) ~rules paths
       | Ok sources ->
           Ok
             ( List.length (List.filter only files),
-              lint_sources ?trace_kinds ?metric_names ~only ~rules sources ))
+              lint_sources ~only ~rules sources ))
 
 (* --- reporting --- *)
 

@@ -108,8 +108,6 @@ val metric_registration :
 (** {2 Running the linter} *)
 
 val lint_sources :
-  ?trace_kinds:string list ->
-  ?metric_names:(string * int) list ->
   ?only:(string -> bool) ->
   rules:rule list ->
   (string * string) list ->
@@ -126,8 +124,6 @@ val collect_files : string list -> (string list, string) result
     [.git] and [_opam]) into a sorted list of .ml/.mli files. *)
 
 val lint_paths :
-  ?trace_kinds:string list ->
-  ?metric_names:(string * int) list ->
   ?only:(string -> bool) ->
   rules:rule list ->
   string list ->

@@ -114,4 +114,3 @@ val bucket_lower : int -> int
 (** Inclusive lower bound of a bucket; [bucket_lower (bucket_index v) <= v]
     and [v < bucket_lower (bucket_index v + 1)]. *)
 
-val n_buckets : int

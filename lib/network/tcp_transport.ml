@@ -10,7 +10,7 @@ module Registry = Bamboo_metrics.Registry
 
 let tick_period_s = 0.001
 let default_outbox_capacity = 4096
-let default_inbox_capacity = 8192
+let inbox_capacity = 8192
 let inbox_retries = 64
 let writer_drain_max = 256
 let backoff_base_s = 0.05
@@ -247,8 +247,7 @@ let writer_loop t peer =
 
 (* --- lifecycle --- *)
 
-let create ?(outbox_capacity = default_outbox_capacity)
-    ?(inbox_capacity = default_inbox_capacity) ~self ~addresses () =
+let create ?(outbox_capacity = default_outbox_capacity) ~self ~addresses () =
   (* Writers hit EPIPE (an exception we handle) instead of dying on the
      default SIGPIPE disposition when a peer's socket is torn down. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -27,7 +27,6 @@ type t
 
 val create :
   ?outbox_capacity:int ->
-  ?inbox_capacity:int ->
   self:int ->
   addresses:(int * Unix.sockaddr) list ->
   unit ->
@@ -36,9 +35,8 @@ val create :
     one writer thread per peer; connections are dialed on first send and
     re-dialed with backoff after failures. [addresses] maps every replica
     id (including [self]) to its address. [outbox_capacity] bounds each
-    per-peer send queue (default 4096); [inbox_capacity] bounds the
-    shared receive queue (default 8192) — both are rounded up to powers
-    of two. Raises [Unix.Unix_error] if the listen address is
+    per-peer send queue (default 4096, rounded up to a power of two);
+    the shared receive queue holds 8192 messages. Raises [Unix.Unix_error] if the listen address is
     unavailable. *)
 
 val loopback_addresses : n:int -> base_port:int -> (int * Unix.sockaddr) list

@@ -115,10 +115,6 @@ let of_body ?(root = `Merkle) ~view ~parent ~justify ~proposer body =
 let create ?root ~view ~parent ~justify ~proposer ~txs () =
   of_body ?root ~view ~parent ~justify ~proposer (Body.of_list txs)
 
-let header_bytes b =
-  header_preimage ~view:b.view ~height:b.height ~parent:b.parent
-    ~justify:b.justify ~proposer:b.proposer ~tx_root:b.tx_root
-
 let signed_payload b = "propose|" ^ b.hash
 
 let header_wire_size = 32 + 8 + 8 + 32 + 8 + 32 (* hash,view,height,parent,proposer,root *)

@@ -59,9 +59,6 @@ val merkle_root : Body.t -> Ids.hash
     for odd levels); the root of an empty body is the hash of the empty
     string. *)
 
-val header_bytes : t -> string
-(** The byte string the content hash commits to. *)
-
 val signed_payload : t -> string
 (** What the proposer signs when broadcasting the block. *)
 

@@ -15,8 +15,5 @@ val decode : string -> Message.t
 
 val encode_block : Buffer.t -> Block.t -> unit
 
-val encode_qc : Buffer.t -> Qc.t -> unit
-
 val decode_block : string -> pos:int ref -> Block.t
 
-val decode_qc : string -> pos:int ref -> Qc.t

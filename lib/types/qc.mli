@@ -19,8 +19,6 @@ val genesis : block:Ids.hash -> t
 
 val is_genesis : t -> bool
 
-val compare_by_view : t -> t -> int
-
 val max_by_view : t -> t -> t
 
 val wire_size : t -> int

@@ -16,19 +16,47 @@ let test_quorum_size () =
   Alcotest.(check int) "n=32" 21
     (Config.quorum_size { Config.default with n = 32 })
 
-let test_protocol_names () =
+(* Every name a table prints parses back to its value, each alias parses
+   to its value and prints as the canonical name, and an unknown name is
+   an error. The JSON configuration and the command line share these
+   tables. *)
+let check_names ~what ~of_name ~name ~all ~aliases ~unknown =
   List.iter
-    (fun p ->
-      match Config.protocol_of_name (Config.protocol_name p) with
-      | Ok p' -> Alcotest.(check bool) "round trip" true (p = p')
+    (fun v ->
+      match of_name (name v) with
+      | Ok v' -> Alcotest.(check string) (what ^ " round trip") (name v) (name v')
       | Error e -> Alcotest.fail e)
-    [ Config.Hotstuff; Config.Twochain; Config.Streamlet; Config.Fasthotstuff ];
-  Alcotest.(check bool) "aliases" true
-    (Config.protocol_of_name "hs" = Ok Config.Hotstuff
-    && Config.protocol_of_name "2chs" = Ok Config.Twochain
-    && Config.protocol_of_name "sl" = Ok Config.Streamlet);
-  Alcotest.(check bool) "unknown" true
-    (match Config.protocol_of_name "pbft" with Error _ -> true | Ok _ -> false)
+    all;
+  List.iter
+    (fun (alias, v) ->
+      match of_name alias with
+      | Ok v' -> Alcotest.(check string) (what ^ " alias " ^ alias) (name v) (name v')
+      | Error e -> Alcotest.fail e)
+    aliases;
+  Alcotest.(check bool) (what ^ " unknown") true
+    (Result.is_error (of_name unknown))
+
+let test_protocol_names () =
+  check_names ~what:"protocol" ~of_name:Config.protocol_of_name
+    ~name:Config.protocol_name
+    ~all:[ Config.Hotstuff; Config.Twochain; Config.Streamlet; Config.Fasthotstuff ]
+    ~aliases:
+      [
+        ("hs", Config.Hotstuff); ("2chs", Config.Twochain);
+        ("sl", Config.Streamlet); ("fhs", Config.Fasthotstuff);
+      ]
+    ~unknown:"pbft"
+
+let test_strategy_and_trace_format_names () =
+  check_names ~what:"strategy" ~of_name:Config.strategy_of_name
+    ~name:Config.strategy_name
+    ~all:[ Config.Honest; Config.Silence; Config.Fork ]
+    ~aliases:[ ("forking", Config.Fork) ]
+    ~unknown:"nope";
+  check_names ~what:"trace format" ~of_name:Config.trace_format_of_name
+    ~name:Config.trace_format_name
+    ~all:[ Config.Jsonl; Config.Chrome ]
+    ~aliases:[] ~unknown:"csv"
 
 let test_validation_errors () =
   let expect_error c =
@@ -187,6 +215,8 @@ let suite =
     Alcotest.test_case "jobs field" `Quick test_jobs_field;
     Alcotest.test_case "quorum size" `Quick test_quorum_size;
     Alcotest.test_case "protocol names" `Quick test_protocol_names;
+    Alcotest.test_case "strategy and trace format names" `Quick
+      test_strategy_and_trace_format_names;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
     Alcotest.test_case "non-finite values rejected" `Quick
       test_non_finite_rejected;

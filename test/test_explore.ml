@@ -5,7 +5,6 @@ module Scenario = Bamboo_check.Scenario
 module Fuzz = Bamboo_check.Fuzz
 module Schedule = Bamboo_faults.Schedule
 module Json = Bamboo_util.Json
-module Registry = Bamboo_metrics.Registry
 module Scheduler = Bamboo_explore.Scheduler
 module Strategy = Bamboo_explore.Strategy
 
@@ -488,40 +487,6 @@ let test_scenario_of_json_errors () =
     "fault bound";
   expect "not an object" (Json.String "nope") "must be a JSON object"
 
-(* --- metrics --- *)
-
-let explore_metric_names =
-  [
-    "explore_runs";
-    "explore_states";
-    "explore_decisions";
-    "explore_pruned_sleep";
-    "explore_pruned_visited";
-    "explore_frontier_peak";
-  ]
-
-let test_metrics_published () =
-  let reg = Registry.create () in
-  let stats, _ =
-    Strategy.dfs ~metrics:reg ~window:1e-4 ~max_decisions:2 ~max_runs:50
-      ~jobs:1 (cell ())
-  in
-  let read = Registry.read reg in
-  let names = List.map (fun (name, _, _) -> name) read in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) ("registered " ^ n) true (List.mem n names))
-    explore_metric_names;
-  List.iter
-    (fun (name, _, merged) ->
-      match (name, merged) with
-      | "explore_runs", Registry.M_counter v ->
-          Alcotest.(check int) "runs counter" stats.Strategy.runs v
-      | "explore_states", Registry.M_counter v ->
-          Alcotest.(check int) "states counter" stats.Strategy.states v
-      | _ -> ())
-    read
-
 let suite =
   [
     Alcotest.test_case "sim: neutral controller keeps heap order" `Quick
@@ -558,6 +523,4 @@ let suite =
       test_schedule_of_json_errors;
     Alcotest.test_case "scenario JSON: error paths" `Quick
       test_scenario_of_json_errors;
-    Alcotest.test_case "metrics: explore names published" `Quick
-      test_metrics_published;
   ]

@@ -157,8 +157,26 @@ let test_tcp_cluster_progress () =
   Alcotest.(check bool) "consistent" true report.consistent;
   Alcotest.(check bool) "no violation" false report.any_violation
 
+(* Every pair of stores at an equal height is compared, not only the
+   pairs that include replica 0. *)
+let test_kv_consistent_rule () =
+  let ok = Bamboo.Threaded_runtime.kv_consistent in
+  Alcotest.(check bool)
+    "replica 0 lags, the others disagree" false
+    (ok [ (5, "a"); (7, "b"); (7, "c") ]);
+  Alcotest.(check bool)
+    "replica 0 lags, the others agree" true
+    (ok [ (5, "a"); (7, "b"); (7, "b") ]);
+  Alcotest.(check bool)
+    "different heights are not compared" true
+    (ok [ (5, "a"); (6, "b"); (7, "c") ]);
+  Alcotest.(check bool) "equal heights disagree" false
+    (ok [ (5, "a"); (5, "b") ])
+
 let suite =
   [
+    Alcotest.test_case "kv agreement compares equal heights" `Quick
+      test_kv_consistent_rule;
     Alcotest.test_case "channel cluster" `Slow test_cluster_progress;
     Alcotest.test_case "channel streamlet" `Slow test_streamlet;
     Alcotest.test_case "channel + silent byzantine" `Slow
