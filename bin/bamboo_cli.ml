@@ -125,12 +125,22 @@ let override config protocol n byz strategy bsize psize delay timeout backoff
              Cli.load_json Bamboo_faults.Schedule.of_json path;
          })
 
+(* The effective configuration: the file, then the flags, validated once
+   for every subcommand that takes them. *)
+let validated config =
+  match Bamboo.Config.validate config with
+  | Ok config -> config
+  | Error e ->
+      Printf.eprintf "invalid configuration: %s\n" e;
+      exit 2
+
 let common_t =
   Term.(
-    const override $ Term.(const load_config $ config_file) $ protocol_t $ n_t
-    $ byz_t $ strategy_t $ bsize_t $ psize_t $ delay_t $ timeout_t $ backoff_t
-    $ runtime_t $ seed_t $ jobs_arg Arg.int $ trace_t $ trace_format_t
-    $ probe_interval_t $ faults_t)
+    const validated
+    $ (const override $ Term.(const load_config $ config_file) $ protocol_t
+      $ n_t $ byz_t $ strategy_t $ bsize_t $ psize_t $ delay_t $ timeout_t
+      $ backoff_t $ runtime_t $ seed_t $ jobs_arg Arg.int $ trace_t
+      $ trace_format_t $ probe_interval_t $ faults_t))
 
 (* --- run --- *)
 
@@ -166,68 +176,65 @@ let workload_of ~config rate clients =
 
 let run_cmd =
   let run config rate clients series =
-    match Bamboo.Config.validate config with
-    | Error e ->
-        Printf.eprintf "invalid configuration: %s\n" e;
-        exit 2
-    | Ok config ->
-        let workload = workload_of ~config rate clients in
-        Format.printf "config: %a@.workload: %s@." Bamboo.Config.pp config
-          (Bamboo.Workload.describe workload);
-        let trace_oc, trace =
-          match config.Bamboo.Config.trace_file with
-          | None -> (None, Bamboo_obs.Trace.null)
-          | Some path ->
-              let oc = Cli.open_out_or_exit path in
-              let t =
-                match config.Bamboo.Config.trace_format with
-                | Bamboo.Config.Jsonl -> Bamboo_obs.Trace.jsonl oc
-                | Bamboo.Config.Chrome -> Bamboo_obs.Trace.chrome oc
-              in
-              (Some (path, oc), t)
-        in
-        let r = Bamboo.Runtime.run ~config ~workload ~trace () in
-        (match trace_oc with
-        | None -> ()
-        | Some (path, oc) ->
-            Bamboo_obs.Trace.close trace;
-            close_out oc;
-            Format.printf "trace written to %s (%s)@." path
-              (Bamboo.Config.trace_format_name
-                 config.Bamboo.Config.trace_format));
-        let s = r.Bamboo.Runtime.summary in
-        Format.printf "%a@." Bamboo.Metrics.pp_summary s;
-        Format.printf
-          "p50/p95/p99 latency: %.2f / %.2f / %.2f ms; views: %d; rejected: %d@."
-          (s.latency_p50 *. 1000.0) (s.latency_p95 *. 1000.0)
-          (s.latency_p99 *. 1000.0) s.views s.rejected_txs;
-        Format.printf "consistent prefixes: %b; safety violations: %b@."
-          r.consistent r.any_violation;
-        Format.printf "cpu utilization per replica: %s@."
-          (String.concat ", "
-             (Array.to_list
-                (Array.map
-                   (fun u -> Printf.sprintf "%.0f%%" (100.0 *. u))
-                   r.cpu_utilization)));
-        Format.printf "simulator events: %d@." r.sim_events;
-        let d = r.Bamboo.Runtime.decomposition in
-        if d.Bamboo_obs.Latency.samples > 0 then
-          Format.printf "latency decomposition: %a@."
-            Bamboo_obs.Latency.pp_summary d;
-        (match r.Bamboo.Runtime.probe with
-        | [] -> ()
-        | probes ->
-            Format.printf "probe gauges (mean / max):@.";
-            List.iter
-              (fun p -> Format.printf "  %a@." Bamboo_obs.Probe.pp_summary p)
-              probes);
-        if series then
-          List.iter
-            (fun (t, thr) -> Format.printf "  t=%5.1fs  %8.0f tx/s@." t thr)
-            r.series;
-        if r.any_violation || not r.consistent then exit 1
+    let workload = workload_of ~config rate clients in
+    Format.printf "config: %a@.workload: %s@." Bamboo.Config.pp config
+      (Bamboo.Workload.describe workload);
+    let trace_oc, trace =
+      match config.Bamboo.Config.trace_file with
+      | None -> (None, Bamboo_obs.Trace.null)
+      | Some path ->
+          let oc = Cli.open_out_or_exit path in
+          let t =
+            match config.Bamboo.Config.trace_format with
+            | Bamboo.Config.Jsonl -> Bamboo_obs.Trace.jsonl oc
+            | Bamboo.Config.Chrome -> Bamboo_obs.Trace.chrome oc
+          in
+          (Some (path, oc), t)
+    in
+    let r = Bamboo.Runtime.run ~config ~workload ~trace () in
+    (match trace_oc with
+    | None -> ()
+    | Some (path, oc) ->
+        Bamboo_obs.Trace.close trace;
+        close_out oc;
+        Format.printf "trace written to %s (%s)@." path
+          (Bamboo.Config.trace_format_name
+             config.Bamboo.Config.trace_format));
+    let s = r.Bamboo.Runtime.summary in
+    Format.printf "%a@." Bamboo.Metrics.pp_summary s;
+    Format.printf
+      "p50/p95/p99 latency: %.2f / %.2f / %.2f ms; views: %d; rejected: %d@."
+      (s.latency_p50 *. 1000.0) (s.latency_p95 *. 1000.0)
+      (s.latency_p99 *. 1000.0) s.views s.rejected_txs;
+    Format.printf "consistent prefixes: %b; safety violations: %b@."
+      r.consistent r.any_violation;
+    Format.printf "cpu utilization per replica: %s@."
+      (String.concat ", "
+         (Array.to_list
+            (Array.map
+               (fun u -> Printf.sprintf "%.0f%%" (100.0 *. u))
+               r.cpu_utilization)));
+    Format.printf "simulator events: %d@." r.sim_events;
+    let d = r.Bamboo.Runtime.decomposition in
+    if d.Bamboo.Metrics.samples > 0 then
+      Format.printf "latency decomposition: %a@."
+        Bamboo.Metrics.pp_decomposition d;
+    (match r.Bamboo.Runtime.probe with
+    | [] -> ()
+    | probes ->
+        Format.printf "probe gauges (mean / max):@.";
+        List.iter
+          (fun p -> Format.printf "  %a@." Bamboo_obs.Probe.pp_summary p)
+          probes);
+    if series then
+      List.iter
+        (fun (t, thr) -> Format.printf "  t=%5.1fs  %8.0f tx/s@." t thr)
+        r.series;
+    if r.any_violation || not r.consistent then exit 1
   in
-  Cmd.v (Cmd.info "run" ~doc:"Simulate one configuration and print metrics.")
+  Cmd.v
+    (Cmd.info "run" ~exits:Cli.exits
+       ~doc:"Simulate one configuration and print metrics.")
     Term.(const run $ common_t $ rate_t $ clients_t $ series_t)
 
 (* --- metrics --- *)
@@ -250,33 +257,28 @@ let metrics_out_t =
 
 let metrics_cmd =
   let run config rate clients format out =
-    match Bamboo.Config.validate config with
-    | Error e ->
-        Printf.eprintf "invalid configuration: %s\n" e;
-        exit 2
-    | Ok config ->
-        let workload = workload_of ~config rate clients in
-        let registry = Bamboo_metrics.Registry.create () in
-        let r = Bamboo.Runtime.run ~config ~workload ~metrics:registry () in
-        let snapshot = r.Bamboo.Runtime.metrics in
-        let rendered =
-          match format with
-          | `Prometheus -> Bamboo_metrics.Snapshot.to_prometheus snapshot
-          | `Json ->
-              Bamboo_util.Json.to_string ~indent:true
-                (Bamboo_metrics.Snapshot.to_json snapshot)
-              ^ "\n"
-        in
-        (match out with
-        | None -> print_string rendered
-        | Some path ->
-            Cli.write_file path rendered;
-            Printf.eprintf "metrics written to %s\n" path);
-        if r.Bamboo.Runtime.any_violation || not r.Bamboo.Runtime.consistent
-        then exit 1
+    let workload = workload_of ~config rate clients in
+    let registry = Bamboo_metrics.Registry.create () in
+    let r = Bamboo.Runtime.run ~config ~workload ~metrics:registry () in
+    let snapshot = r.Bamboo.Runtime.metrics in
+    let rendered =
+      match format with
+      | `Prometheus -> Bamboo_metrics.Snapshot.to_prometheus snapshot
+      | `Json ->
+          Bamboo_util.Json.to_string ~indent:true
+            (Bamboo_metrics.Snapshot.to_json snapshot)
+          ^ "\n"
+    in
+    (match out with
+    | None -> print_string rendered
+    | Some path ->
+        Cli.write_file path rendered;
+        Printf.eprintf "metrics written to %s\n" path);
+    if r.Bamboo.Runtime.any_violation || not r.Bamboo.Runtime.consistent
+    then exit 1
   in
   Cmd.v
-    (Cmd.info "metrics"
+    (Cmd.info "metrics" ~exits:Cli.exits
        ~doc:
          "Simulate one configuration and export the aggregate metrics \
           snapshot (counters, gauges, latency histograms).")
@@ -307,7 +309,8 @@ let model_cmd =
       [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99 ]
   in
   Cmd.v
-    (Cmd.info "model" ~doc:"Print the Section V analytic model predictions.")
+    (Cmd.info "model" ~exits:Cli.exits
+       ~doc:"Print the Section V analytic model predictions.")
     Term.(const run $ common_t)
 
 (* --- experiment --- *)
@@ -346,7 +349,8 @@ let experiment_cmd =
           exit 2
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a paper table or figure.")
+    (Cmd.info "experiment" ~exits:Cli.exits
+       ~doc:"Regenerate a paper table or figure.")
     Term.(const run $ name_t $ full_t $ config_file $ positive_jobs_t)
 
 (* --- config --- *)
@@ -357,7 +361,8 @@ let config_cmd =
       (Bamboo_util.Json.to_string ~indent:true (Bamboo.Config.to_json config))
   in
   Cmd.v
-    (Cmd.info "config" ~doc:"Print the effective configuration as JSON.")
+    (Cmd.info "config" ~exits:Cli.exits
+       ~doc:"Print the effective configuration as JSON.")
     Term.(const run $ common_t)
 
 (* --- check --- *)
@@ -417,7 +422,7 @@ let fuzz_cmd =
         exit 1
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits:Cli.exits
        ~doc:
          "Sample chaos scenarios deterministically from a root seed, run \
           them against the invariant oracle, shrink any failure to a \
@@ -481,7 +486,7 @@ let replay_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info "replay" ~exits:Cli.exits
        ~doc:
          "Re-run a shrunk reproducer — a fuzzer artifact or an explore \
           counterexample with a recorded delivery schedule — and report \
@@ -527,7 +532,7 @@ let trace_cmd =
     if not (Bamboo_check.Monitor.pass report) then exit 1
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits:Cli.exits
        ~doc:
          "Run the hash-keyed trace monitors (agreement, certification \
           uniqueness, vote safety, optional liveness) over any JSONL trace, \
@@ -536,7 +541,7 @@ let trace_cmd =
 
 let check_cmd =
   let info =
-    Cmd.info "check"
+    Cmd.info "check" ~exits:Cli.exits
       ~doc:
         "Invariant oracle, deterministic chaos fuzzer and bounded model \
          checker (agreement, certification uniqueness, vote safety, \
@@ -544,14 +549,17 @@ let check_cmd =
   in
   Cmd.group info [ fuzz_cmd; replay_cmd; trace_cmd; Explore_cli.cmd ]
 
+let lint_cmd =
+  Cmd.v (Cmd.info "lint" ~exits:Cli.exits ~doc:Lint_cli.doc) Lint_cli.term
+
 let () =
   let doc = "Bamboo: prototyping and evaluation of chained-BFT protocols" in
-  let info = Cmd.info "bamboo" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "bamboo" ~exits:Cli.exits ~version:"1.0.0" ~doc in
   match
     Cmd.eval_value
       (Cmd.group info
          [ run_cmd; model_cmd; experiment_cmd; config_cmd; check_cmd;
-           metrics_cmd; Cluster_cli.cmd; Lint_cli.cmd ])
+           metrics_cmd; Cluster_cli.cmd; lint_cmd ])
   with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> exit 0
   | Error _ -> exit 2

@@ -18,13 +18,29 @@ let protocol = named Config.protocol_of_name Config.protocol_name
 let strategy = named Config.strategy_of_name Config.strategy_name
 let trace_format = named Config.trace_format_of_name Config.trace_format_name
 
-(* [conv] restricted to values not below [lo] (NaN is not below). *)
+(* The exit statuses every subcommand documents in its help. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success, with every checked invariant holding.";
+      info 1
+        ~doc:
+          "when an invariant is violated: a safety violation or \
+           inconsistent prefixes, a failing check scenario, an \
+           error-severity lint finding.";
+      info 2
+        ~doc:
+          "on a usage, configuration or input file error, or an internal \
+           error.";
+    ]
+
+(* [conv] restricted to values of at least [lo]; NaN is not. *)
 let at_least conv lo =
   let print = Arg.conv_printer conv in
   let parse s =
     match Arg.conv_parser conv s with
-    | Ok v when v < lo ->
-        Error (`Msg (Format.asprintf "%s is below the minimum %a" s print lo))
+    | Ok v when not (v >= lo) ->
+        Error (`Msg (Format.asprintf "%s is not at least %a" s print lo))
     | r -> r
   in
   Arg.conv (parse, print)

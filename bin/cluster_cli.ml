@@ -62,7 +62,7 @@ let node_cmd =
       & info [ "summary" ] ~docv:"FILE" ~doc:"JSON summary output path.")
   in
   Cmd.v
-    (Cmd.info "node"
+    (Cmd.info "node" ~exits:Cli.exits
        ~doc:
          "(internal) Run one replica process; spawned by $(b,bamboo cluster \
           run).")
@@ -216,7 +216,7 @@ let run_cmd =
           ~doc:"Startup health-check deadline.")
   in
   Cmd.v
-    (Cmd.info "run"
+    (Cmd.info "run" ~exits:Cli.exits
        ~doc:
          "Deploy an n-process TCP cluster on loopback, drive it with an \
           open-loop client swarm, execute a process-level fault schedule, \
@@ -229,7 +229,7 @@ let run_cmd =
 
 let cmd =
   Cmd.group
-    (Cmd.info "cluster"
+    (Cmd.info "cluster" ~exits:Cli.exits
        ~doc:
          "Multi-process TCP cluster deployment: spawn, load, kill, restart, \
           verify.")

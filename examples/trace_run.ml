@@ -7,7 +7,6 @@
 
 module Trace = Bamboo_obs.Trace
 module Probe = Bamboo_obs.Probe
-module Latency = Bamboo_obs.Latency
 
 let () =
   let config =
@@ -32,7 +31,7 @@ let () =
   Format.printf "%a@." Bamboo.Metrics.pp_summary result.summary;
   Format.printf "simulator events: %d@." result.sim_events;
   (* Where did the latency go? The components sum to the measured mean. *)
-  Format.printf "%a@." Latency.pp_summary result.decomposition;
+  Format.printf "%a@." Bamboo.Metrics.pp_decomposition result.decomposition;
   (* What were the machines doing? *)
   List.iter
     (fun (s : Probe.summary) ->

@@ -20,6 +20,11 @@ type t = {
   mutable last_view : int;
   buckets : (int, int) Hashtbl.t; (* bucket index -> committed txs *)
   mutable max_bucket : int;
+  mutable staged : int;
+  stages : Float.Array.t;
+      (* running means of the six stages in [decomposition]'s field
+         order, then the total: [decomposition] reads nothing else, so no
+         sample is stored *)
 }
 
 type summary = {
@@ -41,6 +46,17 @@ type summary = {
   safety_violation : bool;
 }
 
+type decomposition = {
+  samples : int;
+  client_wire : float;
+  cpu_queue : float;
+  cpu_service : float;
+  mempool_wait : float;
+  nic_serialization : float;
+  consensus_wait : float;
+  total : float;
+}
+
 let create ~warmup ~horizon ~bucket =
   if horizon <= warmup then invalid_arg "Metrics.create: horizon before warmup";
   if bucket <= 0.0 then invalid_arg "Metrics.create: bucket must be positive";
@@ -60,13 +76,45 @@ let create ~warmup ~horizon ~bucket =
     last_view = 0;
     buckets = Hashtbl.create 64;
     max_bucket = 0;
+    staged = 0;
+    stages = Float.Array.make 7 0.0;
   }
 
 let in_window t ~now = now >= t.warmup && now < t.horizon
 
+(* A tx's latency counts when it was issued after warmup and completed
+   before the horizon. *)
+let[@inline] measured t ~now ~issued_at = issued_at >= t.warmup && now < t.horizon
+
 let[@inline] record_latency t ~now ~issued_at ~latency =
-  if issued_at >= t.warmup && now < t.horizon then
-    Stats.add t.latencies latency
+  let counted = measured t ~now ~issued_at in
+  if counted then Stats.add t.latencies latency;
+  counted
+
+(* Each mean takes the update [Stats.add] applies, which keeps the printed
+   decomposition bit-identical to a sample-storing one. *)
+let[@inline] add_mean means slot n x =
+  let mean = Float.Array.get means slot in
+  Float.Array.set means slot (mean +. ((x -. mean) /. n))
+
+(* Inlined into the caller, so the floats arrive unboxed. *)
+let[@inline] record_stages t ~now ~issued_at ~client_wire ~cpu_queue
+    ~cpu_service ~mempool_wait ~nic_serialization =
+  if measured t ~now ~issued_at then begin
+    t.staged <- t.staged + 1;
+    let n = float_of_int t.staged in
+    let m = t.stages in
+    let total = now -. issued_at in
+    add_mean m 0 n client_wire;
+    add_mean m 1 n cpu_queue;
+    add_mean m 2 n cpu_service;
+    add_mean m 3 n mempool_wait;
+    add_mean m 4 n nic_serialization;
+    add_mean m 5 n
+      (total -. client_wire -. cpu_queue -. cpu_service -. mempool_wait
+     -. nic_serialization);
+    add_mean m 6 n total
+  end
 
 let record_commit t ~now ~ntxs ~nblocks ~hashes =
   (* The time series spans the whole run; aggregate counters only the
@@ -139,6 +187,19 @@ let summarize t ~protocol ~rejected_txs ~safety_violation =
     safety_violation;
   }
 
+let decomposition t =
+  let mean = Float.Array.get t.stages in
+  {
+    samples = t.staged;
+    client_wire = mean 0;
+    cpu_queue = mean 1;
+    cpu_service = mean 2;
+    mempool_wait = mean 3;
+    nic_serialization = mean 4;
+    consensus_wait = mean 5;
+    total = mean 6;
+  }
+
 let throughput_series t =
   List.init (t.max_bucket + 1) (fun i ->
       let txs = match Hashtbl.find_opt t.buckets i with None -> 0 | Some v -> v in
@@ -152,3 +213,12 @@ let pp_summary fmt s =
     (s.latency_p95 *. 1000.0)
     s.cgr s.block_interval s.forked_blocks
     (if s.safety_violation then " [SAFETY VIOLATION]" else "")
+
+let pp_decomposition fmt d =
+  let ms v = v *. 1000.0 in
+  Format.fprintf fmt
+    "latency decomposition (%d txs, ms): client wire %.3f | cpu queue %.3f | \
+     cpu service %.3f | mempool %.3f | nic %.3f | consensus %.3f | total %.3f"
+    d.samples (ms d.client_wire) (ms d.cpu_queue) (ms d.cpu_service)
+    (ms d.mempool_wait) (ms d.nic_serialization) (ms d.consensus_wait)
+    (ms d.total)

@@ -5,7 +5,9 @@
 
     A collector is fed by the runtime; samples inside the warmup window are
     discarded. Time-series buckets (committed tx/s per interval) back the
-    responsiveness experiment of Fig. 15. *)
+    responsiveness experiment of Fig. 15. Beside the latency samples it
+    keeps the running means of each tx's latency decomposition, under the
+    same window. *)
 
 type t
 
@@ -32,15 +34,52 @@ type summary = {
   safety_violation : bool;
 }
 
+(** Mean per-transaction latency, in seconds, split into the stages of
+    the paper's queuing pipeline at the replica the client submitted to:
+    [client_wire] (submission and commit response over the client link),
+    [cpu_queue] (the tx's ingest and block-creation charges waiting in
+    the CPU queue), [cpu_service] (those charges), [mempool_wait]
+    (residency until batched), [nic_serialization] (the proposal's
+    outbound NIC backlog, the paper's [t_NIC] times the fan-out) and
+    [consensus_wait], the remainder: propagation, remote processing,
+    votes and chained certifications ([t_L + t_commit]). The stage means
+    sum to [total]. *)
+type decomposition = {
+  samples : int;
+  client_wire : float;
+  cpu_queue : float;
+  cpu_service : float;
+  mempool_wait : float;
+  nic_serialization : float;
+  consensus_wait : float;
+  total : float;  (** Mean measured client latency of the decomposed txs. *)
+}
+
 val create : warmup:float -> horizon:float -> bucket:float -> t
 (** Samples with timestamps in [\[warmup, horizon)] are recorded;
     [bucket] is the time-series granularity in seconds. *)
 
 val in_window : t -> now:float -> bool
 
-val record_latency : t -> now:float -> issued_at:float -> latency:float -> unit
-(** Counted when the transaction was issued after warmup and completed
-    before the horizon. *)
+val record_latency : t -> now:float -> issued_at:float -> latency:float -> bool
+(** Counted, and [true] returned, when the transaction was issued after
+    warmup and completed before the horizon. *)
+
+val record_stages :
+  t ->
+  now:float ->
+  issued_at:float ->
+  client_wire:float ->
+  cpu_queue:float ->
+  cpu_service:float ->
+  mempool_wait:float ->
+  nic_serialization:float ->
+  unit
+(** Folds one transaction's stages, in seconds, into the decomposition's
+    running means, under {!record_latency}'s window. Its latency is
+    [now - issued_at], and its consensus wait what the five given stages
+    leave of it. The stages are plain labelled floats, not a record, so
+    a call allocates nothing. *)
 
 val record_commit :
   t -> now:float -> ntxs:int -> nblocks:int -> hashes:string list -> unit
@@ -69,8 +108,13 @@ val summarize :
   safety_violation:bool ->
   summary
 
+val decomposition : t -> decomposition
+(** Mean of every stage recorded by {!record_stages}. *)
+
 val throughput_series : t -> (float * float) list
 (** [(bucket_start_time, committed tx/s in bucket)] over the whole run,
     including warmup (Fig. 15 plots the transient). *)
 
 val pp_summary : Format.formatter -> summary -> unit
+
+val pp_decomposition : Format.formatter -> decomposition -> unit

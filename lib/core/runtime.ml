@@ -8,7 +8,6 @@ module Json = Bamboo_util.Json
 module Forest = Bamboo_forest.Forest
 module Trace = Bamboo_obs.Trace
 module Probe = Bamboo_obs.Probe
-module Latency = Bamboo_obs.Latency
 module Fault_engine = Bamboo_faults.Engine
 module Registry = Bamboo_metrics.Registry
 module Snapshot = Bamboo_metrics.Snapshot
@@ -23,7 +22,7 @@ type result = {
   any_violation : bool;
   violations : bool array;
   agreement : Agreement.verdict;
-  decomposition : Latency.summary;
+  decomposition : Metrics.decomposition;
   probe : Probe.summary list;
   sim_events : int;
   metrics : Snapshot.t;
@@ -101,7 +100,6 @@ type st = {
   eng : Fault_engine.t;
   trace : Trace.t;
   spans : (Ids.hash, int) Hashtbl.t; (* block hash -> trace span id *)
-  decomp : Latency.t;
   agreement : Agreement.t;
   mutable next_seq : int;
   mutable reissue : client:int -> after:float -> unit;
@@ -300,20 +298,16 @@ and complete_tx st replica ~client ~seq =
       let issued_at = Tx_records.stamp r slot Issued_at in
       let response = Netmodel.client_rtt st.net ~now:(Sim.now st.sim) /. 2.0 in
       let done_at = Sim.now st.sim +. response in
-      Metrics.record_latency st.metrics ~now:done_at ~issued_at
-        ~latency:(done_at -. issued_at);
-      (* Stage decomposition, over the same measurement window as
-         [record_latency]; only single-target submissions have a
-         well-defined path (the target replica batches, proposes and
-         commits the transaction itself). *)
+      (* Stage decomposition, for the txs whose latency counted: only
+         single-target submissions have a well-defined path (the target
+         replica batches, proposes and commits the transaction itself). *)
       if
-        target = replica
+        Metrics.record_latency st.metrics ~now:done_at ~issued_at
+          ~latency:(done_at -. issued_at)
+        && target = replica
         && Tx_records.stamp r slot Arrived_at >= 0.0
         && Tx_records.stamp r slot Batched_at >= 0.0
-        && issued_at >= st.config.Config.warmup
-        && done_at < st.config.Config.runtime
       then begin
-        let total = done_at -. issued_at in
         let client_wire = Tx_records.stamp r slot Submit_wire +. response in
         let cpu_queue =
           Tx_records.stamp r slot Ingest_wait
@@ -326,13 +320,9 @@ and complete_tx st replica ~client ~seq =
         let mempool_wait =
           Tx_records.stamp r slot Batched_at -. Tx_records.stamp r slot Arrived_at
         in
-        let nic_serialization = Tx_records.stamp r slot Nic_ser in
-        let consensus_wait =
-          total -. client_wire -. cpu_queue -. cpu_service -. mempool_wait
-          -. nic_serialization
-        in
-        Latency.record st.decomp ~client_wire ~cpu_queue ~cpu_service
-          ~mempool_wait ~nic_serialization ~consensus_wait ~total
+        Metrics.record_stages st.metrics ~now:done_at ~issued_at ~client_wire
+          ~cpu_queue ~cpu_service ~mempool_wait
+          ~nic_serialization:(Tx_records.stamp r slot Nic_ser)
       end;
       Tx_records.set_completed r slot;
       let client = Tx_records.client r slot in
@@ -762,7 +752,6 @@ let run ~config ~workload ?(bucket = 0.5) ?(trace = Trace.null)
           ~schedule:config.Config.faults;
       trace;
       spans = Hashtbl.create 1024;
-      decomp = Latency.create ();
       agreement = Agreement.create ~replicas:(Array.init config.Config.n Fun.id);
       next_seq = 0;
       reissue = (fun ~client:_ ~after:_ -> ());
@@ -848,7 +837,7 @@ let run ~config ~workload ?(bucket = 0.5) ?(trace = Trace.null)
     any_violation;
     violations;
     agreement;
-    decomposition = Latency.summarize st.decomp;
+    decomposition = Metrics.decomposition metrics;
     probe = (match probe with None -> [] | Some p -> Probe.summaries p);
     sim_events = Sim.fired sim;
     metrics = Snapshot.of_registry mreg;

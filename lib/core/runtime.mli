@@ -22,7 +22,7 @@ type result = {
       (** Per-replica local-conflict flags ({!Node.safety_violation});
           [any_violation] is their disjunction. *)
   agreement : Agreement.verdict;  (** Per-replica heads and conflicts. *)
-  decomposition : Bamboo_obs.Latency.summary;
+  decomposition : Metrics.decomposition;
       (** Per-transaction end-to-end latency split into client wire, CPU
           queueing, CPU service, mempool residency, NIC serialization and
           consensus wait; components sum to the measured latency. Only

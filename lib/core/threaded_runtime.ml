@@ -15,8 +15,6 @@ type report = {
   committed_txs : int;
   committed_blocks : int array;
   throughput : float;
-  latency_mean : float;
-  latency_count : int;
   consistent : bool;
   kv_consistent : bool;
   any_violation : bool;
@@ -24,10 +22,6 @@ type report = {
 
 type shared = {
   mutex : Mutex.t;
-  issue_times : float Tx.Id_tbl.t; [@guarded_by "mutex"]
-      (* submit time of each admitted tx until it commits *)
-  mutable latency_total : float; [@guarded_by "mutex"]
-  mutable latency_count : int; [@guarded_by "mutex"]
   committed : Committed.t; [@guarded_by "mutex"]
   oracle : Agreement.t; [@guarded_by "mutex"] (* over the owned replicas *)
   grew : Condition.t; (* broadcast when [committed] grows *)
@@ -127,17 +121,6 @@ module type RUNTIME = sig
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
   val wait_tx_committed : cluster -> Bamboo_types.Tx.id -> timeout_s:float -> bool
   val stop : cluster -> report
-
-  val run :
-    ?owned:int array ->
-    ?traces:Bamboo_obs.Trace.t array ->
-    ?epoch:float ->
-    config:Config.t ->
-    endpoints:endpoint array ->
-    duration:float ->
-    rate:float ->
-    unit ->
-    report
 end
 
 (* How many queued messages a replica takes per transport pass. Bounds the
@@ -188,7 +171,6 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         | Node.Set_timer { timer; after } ->
             Heap.push ctx.timers (Unix.gettimeofday () +. after, timer)
         | Node.Committed { blocks; _ } ->
-            let now = Unix.gettimeofday () in
             List.iter
               (fun (b : Block.t) ->
                 for i = 0 to Body.length b.body - 1 do
@@ -201,20 +183,10 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
               (fun (b : Block.t) ->
                 Agreement.commit shared.oracle ~replica:ctx.id b;
                 for i = 0 to Body.length b.body - 1 do
-                  let client = Body.client b.body i
-                  and seq = Body.seq b.body i in
-                  if Committed.add shared.committed ~client ~seq then begin
-                    (* The issue-time key is the one id built per fresh
-                       commit. *)
-                    let id = { Tx.client; seq } in
-                    match Tx.Id_tbl.find_opt shared.issue_times id with
-                    | Some t0 ->
-                        Tx.Id_tbl.remove shared.issue_times id;
-                        shared.latency_total <-
-                          shared.latency_total +. (now -. t0);
-                        shared.latency_count <- shared.latency_count + 1
-                    | None -> ()
-                  end
+                  ignore
+                    (Committed.add shared.committed ~client:(Body.client b.body i)
+                       ~seq:(Body.seq b.body i)
+                      : bool)
                 done)
               blocks;
             if shared.waiters > 0 && Committed.count shared.committed > before
@@ -301,9 +273,6 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     let shared =
       {
         mutex = Mutex.create ();
-        issue_times = Tx.Id_tbl.create 1024;
-        latency_total = 0.0;
-        latency_count = 0;
         committed = Committed.create ();
         oracle = Agreement.create ~replicas:owned;
         grew = Condition.create ();
@@ -352,36 +321,15 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     | -1 -> invalid_arg "Threaded_runtime: replica not owned by this cluster"
     | i -> cluster.replicas.(i)
 
-  (* Each admitted tx is stamped before the node mutex is released, so
-     before any block can carry it; a refused one is never stamped, and
-     a re-submitted one keeps its first stamp. *)
+  (* The node counts each tx its mempool refuses. *)
   let submit_admission cluster ~replica txs =
     let ctx = ctx_of cluster ~replica in
-    let shared = cluster.shared in
-    let now = Unix.gettimeofday () in
     Mutex.lock ctx.node_mutex;
-    let admitted =
-      List.filter
-        (fun tx ->
-          let rejected_before = Node.rejected_txs ctx.node in
-          apply_outputs shared ctx (Node.handle ctx.node (Submit [ tx ]));
-          Node.rejected_txs ctx.node = rejected_before)
-        txs
-    in
-    Mutex.lock shared.mutex;
-    List.iter
-      (fun (tx : Tx.t) ->
-        if
-          not
-            (Committed.mem shared.committed ~client:tx.id.client
-               ~seq:tx.id.seq
-            || Tx.Id_tbl.mem shared.issue_times tx.id)
-        then Tx.Id_tbl.add shared.issue_times tx.id now)
-      admitted;
-    Mutex.unlock shared.mutex;
-    fire_due shared ctx;
+    let rejected_before = Node.rejected_txs ctx.node in
+    apply cluster.shared ctx (Node.handle ctx.node (Submit txs));
+    let rejected = Node.rejected_txs ctx.node - rejected_before in
     Mutex.unlock ctx.node_mutex;
-    List.length admitted
+    List.length txs - rejected
 
   let rejected_txs cluster =
     Array.fold_left
@@ -445,50 +393,21 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
     in
     (* The replica threads are joined, but take the mutex anyway so the
        locking story stays uniform (and checkable) for these fields. *)
-    let committed_txs, latency_mean, latency_count, consistent =
+    let committed_txs, consistent =
       Mutex.lock shared.mutex;
       let committed_txs = Committed.count shared.committed in
-      let latency_mean =
-        if shared.latency_count = 0 then 0.0
-        else shared.latency_total /. float_of_int shared.latency_count
-      in
-      let latency_count = shared.latency_count in
       let consistent = (Agreement.verdict shared.oracle).Agreement.conflicts = [] in
       Mutex.unlock shared.mutex;
-      (committed_txs, latency_mean, latency_count, consistent)
+      (committed_txs, consistent)
     in
     {
       duration = elapsed;
       committed_txs;
       committed_blocks;
       throughput = float_of_int committed_txs /. elapsed;
-      latency_mean;
-      latency_count;
       consistent;
       kv_consistent;
       any_violation =
         Array.exists (fun ctx -> Node.safety_violation ctx.node) replicas;
     }
-
-  let run ?owned ?traces ?epoch ~config ~endpoints ~duration ~rate () =
-    let cluster = start ?owned ?traces ?epoch ~config ~endpoints () in
-    let targets = Array.map (fun ctx -> ctx.id) cluster.replicas in
-    let rng = Bamboo_util.Rng.create ~seed:(config.Config.seed + 1000) in
-    let seq = ref 0 in
-    let batch_interval = 0.002 in
-    let deadline = Unix.gettimeofday () +. duration in
-    while Unix.gettimeofday () < deadline do
-      let k = Bamboo_util.Dist.poisson rng ~mean:(rate *. batch_interval) in
-      if k > 0 then begin
-        let target = targets.(Bamboo_util.Rng.int rng (Array.length targets)) in
-        let txs =
-          List.init k (fun _ ->
-              incr seq;
-              Tx.make ~client:1 ~seq:!seq ~payload_len:config.Config.psize)
-        in
-        ignore (submit_admission cluster ~replica:target txs : int)
-      end;
-      Thread.delay batch_interval
-    done;
-    stop cluster
 end

@@ -14,8 +14,6 @@ type report = {
   committed_txs : int;  (** Distinct transactions committed. *)
   committed_blocks : int array;  (** Per replica. *)
   throughput : float;
-  latency_mean : float;  (** Seconds, across completed transactions. *)
-  latency_count : int;
   consistent : bool;  (** The {!Agreement} oracle found no conflict. *)
   kv_consistent : bool;
       (** {!kv_consistent} over every replica's committed height and
@@ -59,10 +57,9 @@ module type RUNTIME = sig
       returns how many of them the replica's mempool admitted — the
       ingest path's backpressure signal: a short count means the pool is
       full (or the txs are duplicates) and the client should be shed,
-      not silently dropped. Only the admitted transactions are tracked
-      for latency, from this call until their commit, and each is
-      forgotten when it commits. Raises [Invalid_argument] for a replica
-      this cluster does not own. *)
+      not silently dropped. The runtime keeps no per-tx latency: a client
+      measures its own, from this call to {!wait_tx_committed}. Raises
+      [Invalid_argument] for a replica this cluster does not own. *)
 
   val committed_txs : cluster -> int
 
@@ -87,20 +84,6 @@ module type RUNTIME = sig
 
   val stop : cluster -> report
   (** Stops all threads, closes the endpoints, and reports. *)
-
-  val run :
-    ?owned:int array ->
-    ?traces:Bamboo_obs.Trace.t array ->
-    ?epoch:float ->
-    config:Config.t ->
-    endpoints:endpoint array ->
-    duration:float ->
-    rate:float ->
-    unit ->
-    report
-  (** Convenience: [start], drive a Poisson open-loop client at [rate]
-      tx/s for [duration] wall-clock seconds (submitting to owned
-      replicas only), [stop]. *)
 end
 
 module Make_batched (T : Bamboo_network.Transport.S) :

@@ -139,8 +139,6 @@ let term = Term.(const run $ rules_t $ json_t $ out_t $ since_t $ paths_t)
 let doc =
   "AST-level determinism and domain-safety linter over the OCaml sources"
 
-let cmd = Cmd.v (Cmd.info "lint" ~doc) term
-
 let main () =
   match Cmd.eval_value (Cmd.v (Cmd.info "bamboo-lint" ~version:"1.0.0" ~doc) term) with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> 0

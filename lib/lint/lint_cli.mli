@@ -1,7 +1,11 @@
 (** Cmdliner front end for the linter; see README "Static analysis". *)
 
-val cmd : unit Cmdliner.Cmd.t
-(** The [lint] subcommand, grouped into the main [bamboo] CLI. *)
+val term : unit Cmdliner.Term.t
+(** The linter's flags and action; the main [bamboo] CLI serves it as its
+    [lint] subcommand. *)
+
+val doc : string
+(** The linter's one-line description, shown in both commands' help. *)
 
 val main : unit -> int
 (** Entry point for the standalone [bamboo_lint] executable. Returns the

@@ -23,13 +23,3 @@ let equal a b =
   && String.equal a.data b.data
 
 let pp fmt t = Format.fprintf fmt "tx<%s,%dB>" (id_to_string t.id) t.payload_len
-
-module Id_tbl = Hashtbl.Make (struct
-  type t = id
-
-  let equal a b = Int.equal a.client b.client && Int.equal a.seq b.seq
-
-  (* FNV-style mix keeps distinct (client, seq) pairs well spread without
-     touching the polymorphic hash on a boxed record. *)
-  let hash i = (i.client * 0x01000193) lxor i.seq
-end)

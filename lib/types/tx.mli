@@ -42,7 +42,3 @@ val wire_size : t -> int
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-module Id_tbl : Hashtbl.S with type key = id
-(** Hash table keyed by {!id} with a monomorphic hash/equal, so lookups
-    never fall back to the polymorphic primitives on the boxed record. *)

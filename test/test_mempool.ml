@@ -161,7 +161,7 @@ module Reference = struct
 
   type t = {
     queue : Tx.t Bamboo_util.Deque.t;
-    status : status Tx.Id_tbl.t;
+    status : (Tx.id, status) Hashtbl.t;
     cap : int;
     mutable rejected_full : int;
     mutable rejected_dup : int;
@@ -173,7 +173,7 @@ module Reference = struct
   let create cap =
     {
       queue = Bamboo_util.Deque.create ();
-      status = Tx.Id_tbl.create 16;
+      status = Hashtbl.create 16;
       cap;
       rejected_full = 0;
       rejected_dup = 0;
@@ -189,12 +189,12 @@ module Reference = struct
       t.rejected_full <- t.rejected_full + 1;
       false
     end
-    else if Tx.Id_tbl.mem t.status tx.id then begin
+    else if Hashtbl.mem t.status tx.id then begin
       t.rejected_dup <- t.rejected_dup + 1;
       false
     end
     else begin
-      Tx.Id_tbl.add t.status tx.id Queued;
+      Hashtbl.add t.status tx.id Queued;
       Bamboo_util.Deque.push_back t.queue tx;
       note_peak t;
       true
@@ -204,15 +204,15 @@ module Reference = struct
     let count = ref 0 in
     List.iter
       (fun (tx : Tx.t) ->
-        match Tx.Id_tbl.find_opt t.status tx.id with
+        match Hashtbl.find_opt t.status tx.id with
         | Some Committed | Some Queued | None -> ()
         | Some In_flight ->
             if Bamboo_util.Deque.length t.queue < t.cap then begin
-              Tx.Id_tbl.replace t.status tx.id Queued;
+              Hashtbl.replace t.status tx.id Queued;
               Bamboo_util.Deque.push_front t.queue tx;
               incr count
             end
-            else Tx.Id_tbl.remove t.status tx.id)
+            else Hashtbl.remove t.status tx.id)
       (List.rev txs);
     note_peak t;
     !count
@@ -224,10 +224,10 @@ module Reference = struct
         match Bamboo_util.Deque.pop_front t.queue with
         | None -> List.rev acc
         | Some tx -> (
-            match Tx.Id_tbl.find_opt t.status tx.Tx.id with
+            match Hashtbl.find_opt t.status tx.Tx.id with
             | Some Committed -> take acc k
             | Some Queued | Some In_flight | None ->
-                Tx.Id_tbl.replace t.status tx.Tx.id In_flight;
+                Hashtbl.replace t.status tx.Tx.id In_flight;
                 take (tx :: acc) (k - 1))
     in
     let taken = take [] max in
@@ -237,11 +237,11 @@ module Reference = struct
 
   let forget t txs =
     List.iter
-      (fun (tx : Tx.t) -> Tx.Id_tbl.replace t.status tx.Tx.id Committed)
+      (fun (tx : Tx.t) -> Hashtbl.replace t.status tx.Tx.id Committed)
       txs
 
   let contains t id =
-    match Tx.Id_tbl.find_opt t.status id with
+    match Hashtbl.find_opt t.status id with
     | Some Queued | Some In_flight -> true
     | Some Committed | None -> false
 end

@@ -25,21 +25,62 @@ let test_throughput () =
 
 let test_latency_window_rules () =
   let t = mk () in
+  let counted label want ~now ~issued_at ~latency =
+    Alcotest.(check bool) label want
+      (Metrics.record_latency t ~now ~issued_at ~latency)
+  in
   (* issued before warmup: excluded even though completion is inside. *)
-  Metrics.record_latency t ~now:2.0 ~issued_at:0.5 ~latency:1.5;
+  counted "issued in warmup" false ~now:2.0 ~issued_at:0.5 ~latency:1.5;
   (* issued inside, completes inside: counted. *)
-  Metrics.record_latency t ~now:3.0 ~issued_at:2.0 ~latency:1.0;
-  Metrics.record_latency t ~now:4.0 ~issued_at:2.0 ~latency:2.0;
+  counted "inside" true ~now:3.0 ~issued_at:2.0 ~latency:1.0;
+  counted "inside" true ~now:4.0 ~issued_at:2.0 ~latency:2.0;
   (* completes after horizon: excluded. *)
-  Metrics.record_latency t ~now:12.0 ~issued_at:10.0 ~latency:2.0;
+  counted "done after horizon" false ~now:12.0 ~issued_at:10.0 ~latency:2.0;
   let s = summarize t in
   Alcotest.(check int) "samples" 2 s.latency_samples;
   Alcotest.(check (float 1e-9)) "mean" 1.5 s.latency_mean
 
+(* One tx fed to both stores, the latency samples and the stage means. *)
+let record_tx t ~now ~issued_at ~stage =
+  ignore (Metrics.record_latency t ~now ~issued_at ~latency:(now -. issued_at));
+  Metrics.record_stages t ~now ~issued_at ~client_wire:stage
+    ~cpu_queue:(2.0 *. stage) ~cpu_service:(3.0 *. stage)
+    ~mempool_wait:(4.0 *. stage) ~nic_serialization:(5.0 *. stage)
+
+(* Both stores count a tx under one window: issued after warmup,
+   completed before the horizon. *)
+let test_stages_share_latency_window () =
+  let t = mk () in
+  record_tx t ~now:2.0 ~issued_at:0.5 ~stage:0.01 (* issued in warmup *);
+  record_tx t ~now:11.0 ~issued_at:10.0 ~stage:0.02 (* done at horizon *);
+  record_tx t ~now:4.0 ~issued_at:3.0 ~stage:0.03;
+  Alcotest.(check int) "latency samples" 1 (summarize t).latency_samples;
+  let d = Metrics.decomposition t in
+  Alcotest.(check int) "decomposition samples" 1 d.samples;
+  let close = Alcotest.float 1e-12 in
+  Alcotest.check close "client wire" 0.03 d.client_wire;
+  Alcotest.check close "cpu queue" 0.06 d.cpu_queue;
+  Alcotest.check close "cpu service" 0.09 d.cpu_service;
+  Alcotest.check close "mempool" 0.12 d.mempool_wait;
+  Alcotest.check close "nic" 0.15 d.nic_serialization;
+  Alcotest.check close "consensus" 0.55 d.consensus_wait;
+  Alcotest.check close "total" 1.0 d.total
+
+(* The stages arrive as labelled floats, so folding one allocates
+   nothing. *)
+let test_stages_no_alloc () =
+  let t = mk () in
+  Helpers.check_no_alloc "Metrics.record_stages" (fun _ ->
+      Metrics.record_stages t ~now:4.0 ~issued_at:3.0 ~client_wire:0.1
+        ~cpu_queue:0.2 ~cpu_service:0.3 ~mempool_wait:0.4
+        ~nic_serialization:0.5);
+  Alcotest.(check int) "recorded" 100_000 (Metrics.decomposition t).samples
+
 let test_percentiles_in_summary () =
   let t = mk () in
   List.iter
-    (fun l -> Metrics.record_latency t ~now:5.0 ~issued_at:4.0 ~latency:l)
+    (fun l ->
+      ignore (Metrics.record_latency t ~now:5.0 ~issued_at:4.0 ~latency:l))
     (List.init 100 (fun i -> float_of_int (i + 1)));
   let s = summarize t in
   Alcotest.(check bool) "p50 < p95 < p99" true
@@ -141,6 +182,9 @@ let suite =
     Alcotest.test_case "throughput" `Quick test_throughput;
     Alcotest.test_case "appended set bounded" `Quick test_appended_bounded;
     Alcotest.test_case "latency window rules" `Quick test_latency_window_rules;
+    Alcotest.test_case "stages share the latency window" `Quick
+      test_stages_share_latency_window;
+    Alcotest.test_case "stages allocate nothing" `Quick test_stages_no_alloc;
     Alcotest.test_case "percentiles" `Quick test_percentiles_in_summary;
     Alcotest.test_case "CGR and BI" `Quick test_cgr_and_bi;
     Alcotest.test_case "CGR ignores unaccepted junk" `Quick
