@@ -69,7 +69,7 @@ let window_t =
 
 let explore_after_t =
   Arg.(
-    value & opt float 0.0
+    value & opt (Cli.at_least float 0.0) 0.0
     & info [ "explore-after" ] ~docv:"SECONDS"
         ~doc:
           "Scope the branching to decisions at or after $(docv): earlier \
@@ -103,7 +103,7 @@ let seed_t =
 
 let pct_d_t =
   Arg.(
-    value & opt int 3
+    value & opt (Cli.at_least int 0) 3
     & info [ "pct-d" ] ~docv:"D"
         ~doc:"Priority-change points per PCT schedule.")
 

@@ -24,69 +24,22 @@ type shared = {
   mutex : Mutex.t;
   committed : Committed.t; [@guarded_by "mutex"]
   oracle : Agreement.t; [@guarded_by "mutex"] (* over the owned replicas *)
-  grew : Condition.t; (* broadcast when [committed] grows *)
-  mutable waiters : int; [@guarded_by "mutex"] (* threads parked on [grew] *)
-  mutable ticking : bool; [@guarded_by "mutex"]
-      (* a deadline ticker is running *)
-  mutable earliest : float; [@guarded_by "mutex"]
-      (* earliest deadline of the waiters parked since the last broadcast *)
+  bell : Wakeup.doorbell; (* rung after [committed] grows *)
   stop : bool Atomic.t;
 }
 
-(* Deadline resolution of the commit waits: [Condition] has no timed
-   wait, so while a waiter is parked a ticker checks this often whether
-   the earliest waiter deadline has passed, and only then wakes the
-   waiters. Commits wake them at once. *)
-let wait_tick_s = 0.005
-
-(* Called by the deadline ticker before each tick: the ticker lives while
-   any waiter is parked, and says so as it exits so the next waiter
-   starts another. *)
-let ticker_live shared =
-  Mutex.lock shared.mutex;
-  let live = shared.waiters > 0 in
-  if not live then shared.ticking <- false;
-  Mutex.unlock shared.mutex;
-  live
-
-(* Every broadcast wakes every waiter, and each one that parks again
-   registers its deadline again, so a broadcast clears [earliest]. *)
-let wake_waiters shared =
-  shared.earliest <- infinity;
-  Condition.broadcast shared.grew
-
-let tick shared =
-  Mutex.lock shared.mutex;
-  if Unix.gettimeofday () >= shared.earliest then wake_waiters shared;
-  Mutex.unlock shared.mutex
-
 (* Blocks until [ready] holds of the committed set or [timeout_s]
-   elapses; returns whether it held. *)
+   elapses; returns whether it held. [ready] runs under the bell's mutex
+   and takes [shared.mutex]: the lock order [Wakeup.park] requires, so
+   commits ring the bell only after releasing [shared.mutex]. *)
 let await shared ~timeout_s ready =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  Mutex.lock shared.mutex;
-  let rec loop () =
-    if ready shared.committed then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      shared.waiters <- shared.waiters + 1;
-      shared.earliest <- Float.min shared.earliest deadline;
-      if not shared.ticking then begin
-        shared.ticking <- true;
-        ignore
-          (Wakeup.start_ticker ~period_s:wait_tick_s
-             ~live:(fun () -> ticker_live shared)
-             ~wake:(fun () -> tick shared)
-            : Wakeup.ticker)
-      end;
-      Condition.wait shared.grew shared.mutex;
-      shared.waiters <- shared.waiters - 1;
-      loop ()
-    end
-  in
-  let reached = loop () in
-  Mutex.unlock shared.mutex;
-  reached
+  Wakeup.park shared.bell
+    ~deadline:(Unix.gettimeofday () +. timeout_s)
+    ~ready:(fun () ->
+      Mutex.lock shared.mutex;
+      let r = ready shared.committed in
+      Mutex.unlock shared.mutex;
+      r)
 
 (* Execution-layer agreement: each store is compared with the first one
    seen at its committed height. *)
@@ -189,9 +142,9 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
                       : bool)
                 done)
               blocks;
-            if shared.waiters > 0 && Committed.count shared.committed > before
-            then wake_waiters shared;
-            Mutex.unlock shared.mutex
+            let grew = Committed.count shared.committed > before in
+            Mutex.unlock shared.mutex;
+            if grew then Wakeup.ring shared.bell
         | Node.Proposed _ | Node.Qc_formed _ | Node.Entered_view _
         | Node.Forked _ | Node.Voted _ -> ())
       outs
@@ -275,10 +228,7 @@ module Make_batched (T : Bamboo_network.Transport.S) = struct
         mutex = Mutex.create ();
         committed = Committed.create ();
         oracle = Agreement.create ~replicas:owned;
-        grew = Condition.create ();
-        waiters = 0;
-        ticking = false;
-        earliest = infinity;
+        bell = Wakeup.doorbell ();
         stop = Atomic.make false;
       }
     in

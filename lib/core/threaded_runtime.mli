@@ -74,9 +74,9 @@ module type RUNTIME = sig
   val wait_committed : cluster -> count:int -> timeout_s:float -> bool
   (** Blocks until at least [count] distinct transactions have committed,
       or the timeout elapses; returns whether the count was reached. The
-      waiter parks on a condition each commit signals, so it returns as
-      soon as the count is reached; the timeout is honored within a few
-      milliseconds. *)
+      waiter parks on a {!Bamboo_network.Wakeup} doorbell each commit
+      rings, so it returns as soon as the count is reached; the timeout is
+      honored within a few milliseconds. *)
 
   val wait_tx_committed :
     cluster -> Bamboo_types.Tx.id -> timeout_s:float -> bool

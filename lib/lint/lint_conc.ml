@@ -20,12 +20,12 @@
      [[@lint.allow "guarded-by"]].
 
    - [domain-escape]: closures and functions handed to [Domain.spawn],
-     [Thread.create], [Pool.map]/[Pool.run], [Wakeup.start_ticker] or
-     [Http.start] run on another thread; any unguarded mutable state
-     they touch (captured refs, unannotated mutable fields, Hashtbl /
-     Buffer / Queue / array / Rng mutation) with no lock held is
-     reported — unless the state is created inside the spawned body,
-     [Atomic.t], [[@guarded_by]]-annotated, or suppressed.
+     [Thread.create], [Pool.map]/[Pool.run] or [Http.start] run on
+     another thread; any unguarded mutable state they touch (captured
+     refs, unannotated mutable fields, Hashtbl / Buffer / Queue / array /
+     Rng mutation) with no lock held is reported — unless the state is
+     created inside the spawned body, [Atomic.t],
+     [[@guarded_by]]-annotated, or suppressed.
 
    - [atomic-rmw]: [Atomic.get p] followed by [Atomic.set p] in the
      same function with no lock held at the set is a lost-update
@@ -303,7 +303,6 @@ let spawn_api rev =
   | "create" :: "Thread" :: _ -> Some "Thread.create"
   | ("map" | "run") :: "Pool" :: _ -> Some "Pool.map"
   | ("map_parallel" | "run_parallel") :: _ -> Some "Pool.map"
-  | "start_ticker" :: "Wakeup" :: _ -> Some "Wakeup.start_ticker"
   | "start" :: "Http" :: _ -> Some "Http.start"
   | _ -> None
 

@@ -5,10 +5,10 @@
     [Mutex.lock]/[unlock]/[protect] regions (branch joins by
     intersection), per-function summaries carry lock requirements and
     unguarded mutable accesses through helper calls, and spawn sites
-    ([Domain.spawn], [Thread.create], [Pool.map]/[run],
-    [Wakeup.start_ticker], [Http.start]) check what the spawned body
-    reaches. See the implementation header for the precise rule
-    semantics and the deliberate syntactic approximations. *)
+    ([Domain.spawn], [Thread.create], [Pool.map]/[run], [Http.start])
+    check what the spawned body reaches. See the implementation header
+    for the precise rule semantics and the deliberate syntactic
+    approximations. *)
 
 type finding = {
   cf_rule : string;  (** One of the four rule ids above. *)

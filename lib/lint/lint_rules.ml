@@ -462,8 +462,8 @@ let domain_escape =
   conc_rule ~id:"domain-escape"
     ~summary:
       "closures/functions passed to Domain.spawn, Thread.create, \
-       Pool.map/run, Wakeup.start_ticker or Http.start must not touch \
-       unguarded mutable state (captured refs, unannotated mutable fields, \
+       Pool.map/run or Http.start must not touch unguarded mutable state \
+       (captured refs, unannotated mutable fields, \
        Hashtbl/Buffer/Queue/array/Rng mutation) without a lock"
     ~protects:
       "data-race freedom at thread boundaries: state crossing a spawn is \

@@ -3,17 +3,15 @@
     (paper §III-E). A whole cluster runs inside one process with one OS
     thread per replica.
 
-    Each endpoint's inbox is one bounded MPSC {!Bamboo_util.Ring}: all
-    peers produce into it lock-free (an atomic slot claim + a publish
-    store per message), and the owning replica thread is the single
-    consumer. [recv_batch] drains a whole wakeup's worth of messages in
-    one O(1)-per-element pass, which is what
-    {!Threaded_runtime.Make_batched} runs on.
-
-    Blocking uses a {!Wakeup.doorbell} per endpoint: senders touch it with
-    one atomic load when the receiver is awake, a message arrival or a
-    [close] wakes a parked receiver immediately, and receive timeouts are
-    honored within one tick of the cluster's 1 ms ticker.
+    Each endpoint receives through one {!Inbox}: a bounded MPSC
+    {!Bamboo_util.Ring} that all peers produce into lock-free (an atomic
+    slot claim + a publish store per message), with the owning replica
+    thread as the single consumer. [recv_batch] drains a whole wakeup's
+    worth of messages in one O(1)-per-element pass, which is what
+    {!Threaded_runtime.Make_batched} runs on. A message arrival or a
+    [close] wakes a parked receiver immediately; receive timeouts are
+    park deadlines, honoured by {!Wakeup}'s process-wide deadline thread,
+    so the cluster starts no thread of its own.
 
     Backpressure: the inbox is bounded ([?capacity], default 4096,
     rounded to a power of two). A sender finding it full yields and
@@ -27,16 +25,16 @@ type cluster
 type t
 
 val create_cluster : ?capacity:int -> n:int -> unit -> cluster
-(** Endpoints for replicas [0 .. n-1], each with a [capacity]-slot inbox
-    ring; starts the cluster ticker thread (exits when all endpoints are
-    closed). *)
+(** Endpoints for replicas [0 .. n-1], each with a [capacity]-slot
+    inbox. *)
 
 val endpoint : cluster -> int -> t
 
 val publish_metrics : cluster -> Bamboo_metrics.Registry.t -> unit
-(** Publishes the cluster's observe-only tallies (per-endpoint send/drop
-    counters, received message/batch counts, drained batch-size histogram,
-    peak inbox depth) into [reg], once, after the cluster has stopped. The
-    hot paths themselves only bump plain ints and atomics. *)
+(** Publishes the cluster's observe-only tallies (per-endpoint counts of
+    messages accepted into and dropped from its inbox, received
+    message/batch counts, drained batch-size histogram, peak inbox depth)
+    into [reg], once, after the cluster has stopped. The hot paths
+    themselves only bump plain ints and atomics. *)
 
 include Transport.S with type t := t

@@ -8,10 +8,8 @@ open Bamboo_types
 module Ring = Bamboo_util.Ring
 module Registry = Bamboo_metrics.Registry
 
-let tick_period_s = 0.001
 let default_outbox_capacity = 4096
 let inbox_capacity = 8192
-let inbox_retries = 64
 let writer_drain_max = 256
 let backoff_base_s = 0.05
 let backoff_cap_s = 2.0
@@ -34,11 +32,10 @@ type t = {
   self : int;
   addresses : (int * Unix.sockaddr) list;
   listener : Unix.file_descr;
-  inbox : Message.t Ring.t;
-  inbox_bell : Wakeup.doorbell;
+  inbox : Inbox.t;
   peers : peer option array; [@lint.allow "guarded-by"]
       (* indexed by replica id; [None] at [self]; layout fixed before the
-         accept/writer/ticker threads start, never written afterwards *)
+         accept/writer threads start, never written afterwards *)
   closed : bool Atomic.t;
   reader_mutex : Mutex.t;
   mutable reader_fds : Unix.file_descr list; [@guarded_by "reader_mutex"]
@@ -50,10 +47,6 @@ type t = {
   dropped_full : int Atomic.t;
   reconnects : int Atomic.t;
   conn_failures : int Atomic.t;
-  recv_dropped : int Atomic.t;
-  (* Consumer-side tallies: owned by the single receiver thread. *)
-  mutable recv_msgs : int; [@lint.allow "guarded-by"]
-  mutable peak_depth : int; [@lint.allow "guarded-by"]
 }
 
 type stats = {
@@ -66,25 +59,7 @@ type stats = {
   peak_depth : int;
 }
 
-let shutting_down t = Atomic.get t.closed
-
-(* --- inbound path: reader threads -> bounded inbox -> recv/recv_batch --- *)
-
-let inbox_push t msg =
-  let rec push tries =
-    match Ring.push t.inbox msg with
-    | Ring.Pushed -> Wakeup.ring t.inbox_bell
-    | Ring.Closed -> () (* crash faults look like silence *)
-    | Ring.Full ->
-        if tries >= inbox_retries then Atomic.incr t.recv_dropped
-        else begin
-          (* Bounded backpressure: give the consumer a chance to drain,
-             then drop — overload degrades like a lossy link. *)
-          Thread.yield ();
-          push (tries + 1)
-        end
-  in
-  push 0
+(* --- inbound path: reader threads -> Inbox -> recv/recv_batch --- *)
 
 let read_exact fd buf off len =
   let rec loop off len =
@@ -98,14 +73,15 @@ let read_exact fd buf off len =
 
 let reader_loop t fd =
   (try
-     while not (shutting_down t) do
+     while not (Atomic.get t.closed) do
        let hdr = Bytes.create 4 in
        read_exact fd hdr 0 4;
        let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
        if len < 0 || len > max_frame then raise End_of_file;
        let body = Bytes.create len in
        read_exact fd body 0 len;
-       inbox_push t (Codec.decode (Bytes.unsafe_to_string body))
+       let msg = Codec.decode (Bytes.unsafe_to_string body) in
+       ignore (Inbox.push t.inbox msg : bool)
      done
    with End_of_file | Sys_error _ | Unix.Unix_error _ | Codec.Decode_error _ ->
      ());
@@ -116,9 +92,9 @@ let reader_loop t fd =
 
 let accept_loop t =
   try
-    while not (shutting_down t) do
+    while not (Atomic.get t.closed) do
       let fd, _ = Unix.accept t.listener in
-      if shutting_down t then (
+      if Atomic.get t.closed then (
         try Unix.close fd with Unix.Unix_error _ -> ())
       else begin
         Mutex.lock t.reader_mutex;
@@ -277,8 +253,7 @@ let create ?(outbox_capacity = default_outbox_capacity) ~self ~addresses () =
       self;
       addresses;
       listener;
-      inbox = Ring.create ~capacity:inbox_capacity ();
-      inbox_bell = Wakeup.doorbell ();
+      inbox = Inbox.create ~capacity:inbox_capacity;
       peers;
       closed = Atomic.make false;
       reader_mutex = Mutex.create ();
@@ -289,9 +264,6 @@ let create ?(outbox_capacity = default_outbox_capacity) ~self ~addresses () =
       dropped_full = Atomic.make 0;
       reconnects = Atomic.make 0;
       conn_failures = Atomic.make 0;
-      recv_dropped = Atomic.make 0;
-      recv_msgs = 0;
-      peak_depth = 0;
     }
   in
   t.accepter <- Some (Thread.create accept_loop t);
@@ -300,19 +272,6 @@ let create ?(outbox_capacity = default_outbox_capacity) ~self ~addresses () =
       | None -> ()
       | Some peer -> peer.writer <- Some (Thread.create (writer_loop t) peer))
     peers;
-  (* Bounded park deadlines: the stdlib Condition has no timed wait, so a
-     per-endpoint ticker wakes each bell whose deadline has passed (see
-     Wakeup). *)
-  ignore
-    (Wakeup.start_ticker ~period_s:tick_period_s
-       ~live:(fun () -> not (shutting_down t))
-       ~wake:(fun () ->
-         let now = Unix.gettimeofday () in
-         Wakeup.expire t.inbox_bell ~now;
-         Array.iter
-           (function None -> () | Some p -> Wakeup.expire p.bell ~now)
-           t.peers)
-      : Wakeup.ticker);
   t
 
 let loopback_addresses ~n ~base_port =
@@ -325,7 +284,7 @@ let n t = List.length t.addresses
 let send t ~dst msg =
   if dst < 0 || dst >= Array.length t.peers then
     invalid_arg "Tcp_transport.send: bad destination";
-  if dst = t.self then inbox_push t msg
+  if dst = t.self then ignore (Inbox.push t.inbox msg : bool)
   else
     match t.peers.(dst) with
     | None -> ()
@@ -343,32 +302,8 @@ let send t ~dst msg =
 let broadcast t msg =
   List.iter (fun (id, _) -> if id <> t.self then send t ~dst:id msg) t.addresses
 
-(* Drain up to [max] published messages; single consumer. *)
-let take t ~max =
-  let depth = Ring.length t.inbox in
-  if depth > t.peak_depth then t.peak_depth <- depth;
-  let acc = ref [] in
-  let taken = Ring.drain t.inbox ~max (fun m -> acc := m :: !acc) in
-  if taken > 0 then t.recv_msgs <- t.recv_msgs + taken;
-  List.rev !acc
-
-let recv_batch t ~timeout_s ~max =
-  if Ring.is_closed t.inbox then []
-  else
-    match take t ~max with
-    | _ :: _ as msgs -> msgs
-    | [] ->
-        let deadline = Unix.gettimeofday () +. timeout_s in
-        let ready () =
-          Ring.is_closed t.inbox || not (Ring.is_empty t.inbox)
-        in
-        if Wakeup.park t.inbox_bell ~deadline ~ready
-           && not (Ring.is_closed t.inbox)
-        then take t ~max
-        else []
-
-let recv t ~timeout_s =
-  match recv_batch t ~timeout_s ~max:1 with m :: _ -> Some m | [] -> None
+let recv_batch t = Inbox.recv_batch t.inbox
+let recv t = Inbox.recv t.inbox
 
 let close t =
   if Atomic.compare_and_set t.closed false true then begin
@@ -415,19 +350,19 @@ let close t =
       r
     in
     List.iter Thread.join readers;
-    ignore (Ring.close t.inbox : bool);
-    Wakeup.ring t.inbox_bell
+    Inbox.close t.inbox
   end
 
 let stats (t : t) =
+  let inbox = Inbox.stats t.inbox in
   {
     sends = Atomic.get t.sends;
     dropped_full = Atomic.get t.dropped_full;
     reconnects = Atomic.get t.reconnects;
     conn_failures = Atomic.get t.conn_failures;
-    recv_msgs = t.recv_msgs;
-    recv_dropped = Atomic.get t.recv_dropped;
-    peak_depth = t.peak_depth;
+    recv_msgs = inbox.received;
+    recv_dropped = inbox.dropped;
+    peak_depth = inbox.peak_depth;
   }
 
 let publish_metrics t reg =

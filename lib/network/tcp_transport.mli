@@ -15,8 +15,10 @@
       from [(self, dst, attempt)] — no PRNG, reconnect storms spread out
       identically across runs. Messages queued while a peer is down are
       delivered after it comes back.
-    - Inbound frames land in a bounded inbox; {!recv} and {!recv_batch}
-      park on a doorbell ({!Wakeup}) instead of polling.
+    - Reader threads and self-sends push inbound messages into one
+      bounded {!Inbox}, the queue the ring transport delivers into too;
+      {!recv} and {!recv_batch} park on its doorbell ({!Wakeup}) instead
+      of polling. An endpoint starts no timer thread of its own.
     - {!close} is graceful: it joins the accept loop, every reader and
       every writer thread, unblocking them via [shutdown] on their fds.
 

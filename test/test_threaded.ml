@@ -125,8 +125,9 @@ let test_commit_waits () =
   check_timeout "unknown tx" (fun () ->
       Ring_runtime.wait_tx_committed c { Bamboo_types.Tx.client = 2; seq = 1 }
         ~timeout_s:0.2);
-  (* Waiters with different deadlines: the ticker wakes them when the
-     earliest passes, and the later one parks again until its own. *)
+  (* Waiters with different deadlines: the deadline thread wakes them
+     when the earliest passes, and the later one parks again until its
+     own. *)
   let late = ref (true, 0.0) in
   let later =
     Thread.create

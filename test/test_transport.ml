@@ -166,30 +166,16 @@ let test_ring_close_while_blocked () =
     (Printf.sprintf "woken promptly (%.3fs)" elapsed)
     true (elapsed < 2.0)
 
-(* --- doorbells under a ticker ---
+(* --- doorbell deadlines ---
 
-   The ticker wakes a parked consumer only once its deadline has passed,
-   so nothing but [ring] ends an early park: a lost wakeup shows as a
-   stall, not as a 1 ms delay. *)
+   The deadline thread wakes a parked consumer only once its deadline
+   has passed, so nothing but [ring] ends an early park: a lost wakeup
+   shows as a stall, not as a 1 ms delay. *)
 
 module Wakeup = Bamboo_network.Wakeup
 
-let tick_period_s = 0.001
-
-(* Runs [f] under a 1 ms ticker expiring [bells]; stops the ticker after. *)
-let with_ticker bells f =
-  let live = Atomic.make true in
-  let (_ : Wakeup.ticker) =
-    Wakeup.start_ticker ~period_s:tick_period_s
-      ~live:(fun () -> Atomic.get live)
-      ~wake:(fun () ->
-        let now = Unix.gettimeofday () in
-        List.iter (fun db -> Wakeup.expire db ~now) bells)
-  in
-  Fun.protect ~finally:(fun () -> Atomic.set live false) f
-
 (* Parks on a never-ready bell until [deadline_s] from now. A watchdog
-   rings the bell after 2 s, so a deadline the ticker never honours
+   rings the bell after 2 s, so a deadline that is never honoured
    fails the test instead of hanging it. Returns the park's result, the
    elapsed time and the number of [ready] calls. *)
 let park_idle db ~deadline_s =
@@ -224,20 +210,61 @@ let park_idle db ~deadline_s =
 
 let test_tick_wakes_only_when_due () =
   let db = Wakeup.doorbell () in
-  with_ticker [ db ] (fun () ->
-      let r, elapsed, calls = park_idle db ~deadline_s:0.05 in
-      Alcotest.(check bool) "timed out" false r;
-      (* One check on entry, one at the first tick past the deadline; a
-         ticker that woke every park would make about 50. *)
-      if calls > 5 then
-        Alcotest.failf "ready evaluated %d times in a 50 ms park" calls;
-      if elapsed < 0.05 || elapsed > 0.05 +. 0.1 then
-        Alcotest.failf "50 ms park returned after %.3f s" elapsed;
-      (* A short park after the long one uses its own deadline. *)
-      let r, elapsed, _ = park_idle db ~deadline_s:0.01 in
-      Alcotest.(check bool) "second park timed out" false r;
-      if elapsed < 0.01 || elapsed > 0.01 +. 0.1 then
-        Alcotest.failf "10 ms park returned after %.3f s" elapsed)
+  let r, elapsed, calls = park_idle db ~deadline_s:0.05 in
+  Alcotest.(check bool) "timed out" false r;
+  (* One check on entry, one at the first tick past the deadline; a
+     thread that woke every park each tick would make about 50. *)
+  if calls > 5 then Alcotest.failf "ready evaluated %d times in a 50 ms park" calls;
+  if elapsed < 0.05 || elapsed > 0.05 +. 0.1 then
+    Alcotest.failf "50 ms park returned after %.3f s" elapsed;
+  (* A short park after the long one uses its own deadline. *)
+  let r, elapsed, _ = park_idle db ~deadline_s:0.01 in
+  Alcotest.(check bool) "second park timed out" false r;
+  if elapsed < 0.01 || elapsed > 0.01 +. 0.1 then
+    Alcotest.failf "10 ms park returned after %.3f s" elapsed
+
+(* Two threads park one bell with different deadlines: the earlier
+   deadline's wakeup must not end the later park, and the later one must
+   still be honoured after that wakeup cleared the bell's deadline. A
+   third park on the same bell is ended by [ring] alone. *)
+let test_two_parkers_two_deadlines () =
+  let db = Wakeup.doorbell () in
+  let results = Array.make 2 (true, 0.0) in
+  let parkers =
+    List.mapi
+      (fun i deadline_s ->
+        Thread.create
+          (fun () ->
+            let r, elapsed, _ = park_idle db ~deadline_s in
+            results.(i) <- (r, elapsed))
+          ())
+      [ 0.03; 0.08 ]
+  in
+  List.iter Thread.join parkers;
+  List.iteri
+    (fun i deadline_s ->
+      let r, elapsed = results.(i) in
+      Alcotest.(check bool) (Printf.sprintf "%.2f s park timed out" deadline_s) false r;
+      if elapsed < deadline_s || elapsed > deadline_s +. 0.1 then
+        Alcotest.failf "%.2f s park returned after %.3f s" deadline_s elapsed)
+    [ 0.03; 0.08 ];
+  let rung = Atomic.make false in
+  let ringer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.02;
+        Atomic.set rung true;
+        Wakeup.ring db)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Wakeup.park db ~deadline:(t0 +. 10.0) ~ready:(fun () -> Atomic.get rung)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Thread.join ringer;
+  Alcotest.(check bool) "rung park is ready" true r;
+  if elapsed > 0.5 then Alcotest.failf "rung park returned after %.3f s" elapsed
 
 (* Two threads bat a counter back and forth through two doorbells with
    10 s deadlines, so only [ring] can wake them in time. A lost wakeup
@@ -249,53 +276,52 @@ let test_ping_pong_no_lost_wakeup () =
   let ball = Atomic.make 0 in
   let over = -1 in
   let deadline () = Unix.gettimeofday () +. 10.0 in
-  with_ticker [ a; b ] (fun () ->
-      let pong =
-        Thread.create
-          (fun () ->
-            let rec serve i =
-              if i <= rounds then begin
-                ignore
-                  (Wakeup.park b ~deadline:(deadline ()) ~ready:(fun () ->
-                       let v = Atomic.get ball in
-                       v = (2 * i) - 1 || v = over)
-                    : bool);
-                (* Fails once the game is over (or this park timed out). *)
-                if Atomic.compare_and_set ball ((2 * i) - 1) (2 * i) then begin
-                  Wakeup.ring a;
-                  serve (i + 1)
-                end
-              end
-            in
-            serve 1)
-          ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let rec play i slowest =
-        if i > rounds then (rounds, slowest)
-        else begin
-          let s = Unix.gettimeofday () in
-          Atomic.set ball ((2 * i) - 1);
-          Wakeup.ring b;
-          let returned =
-            Wakeup.park a ~deadline:(deadline ()) ~ready:(fun () ->
-                Atomic.get ball = 2 * i)
-          in
-          let took = Unix.gettimeofday () -. s in
-          if returned && took < 2.0 then play (i + 1) (Float.max slowest took)
-          else begin
-            Atomic.set ball over;
-            Wakeup.ring b;
-            (i - 1, took)
+  let pong =
+    Thread.create
+      (fun () ->
+        let rec serve i =
+          if i <= rounds then begin
+            ignore
+              (Wakeup.park b ~deadline:(deadline ()) ~ready:(fun () ->
+                   let v = Atomic.get ball in
+                   v = (2 * i) - 1 || v = over)
+                : bool);
+            (* Fails once the game is over (or this park timed out). *)
+            if Atomic.compare_and_set ball ((2 * i) - 1) (2 * i) then begin
+              Wakeup.ring a;
+              serve (i + 1)
+            end
           end
-        end
+        in
+        serve 1)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let rec play i slowest =
+    if i > rounds then (rounds, slowest)
+    else begin
+      let s = Unix.gettimeofday () in
+      Atomic.set ball ((2 * i) - 1);
+      Wakeup.ring b;
+      let returned =
+        Wakeup.park a ~deadline:(deadline ()) ~ready:(fun () ->
+            Atomic.get ball = 2 * i)
       in
-      let completed, slowest = play 1 0.0 in
-      let total = Unix.gettimeofday () -. t0 in
-      Thread.join pong;
-      if completed < rounds then
-        Alcotest.failf "round %d took %.3f s after %d in %.2f s" (completed + 1)
-          slowest completed total)
+      let took = Unix.gettimeofday () -. s in
+      if returned && took < 2.0 then play (i + 1) (Float.max slowest took)
+      else begin
+        Atomic.set ball over;
+        Wakeup.ring b;
+        (i - 1, took)
+      end
+    end
+  in
+  let completed, slowest = play 1 0.0 in
+  let total = Unix.gettimeofday () -. t0 in
+  Thread.join pong;
+  if completed < rounds then
+    Alcotest.failf "round %d took %.3f s after %d in %.2f s" (completed + 1)
+      slowest completed total
 
 (* --- TCP transport --- *)
 
@@ -405,6 +431,32 @@ let test_tcp_queue_full_drops () =
     (st.Tcp.sends + st.Tcp.dropped_full = 64);
   Tcp.close a
 
+(* No consumer: self-sends fill the 8192-slot inbox, and the rest are
+   dropped after their retries and counted. The inbox keeps every
+   accepted message, in order. *)
+let test_tcp_inbox_full () =
+  let addresses = fresh_ports 1 in
+  let a = Tcp.create ~self:0 ~addresses () in
+  let capacity = 8192 and extra = 10 in
+  let request i =
+    Message.Request_block { hash = string_of_int i; requester = 0 }
+  in
+  for i = 0 to capacity + extra - 1 do
+    Tcp.send a ~dst:0 (request i)
+  done;
+  Alcotest.(check int) "overflow dropped" extra (Tcp.stats a).Tcp.recv_dropped;
+  let got = Tcp.recv_batch a ~timeout_s:1.0 ~max:(2 * capacity) in
+  Alcotest.(check int) "peak depth" capacity (Tcp.stats a).Tcp.peak_depth;
+  Alcotest.(check (list string))
+    "accepted messages in FIFO order"
+    (List.init capacity string_of_int)
+    (List.map
+       (function
+         | Message.Request_block { hash; _ } -> hash
+         | m -> Message.key m)
+       got);
+  Tcp.close a
+
 (* Writers park with no deadline once their outbox is empty; [close]
    must still wake and join them at once. *)
 let test_tcp_close_idle_writers () =
@@ -449,6 +501,8 @@ let suite =
         test_ring_close_while_blocked;
       Alcotest.test_case "ticker wakes a park only when due" `Quick
         test_tick_wakes_only_when_due;
+      Alcotest.test_case "two parkers, two deadlines" `Quick
+        test_two_parkers_two_deadlines;
       Alcotest.test_case "ping-pong loses no wakeup" `Quick
         test_ping_pong_no_lost_wakeup;
       Alcotest.test_case "tcp round trip" `Quick test_tcp_round_trip;
@@ -461,6 +515,7 @@ let suite =
         test_tcp_kill_reconnect;
       Alcotest.test_case "tcp queue-full drops" `Quick
         test_tcp_queue_full_drops;
+      Alcotest.test_case "tcp inbox full" `Quick test_tcp_inbox_full;
       Alcotest.test_case "tcp close with idle writers" `Quick
         test_tcp_close_idle_writers;
     ]
