@@ -193,7 +193,7 @@ let measure_events_per_sec ?(metrics = Mreg.null) () =
      attached; the runtime's own sim_events field must agree exactly. *)
   let events =
     if Mreg.enabled metrics then begin
-      let n = Mreg.Counter.value (Mreg.counter metrics "sim_events_fired") in
+      let n = Snapshot.counter_value r.Bamboo.Runtime.metrics "sim_events_fired" in
       if n <> r.Bamboo.Runtime.sim_events then begin
         Printf.eprintf
           "bench: metrics registry (%d events) disagrees with runtime (%d)\n" n
@@ -659,7 +659,7 @@ let main () =
                   ("speedup", Json.Float speedup);
                   ("rows_match", Json.Bool rows_match);
                 ] );
-            ("metrics", Snapshot.to_json (Snapshot.of_registry mreg));
+            ("metrics", Snapshot.to_json (Mreg.snapshot mreg));
           ]
       in
       let oc = open_out path in

@@ -217,14 +217,13 @@ let run_cmd =
     Format.printf "simulator events: %d@." r.sim_events;
     let d = r.Bamboo.Runtime.decomposition in
     if d.Bamboo.Metrics.samples > 0 then
-      Format.printf "latency decomposition: %a@."
-        Bamboo.Metrics.pp_decomposition d;
+      Format.printf "%a@." Bamboo.Metrics.pp_decomposition d;
     (match r.Bamboo.Runtime.probe with
     | [] -> ()
     | probes ->
         Format.printf "probe gauges (mean / max):@.";
         List.iter
-          (fun p -> Format.printf "  %a@." Bamboo_obs.Probe.pp_summary p)
+          (fun p -> Format.printf "  %a@." Bamboo.Runtime.pp_probe p)
           probes);
     if series then
       List.iter
@@ -233,7 +232,7 @@ let run_cmd =
     if r.any_violation || not r.consistent then exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~exits:Cli.exits
+    (Cmd.info "run" ~exits:Lint_cli.exits
        ~doc:"Simulate one configuration and print metrics.")
     Term.(const run $ common_t $ rate_t $ clients_t $ series_t)
 
@@ -278,7 +277,7 @@ let metrics_cmd =
     then exit 1
   in
   Cmd.v
-    (Cmd.info "metrics" ~exits:Cli.exits
+    (Cmd.info "metrics" ~exits:Lint_cli.exits
        ~doc:
          "Simulate one configuration and export the aggregate metrics \
           snapshot (counters, gauges, latency histograms).")
@@ -309,7 +308,7 @@ let model_cmd =
       [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99 ]
   in
   Cmd.v
-    (Cmd.info "model" ~exits:Cli.exits
+    (Cmd.info "model" ~exits:Lint_cli.exits
        ~doc:"Print the Section V analytic model predictions.")
     Term.(const run $ common_t)
 
@@ -349,7 +348,7 @@ let experiment_cmd =
           exit 2
   in
   Cmd.v
-    (Cmd.info "experiment" ~exits:Cli.exits
+    (Cmd.info "experiment" ~exits:Lint_cli.exits
        ~doc:"Regenerate a paper table or figure.")
     Term.(const run $ name_t $ full_t $ config_file $ positive_jobs_t)
 
@@ -361,7 +360,7 @@ let config_cmd =
       (Bamboo_util.Json.to_string ~indent:true (Bamboo.Config.to_json config))
   in
   Cmd.v
-    (Cmd.info "config" ~exits:Cli.exits
+    (Cmd.info "config" ~exits:Lint_cli.exits
        ~doc:"Print the effective configuration as JSON.")
     Term.(const run $ common_t)
 
@@ -422,7 +421,7 @@ let fuzz_cmd =
         exit 1
   in
   Cmd.v
-    (Cmd.info "fuzz" ~exits:Cli.exits
+    (Cmd.info "fuzz" ~exits:Lint_cli.exits
        ~doc:
          "Sample chaos scenarios deterministically from a root seed, run \
           them against the invariant oracle, shrink any failure to a \
@@ -486,7 +485,7 @@ let replay_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "replay" ~exits:Cli.exits
+    (Cmd.info "replay" ~exits:Lint_cli.exits
        ~doc:
          "Re-run a shrunk reproducer — a fuzzer artifact or an explore \
           counterexample with a recorded delivery schedule — and report \
@@ -532,7 +531,7 @@ let trace_cmd =
     if not (Bamboo_check.Monitor.pass report) then exit 1
   in
   Cmd.v
-    (Cmd.info "trace" ~exits:Cli.exits
+    (Cmd.info "trace" ~exits:Lint_cli.exits
        ~doc:
          "Run the hash-keyed trace monitors (agreement, certification \
           uniqueness, vote safety, optional liveness) over any JSONL trace, \
@@ -541,7 +540,7 @@ let trace_cmd =
 
 let check_cmd =
   let info =
-    Cmd.info "check" ~exits:Cli.exits
+    Cmd.info "check" ~exits:Lint_cli.exits
       ~doc:
         "Invariant oracle, deterministic chaos fuzzer and bounded model \
          checker (agreement, certification uniqueness, vote safety, \
@@ -550,11 +549,11 @@ let check_cmd =
   Cmd.group info [ fuzz_cmd; replay_cmd; trace_cmd; Explore_cli.cmd ]
 
 let lint_cmd =
-  Cmd.v (Cmd.info "lint" ~exits:Cli.exits ~doc:Lint_cli.doc) Lint_cli.term
+  Cmd.v (Cmd.info "lint" ~exits:Lint_cli.exits ~doc:Lint_cli.doc) Lint_cli.term
 
 let () =
   let doc = "Bamboo: prototyping and evaluation of chained-BFT protocols" in
-  let info = Cmd.info "bamboo" ~exits:Cli.exits ~version:"1.0.0" ~doc in
+  let info = Cmd.info "bamboo" ~exits:Lint_cli.exits ~version:"1.0.0" ~doc in
   match
     Cmd.eval_value
       (Cmd.group info

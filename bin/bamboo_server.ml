@@ -5,7 +5,7 @@
    and wall-clock pacemakers) behind the deployed HTTP front end,
    {!Bamboo_cluster.Host}, which documents the routes. Serves for
    [--duration] seconds, then prints the host's JSON summary as its last
-   line.
+   line. A bad size, duration or port is a usage error (exit 2).
 
    Usage: bamboo_server [--n 4] [--protocol hotstuff] [--port 8080]
           [--duration 60] *)
@@ -30,17 +30,31 @@ let () =
     ]
   in
   Arg.parse args (fun _ -> ()) "bamboo_server";
+  (* A bad value is a usage error: one line on stderr, exit 2. *)
+  let usage_error e =
+    prerr_endline ("bamboo_server: " ^ e);
+    exit 2
+  in
   let protocol =
     match Config.protocol_of_name !protocol with
     | Ok p -> p
-    | Error e ->
-        prerr_endline e;
-        exit 2
+    | Error e -> usage_error e
   in
   let n = !n in
   let duration = !duration in
+  if not (Float.is_finite duration && duration >= 0.0) then
+    usage_error
+      (Printf.sprintf "--duration %g is not a non-negative number of seconds"
+         duration);
+  if !port < 0 || !port > 65535 then
+    usage_error (Printf.sprintf "--port %d is not in [0, 65535]" !port);
   let config =
-    { Config.default with protocol; n; bsize = 100; memsize = 100_000 }
+    match
+      Config.validate
+        { Config.default with protocol; n; bsize = 100; memsize = 100_000 }
+    with
+    | Ok config -> config
+    | Error e -> usage_error ("invalid configuration: " ^ e)
   in
   let ring = Ring.create_cluster ~n () in
   let until ~port =
@@ -52,6 +66,6 @@ let () =
   let summary =
     Ring_host.serve ~config ~owned:(Array.init n Fun.id)
       ~endpoints:(Array.init n (Ring.endpoint ring))
-      ~port:!port ~until ~transport:(fun () -> Json.Obj []) ()
+      ~publish:(Ring.publish_metrics ring) ~port:!port ~until ()
   in
   print_endline (Json.to_string summary)

@@ -18,32 +18,24 @@ let protocol = named Config.protocol_of_name Config.protocol_name
 let strategy = named Config.strategy_of_name Config.strategy_name
 let trace_format = named Config.trace_format_of_name Config.trace_format_name
 
-(* The exit statuses every subcommand documents in its help. *)
-let exits =
-  Cmd.Exit.
-    [
-      info 0 ~doc:"on success, with every checked invariant holding.";
-      info 1
-        ~doc:
-          "when an invariant is violated: a safety violation or \
-           inconsistent prefixes, a failing check scenario, an \
-           error-severity lint finding.";
-      info 2
-        ~doc:
-          "on a usage, configuration or input file error, or an internal \
-           error.";
-    ]
+(* [conv] restricted to the values [ok] accepts; the error says [s is
+   not <what>]. *)
+let restrict conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
 (* [conv] restricted to values of at least [lo]; NaN is not. *)
 let at_least conv lo =
-  let print = Arg.conv_printer conv in
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when not (v >= lo) ->
-        Error (`Msg (Format.asprintf "%s is not at least %a" s print lo))
-    | r -> r
-  in
-  Arg.conv (parse, print)
+  restrict conv
+    (fun v -> v >= lo)
+    (Format.asprintf "at least %a" (Arg.conv_printer conv) lo)
+
+(* A TCP port number. *)
+let port = restrict Arg.int (fun p -> 0 <= p && p <= 65535) "a port in [0, 65535]"
 
 (* Read [path] as JSON and decode it with [of_json]; any failure is a
    usage error naming the file. *)

@@ -32,14 +32,14 @@ let node_cmd =
   let base_port =
     Arg.(
       value
-      & opt int Harness.default_base_port
+      & opt Cli.port Harness.default_base_port
       & info [ "base-port" ] ~docv:"PORT"
           ~doc:"Consensus TCP port of replica 0; replica $(i,i) uses PORT+i.")
   in
   let client_port =
     Arg.(
       required
-      & opt (some int) None
+      & opt (some Cli.port) None
       & info [ "client-port" ] ~docv:"PORT" ~doc:"HTTP ingest port.")
   in
   let epoch =
@@ -62,7 +62,7 @@ let node_cmd =
       & info [ "summary" ] ~docv:"FILE" ~doc:"JSON summary output path.")
   in
   Cmd.v
-    (Cmd.info "node" ~exits:Cli.exits
+    (Cmd.info "node" ~exits:Lint_cli.exits
        ~doc:
          "(internal) Run one replica process; spawned by $(b,bamboo cluster \
           run).")
@@ -177,14 +177,14 @@ let run_cmd =
   let base_port =
     Arg.(
       value
-      & opt int Harness.default_base_port
+      & opt Cli.port Harness.default_base_port
       & info [ "base-port" ] ~docv:"PORT"
           ~doc:"Consensus TCP port of replica 0; replica $(i,i) uses PORT+i.")
   in
   let client_port_base =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli.port) None
       & info [ "client-port-base" ] ~docv:"PORT"
           ~doc:
             "HTTP ingest port of replica 0 (default: base-port + 1000); \
@@ -216,7 +216,7 @@ let run_cmd =
           ~doc:"Startup health-check deadline.")
   in
   Cmd.v
-    (Cmd.info "run" ~exits:Cli.exits
+    (Cmd.info "run" ~exits:Lint_cli.exits
        ~doc:
          "Deploy an n-process TCP cluster on loopback, drive it with an \
           open-loop client swarm, execute a process-level fault schedule, \
@@ -229,7 +229,7 @@ let run_cmd =
 
 let cmd =
   Cmd.group
-    (Cmd.info "cluster" ~exits:Cli.exits
+    (Cmd.info "cluster" ~exits:Lint_cli.exits
        ~doc:
          "Multi-process TCP cluster deployment: spawn, load, kill, restart, \
           verify.")

@@ -273,7 +273,7 @@ let run strategy protocols n byz adversary horizon timeout window
 
 let cmd =
   Cmd.v
-    (Cmd.info "explore" ~exits:Cli.exits
+    (Cmd.info "explore" ~exits:Lint_cli.exits
        ~doc:
          "Bounded model checking of message-delivery schedules: enumerate \
           (DFS with state hashing and sleep-set POR) or randomize (PCT) \

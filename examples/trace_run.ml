@@ -6,7 +6,6 @@
    nic_in), counter tracks for the probed queue depths. *)
 
 module Trace = Bamboo_obs.Trace
-module Probe = Bamboo_obs.Probe
 
 let () =
   let config =
@@ -34,8 +33,8 @@ let () =
   Format.printf "%a@." Bamboo.Metrics.pp_decomposition result.decomposition;
   (* What were the machines doing? *)
   List.iter
-    (fun (s : Probe.summary) ->
-      if s.name = "cpu_utilization" || s.name = "event_heap" then
-        Format.printf "%a@." Probe.pp_summary s)
+    (fun (g : Bamboo_metrics.Snapshot.metric) ->
+      if g.name = "cpu_utilization" || g.name = "event_heap" then
+        Format.printf "%a@." Bamboo.Runtime.pp_probe g)
     result.probe;
   Format.printf "open %s in chrome://tracing or ui.perfetto.dev@." path

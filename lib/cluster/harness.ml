@@ -79,23 +79,10 @@ let run_node ~config ~self ~base_port ~client_port ~epoch ~trace_path
       Thread.delay 0.05
     done
   in
-  let transport () =
-    let st = Tcp.stats endpoint in
-    Json.Obj
-      [
-        ("sends", Json.Int st.Tcp.sends);
-        ("dropped_full", Json.Int st.Tcp.dropped_full);
-        ("reconnects", Json.Int st.Tcp.reconnects);
-        ("conn_failures", Json.Int st.Tcp.conn_failures);
-        ("recv_msgs", Json.Int st.Tcp.recv_msgs);
-        ("recv_dropped", Json.Int st.Tcp.recv_dropped);
-        ("peak_depth", Json.Int st.Tcp.peak_depth);
-      ]
-  in
   let summary =
     Tcp_host.serve ~traces:[| Trace.jsonl trace_oc |] ~epoch
       ~publish:(Tcp.publish_metrics endpoint) ~config ~owned:[| self |]
-      ~endpoints:[| endpoint |] ~port:client_port ~until ~transport ()
+      ~endpoints:[| endpoint |] ~port:client_port ~until ()
   in
   close_out trace_oc;
   write_json_file summary_path summary
@@ -303,17 +290,21 @@ let summary_reconnects ~outdir ~n =
   for node = 0 to n - 1 do
     let path = Filename.concat outdir (Printf.sprintf "summary-%d.json" node) in
     if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      close_in ic;
-      match Json.of_string raw with
+      match
+        Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+      with
       | exception Json.Parse_error _ -> ()
       | j -> (
           (try
-             total :=
-               !total
-               + Json.to_int (Json.member "reconnects" (Json.member "transport" j))
+             List.iter
+               (fun m ->
+                 if
+                   String.equal
+                     (Json.get_string (Json.member "name" m))
+                     "tcp_transport_reconnects"
+                 then total := !total + Json.to_int (Json.member "value" m))
+               (Json.to_list
+                  (Json.member "metrics" (Json.member "transport" j)))
            with Invalid_argument _ -> ());
           try
             let c = Json.to_int (Json.member "committed_txs" j) in

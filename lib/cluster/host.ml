@@ -55,9 +55,10 @@ module Make (R : Bamboo.Threaded_runtime.RUNTIME) = struct
   }
 
   (** Starts the runtime over [endpoints] (positional against [owned]);
-      [traces] and [epoch] are passed to {!R.start}. [publish] adds the
-      transport's metrics to each [/metrics] snapshot. *)
-  let start ?traces ?epoch ?(publish = ignore) ~config ~owned ~endpoints () =
+      [traces] and [epoch] are passed to {!R.start}. [publish] copies the
+      transport's tallies into a registry: into each [/metrics] snapshot
+      and into the summary's ["transport"] member. *)
+  let start ?traces ?epoch ~publish ~config ~owned ~endpoints () =
     let cluster = R.start ~owned ?traces ?epoch ~config ~endpoints () in
     {
       cluster;
@@ -126,9 +127,14 @@ module Make (R : Bamboo.Threaded_runtime.RUNTIME) = struct
     | Some value -> Ok { Http.status = 200; body = value }
     | None -> Ok { Http.status = 404; body = "key not found" }
 
-  let metrics t params =
+  (* A fresh registry holding what [publish] reads of the transport now. *)
+  let published t =
     let reg = Registry.create () in
     t.publish reg;
+    reg
+
+  let metrics t params =
+    let reg = published t in
     let labels = [ ("node", string_of_int t.node) ] in
     let count name v = Registry.Counter.add (Registry.counter reg ~labels name) v in
     count "cluster_ingest_accepted" (Atomic.get t.accepted);
@@ -138,7 +144,7 @@ module Make (R : Bamboo.Threaded_runtime.RUNTIME) = struct
     Registry.Gauge.set
       (Registry.gauge reg ~labels "cluster_uptime_seconds")
       (Unix.gettimeofday () -. t.started);
-    let snap = Snapshot.of_registry reg in
+    let snap = Registry.snapshot reg in
     let body =
       match List.assoc_opt "format" params with
       | Some "json" -> Json.to_string (Snapshot.to_json snap)
@@ -157,9 +163,10 @@ module Make (R : Bamboo.Threaded_runtime.RUNTIME) = struct
     | "GET", "/metrics" -> metrics t params
     | _ -> { Http.status = 404; body = "unknown route" }
 
-  (** Stops the runtime and returns the host's summary. [transport] is
-      read after the runtime has closed the endpoints. *)
-  let stop t ~transport =
+  (** Stops the runtime and returns the host's summary. Its ["transport"]
+      member is the [/metrics] JSON of what [publish] reads once the
+      runtime has closed the endpoints. *)
+  let stop t =
     let report = R.stop t.cluster in
     Json.Obj
       [
@@ -171,18 +178,17 @@ module Make (R : Bamboo.Threaded_runtime.RUNTIME) = struct
         ("ingest_shed", Json.Int (Atomic.get t.shed));
         ("consistent", Json.Bool report.consistent);
         ("kv_consistent", Json.Bool report.kv_consistent);
-        ("transport", transport ());
+        ("transport", Snapshot.to_json (Registry.snapshot (published t)));
       ]
 
   (** Starts the runtime, serves {!handle} on 127.0.0.1:[port], and
       blocks in [until ~port] (given the bound port) until the caller
       says stop; then stops HTTP, then the runtime, and returns the
       summary. *)
-  let serve ?traces ?epoch ?publish ~config ~owned ~endpoints ~port ~until
-      ~transport () =
-    let t = start ?traces ?epoch ?publish ~config ~owned ~endpoints () in
+  let serve ?traces ?epoch ~publish ~config ~owned ~endpoints ~port ~until () =
+    let t = start ?traces ?epoch ~publish ~config ~owned ~endpoints () in
     let server = Http.start ~port ~handler:(handle t) in
     until ~port:(Http.port server);
     Http.stop server;
-    stop t ~transport
+    stop t
 end

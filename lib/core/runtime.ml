@@ -7,7 +7,6 @@ module Dist = Bamboo_util.Dist
 module Json = Bamboo_util.Json
 module Forest = Bamboo_forest.Forest
 module Trace = Bamboo_obs.Trace
-module Probe = Bamboo_obs.Probe
 module Fault_engine = Bamboo_faults.Engine
 module Registry = Bamboo_metrics.Registry
 module Snapshot = Bamboo_metrics.Snapshot
@@ -23,7 +22,7 @@ type result = {
   violations : bool array;
   agreement : Agreement.verdict;
   decomposition : Metrics.decomposition;
-  probe : Probe.summary list;
+  probe : Snapshot.metric list;
   sim_events : int;
   metrics : Snapshot.t;
       (* merged aggregate metrics; [Snapshot.empty] unless the run was
@@ -555,46 +554,78 @@ let start_closed_loop st ~clients =
 
 (* --- observability wiring --- *)
 
+(* A probe gauge's labels: [node=<id>], or none for a cluster-level gauge
+   ([node = -1]). *)
+let probe_labels node =
+  if node >= 0 then [ ("node", string_of_int node) ] else []
+
+(* Registers the resource gauges in [registry] (in a private one when it is
+   disabled) and samples them every [probe_interval] of virtual time into
+   their registry gauges and the trace. The registry's running aggregates
+   are the only store of samples, so a probe's memory does not grow with
+   the run. Returns the registry and the gauges (node, name, reader,
+   registry gauge), in registration order. *)
 let install_probe ~config ~sim ~machines ~trace ~registry =
   let interval = config.Config.probe_interval in
   if interval <= 0.0 then None
   else begin
-    let p = Probe.create ~trace ~registry () in
+    let registry =
+      if Registry.enabled registry then registry else Registry.create ()
+    in
+    let gauges = ref [] in
+    let add ~node name read =
+      let cell = Registry.gauge registry ~labels:(probe_labels node) name in
+      gauges := (node, name, read, cell) :: !gauges
+    in
     Array.iteri
       (fun i m ->
-        Probe.add_gauge p ~node:i ~name:"cpu_queue_depth" (fun () ->
+        add ~node:i "cpu_queue_depth" (fun () ->
             float_of_int (Machine.queue_depth m `Cpu));
-        Probe.add_gauge p ~node:i ~name:"nic_out_queue_depth" (fun () ->
+        add ~node:i "nic_out_queue_depth" (fun () ->
             float_of_int (Machine.queue_depth m `Nic_out));
-        Probe.add_gauge p ~node:i ~name:"nic_in_queue_depth" (fun () ->
+        add ~node:i "nic_in_queue_depth" (fun () ->
             float_of_int (Machine.queue_depth m `Nic_in));
         (* Busy fraction per sampling window: seconds of work admitted to
            the queue since the last sample, over the window. Exceeds 1.0
            while a backlog builds — exactly the saturation signal the
            paper's L-shaped latency knee corresponds to. *)
         let last_cpu = ref 0.0 in
-        Probe.add_gauge p ~node:i ~name:"cpu_utilization" (fun () ->
+        add ~node:i "cpu_utilization" (fun () ->
             let b = Machine.busy_seconds m `Cpu in
             let d = b -. !last_cpu in
             last_cpu := b;
             d /. interval);
         let last_nic = ref 0.0 in
-        Probe.add_gauge p ~node:i ~name:"nic_out_utilization" (fun () ->
+        add ~node:i "nic_out_utilization" (fun () ->
             let b = Machine.busy_seconds m `Nic_out in
             let d = b -. !last_nic in
             last_nic := b;
             d /. interval))
       machines;
-    Probe.add_gauge p ~node:(-1) ~name:"event_heap" (fun () ->
-        float_of_int (Sim.pending sim));
+    add ~node:(-1) "event_heap" (fun () -> float_of_int (Sim.pending sim));
+    let gauges = List.rev !gauges in
     let rec tick () =
-      Probe.sample p ~now:(Sim.now sim);
-      if Sim.now sim +. interval <= config.Config.runtime then
+      let now = Sim.now sim in
+      List.iter
+        (fun (node, name, read, cell) ->
+          let v = read () in
+          Trace.gauge trace ~ts:now ~node ~name v;
+          Registry.Gauge.set cell v)
+        gauges;
+      if now +. interval <= config.Config.runtime then
         Sim.schedule sim ~delay:interval tick
     in
     Sim.schedule sim ~delay:interval tick;
-    Some p
+    Some (registry, gauges)
   end
+
+let pp_probe fmt (m : Snapshot.metric) =
+  match m.value with
+  | Gauge { mean; max_v; samples; _ } ->
+      Format.fprintf fmt "node %s %-20s mean %10.3f  max %10.3f  (%d samples)"
+        (Option.value ~default:"-1" (List.assoc_opt "node" m.labels))
+        m.name mean max_v samples
+  | Counter _ | Histogram _ -> invalid_arg "Runtime.pp_probe: not a gauge"
 
 (* Publish the run's tallies into the metrics registry. The hot paths
    update plain per-run ints (always on, a few instructions each); the
@@ -827,6 +858,17 @@ let run ~config ~workload ?(bucket = 0.5) ?(trace = Trace.null)
   let violations = Array.map Node.safety_violation nodes in
   let any_violation = Array.exists Fun.id violations in
   publish_metrics mreg ~sim ~net ~machines ~nodes ~sig_registry:registry;
+  let snapshot = Registry.snapshot mreg in
+  let probe =
+    match probe with
+    | None -> []
+    | Some (reg, gauges) ->
+        let snap = if reg == mreg then snapshot else Registry.snapshot reg in
+        List.map
+          (fun (node, name, _, _) ->
+            Option.get (Snapshot.find snap ~labels:(probe_labels node) name))
+          gauges
+  in
   {
     summary;
     series = Metrics.throughput_series metrics;
@@ -838,7 +880,7 @@ let run ~config ~workload ?(bucket = 0.5) ?(trace = Trace.null)
     violations;
     agreement;
     decomposition = Metrics.decomposition metrics;
-    probe = (match probe with None -> [] | Some p -> Probe.summaries p);
+    probe;
     sim_events = Sim.fired sim;
-    metrics = Snapshot.of_registry mreg;
+    metrics = snapshot;
   }

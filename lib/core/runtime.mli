@@ -27,16 +27,21 @@ type result = {
           queueing, CPU service, mempool residency, NIC serialization and
           consensus wait; components sum to the measured latency. Only
           single-target (non-broadcast) submissions contribute. *)
-  probe : Bamboo_obs.Probe.summary list;
-      (** Queue-depth/utilization gauge summaries; empty unless
-          [config.probe_interval > 0]. *)
+  probe : Bamboo_metrics.Snapshot.metric list;
+      (** The resource gauges (per-replica CPU/NIC queue depths and busy
+          fractions, labelled [node=<id>], and the cluster's [event_heap]),
+          in registration order, as the run's registry read them at the
+          end: each a {!Bamboo_metrics.Snapshot.Gauge} with its samples,
+          mean and max. They live in [metrics] when the run was given an
+          enabled registry, and in a private one otherwise. Empty unless
+          [config.probe_interval > 0]; {!pp_probe} prints one. *)
   sim_events : int;  (** Discrete events fired by the simulator. *)
   metrics : Bamboo_metrics.Snapshot.t;
       (** Aggregate counters/gauges/histograms published at end of run:
           simulator queue tallies, network sends/drops/duplicates, crypto
           sign/verify and QC-cache counts, per-replica commit/view-change/
           timeout counters, mempool occupancy and batch fill, machine
-          queue ops and peaks — plus every probe gauge when probing is on.
+          queue ops and peaks — plus the [probe] gauges when probing is on.
           [Snapshot.empty] unless the run was given an enabled registry. *)
 }
 
@@ -81,6 +86,11 @@ type sched_hooks = {
           (sleep-set wake-ups key on the executing replica). *)
 }
 (** What a scheduler gives back to the runtime. *)
+
+val pp_probe : Format.formatter -> Bamboo_metrics.Snapshot.metric -> unit
+(** One [probe] gauge on one line: its node ([-1] for a cluster-level
+    gauge), name, mean, max and sample count. Raises [Invalid_argument]
+    on a metric that is not a gauge. *)
 
 val run :
   config:Config.t ->

@@ -10,6 +10,23 @@ open Cmdliner
 module E = Lint_engine
 module Json = Bamboo_util.Json
 
+(* The exit statuses every bamboo command documents in its help, the
+   standalone [bamboo_lint] and the main [bamboo] CLI alike. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success, with every checked invariant holding.";
+      info 1
+        ~doc:
+          "when an invariant is violated: a safety violation or \
+           inconsistent prefixes, a failing check scenario, an \
+           error-severity lint finding.";
+      info 2
+        ~doc:
+          "on a usage, configuration or input file error, or an internal \
+           error.";
+    ]
+
 let default_paths = [ "lib"; "bin"; "examples" ]
 
 let paths_t =
@@ -140,6 +157,6 @@ let doc =
   "AST-level determinism and domain-safety linter over the OCaml sources"
 
 let main () =
-  match Cmd.eval_value (Cmd.v (Cmd.info "bamboo-lint" ~version:"1.0.0" ~doc) term) with
+  match Cmd.eval_value (Cmd.v (Cmd.info "bamboo-lint" ~exits ~version:"1.0.0" ~doc) term) with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> 0
   | Error _ -> 2

@@ -65,42 +65,9 @@ let canon_labels labels =
 let label_key labels =
   String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
 
-(* ----------------------------------------------------------- histograms *)
-
-(* HDR-style log buckets with 16 sub-buckets per octave: values below 32 get
-   one bucket each (exact), and every value >= 32 lands in a bucket whose
-   width is 1/16 of its octave, bounding the relative quantile error at
-   ~6%. With 63-bit ints the largest index is (61-3)*16 + 15 = 943. *)
-let sub_bits = 4
-let first_log = 32 (* 1 lsl (sub_bits + 1): below this, one bucket per value *)
-let n_buckets = 960
-
-(* Index of the highest set bit of [v] > 0. Stepped shifts rather than a
-   loop with a [ref]: a ref cell would allocate. *)
-let msb v =
-  let k1 = if v lsr 32 <> 0 then 32 else 0 in
-  let v1 = v lsr k1 in
-  let k2 = if v1 lsr 16 <> 0 then 16 else 0 in
-  let v2 = v1 lsr k2 in
-  let k3 = if v2 lsr 8 <> 0 then 8 else 0 in
-  let v3 = v2 lsr k3 in
-  let k4 = if v3 lsr 4 <> 0 then 4 else 0 in
-  let v4 = v3 lsr k4 in
-  let k5 = if v4 lsr 2 <> 0 then 2 else 0 in
-  let v5 = v4 lsr k5 in
-  let k6 = if v5 lsr 1 <> 0 then 1 else 0 in
-  k1 + k2 + k3 + k4 + k5 + k6
-
-let bucket_index v =
-  let v = if v < 0 then 0 else v in
-  if v < first_log then v
-  else
-    let k = msb v in
-    (((k - sub_bits + 1) * 16) + ((v lsr (k - sub_bits)) land 15))
-
-let bucket_lower idx =
-  if idx < first_log then idx
-  else (16 + (idx land 15)) lsl ((idx lsr sub_bits) - 1)
+(* One counter per bucket of [Snapshot.bucket_index], whose largest index
+   is that of [max_int]. *)
+let n_buckets = Snapshot.bucket_index max_int + 1
 
 (* -------------------------------------------------------------- handles *)
 
@@ -115,12 +82,6 @@ module Counter = struct
     end
 
   let incr h = add h 1
-
-  let value h =
-    Mutex.lock h.reg.lock;
-    let v = h.cell.c_value in
-    Mutex.unlock h.reg.lock;
-    v
 end
 
 module Gauge = struct
@@ -137,12 +98,6 @@ module Gauge = struct
       c.g_count <- c.g_count +. 1.0;
       Mutex.unlock h.reg.lock
     end
-
-  let samples h =
-    Mutex.lock h.reg.lock;
-    let n = int_of_float h.cell.g_count in
-    Mutex.unlock h.reg.lock;
-    n
 end
 
 module Histogram = struct
@@ -151,7 +106,7 @@ module Histogram = struct
   let observe h v =
     if h.reg.enabled then begin
       let v = if v < 0 then 0 else v in
-      let i = bucket_index v in
+      let i = Snapshot.bucket_index v in
       Mutex.lock h.reg.lock;
       let c = h.cell in
       c.h_sum <- c.h_sum + v;
@@ -164,12 +119,6 @@ module Histogram = struct
 
   (* Seconds -> nanoseconds, the unit every *_ns histogram records. *)
   let observe_s h secs = observe h (int_of_float (secs *. 1e9))
-
-  let count h =
-    Mutex.lock h.reg.lock;
-    let n = h.cell.h_count in
-    Mutex.unlock h.reg.lock;
-    n
 end
 
 (* --------------------------------------------------------- registration *)
@@ -232,56 +181,41 @@ let histogram t ?(labels = []) name : Histogram.t =
 
 (* --------------------------------------------------------------- reading *)
 
-type merged =
-  | M_counter of int
-  | M_gauge of {
-      last : float;
-      min_v : float;
-      max_v : float;
-      sum : float;
-      samples : int;
-    }
-  | M_hist of {
-      count : int;
-      sum : int;
-      max_v : int;
-      buckets : (int * int) list; (* (bucket lower bound, count), ascending *)
-    }
-
-(* Called with the lock held. *)
-let merged = function
-  | C c -> M_counter c.c_value
+(* The one place a cell becomes a value. Called with the lock held. *)
+let value : cell -> Snapshot.value = function
+  | C c -> Counter c.c_value
   | G g ->
       let empty = g.g_count = 0.0 in
-      M_gauge
+      Gauge
         {
           last = g.g_last;
           min_v = (if empty then 0.0 else g.g_min);
           max_v = (if empty then 0.0 else g.g_max);
-          sum = g.g_sum;
+          mean = (if empty then 0.0 else g.g_sum /. g.g_count);
           samples = int_of_float g.g_count;
         }
   | H h ->
       let present = ref [] in
       for i = n_buckets - 1 downto 0 do
         let n = h.h_buckets.(i) in
-        if n > 0 then present := (bucket_lower i, n) :: !present
+        if n > 0 then present := (Snapshot.bucket_lower i, n) :: !present
       done;
-      M_hist
+      Histogram
         { count = h.h_count; sum = h.h_sum; max_v = h.h_max; buckets = !present }
 
 let compare_key (n1, l1) (n2, l2) =
   match String.compare n1 n2 with 0 -> String.compare l1 l2 | c -> c
 
-let read t =
-  if not t.enabled then []
+let snapshot t =
+  if not t.enabled then Snapshot.empty
   else begin
     Mutex.lock t.lock;
-    let rows =
+    let metrics =
       List.map
-        (fun ((name, _), (labels, cell)) -> (name, labels, merged cell))
+        (fun ((name, _), (labels, cell)) ->
+          { Snapshot.name; labels; value = value cell })
         (Tbl.sorted_bindings ~compare:compare_key t.metrics)
     in
     Mutex.unlock t.lock;
-    rows
+    { Snapshot.metrics }
   end

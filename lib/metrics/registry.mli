@@ -4,7 +4,7 @@
     The registry is a per-run value (like [Trace.t]) — create one per
     simulation or benchmark run and pass it down; there is no ambient
     global. Each registered metric owns one cell. Registration, recording
-    and {!read} all take the registry's one mutex, so counts are exact
+    and {!snapshot} all take the registry's one mutex, so counts are exact
     under parallel domains and systhreads alike. Writers record a few
     samples per run or per experiment cell, so the lock is uncontended.
 
@@ -19,7 +19,7 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 (** [create ()] makes an enabled registry. [create ~enabled:false ()] makes
-    a registry whose record operations are no-ops and whose {!read} is
+    a registry whose record operations are no-ops and whose {!snapshot} is
     empty. *)
 
 val null : t
@@ -39,7 +39,6 @@ module Counter : sig
 
   val incr : t -> unit
   val add : t -> int -> unit
-  val value : t -> int
 end
 
 module Gauge : sig
@@ -47,8 +46,6 @@ module Gauge : sig
 
   val set : t -> float -> unit
   (** Records a sample: updates last/min/max/sum/count. *)
-
-  val samples : t -> int
 end
 
 module Histogram : sig
@@ -61,9 +58,6 @@ module Histogram : sig
 
   val observe_s : t -> float -> unit
   (** [observe_s h secs] records [secs] converted to nanoseconds. *)
-
-  val count : t -> int
-  (** Number of observations so far. *)
 end
 
 (** {1 Registration}
@@ -83,34 +77,7 @@ val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 
 (** {1 Reading} *)
 
-type merged =
-  | M_counter of int
-  | M_gauge of {
-      last : float;  (** last sample; meaningful for single-writer gauges *)
-      min_v : float;
-      max_v : float;
-      sum : float;
-      samples : int;
-    }
-  | M_hist of {
-      count : int;
-      sum : int;
-      max_v : int;
-      buckets : (int * int) list;
-          (** (bucket lower bound, count) for non-empty buckets, ascending *)
-    }
-
-val read : t -> (string * (string * string) list * merged) list
+val snapshot : t -> Snapshot.t
 (** Every registered metric, sorted by (name, labels) so output is
-    deterministic. *)
-
-(** {1 Histogram bucket maths} (exposed for tests and exporters) *)
-
-val bucket_index : int -> int
-(** Bucket for a value: exact (identity) below 32, then 16 sub-buckets per
-    octave, bounding relative error at ~6%. *)
-
-val bucket_lower : int -> int
-(** Inclusive lower bound of a bucket; [bucket_lower (bucket_index v) <= v]
-    and [v < bucket_lower (bucket_index v + 1)]. *)
-
+    deterministic; {!Snapshot.empty} for a disabled registry. This is the
+    registry's only read-out. *)

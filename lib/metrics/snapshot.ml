@@ -1,5 +1,7 @@
-(* Immutable merged view of a registry, with the two export formats the
-   tooling speaks: Prometheus text exposition and the repo's Json module. *)
+(* The one read-out of a metrics registry: the value every registered
+   cell reads as, the histograms' bucket maths, and the two export formats
+   the tooling speaks (Prometheus text exposition and the repo's Json
+   module). [Registry.snapshot] builds a [t]; nothing else reads a cell. *)
 
 module Json = Bamboo_util.Json
 
@@ -24,26 +26,6 @@ type t = { metrics : metric list }
 let empty = { metrics = [] }
 let is_empty t = t.metrics = []
 
-let of_registry reg =
-  let metrics =
-    List.map
-      (fun (name, labels, m) ->
-        let value =
-          match m with
-          | Registry.M_counter v -> Counter v
-          | Registry.M_gauge { last; min_v; max_v; sum; samples } ->
-              let mean =
-                if samples = 0 then 0.0 else sum /. float_of_int samples
-              in
-              Gauge { last; min_v; max_v; mean; samples }
-          | Registry.M_hist { count; sum; max_v; buckets } ->
-              Histogram { count; sum; max_v; buckets }
-        in
-        { name; labels; value })
-      (Registry.read reg)
-  in
-  { metrics }
-
 let find t ?(labels = []) name =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   List.find_opt (fun m -> m.name = name && m.labels = labels) t.metrics
@@ -57,6 +39,42 @@ let counter_value t name =
       | Counter v when m.name = name -> acc + v
       | _ -> acc)
     0 t.metrics
+
+(* ------------------------------------------------------ bucket maths *)
+
+(* HDR-style log buckets with 16 sub-buckets per octave: values below 32 get
+   one bucket each (exact), and every value >= 32 lands in a bucket whose
+   width is 1/16 of its octave, bounding the relative quantile error at
+   ~6%. With 63-bit ints the largest index is (61-3)*16 + 15 = 943. *)
+let sub_bits = 4
+let first_log = 32 (* 1 lsl (sub_bits + 1): below this, one bucket per value *)
+
+(* Index of the highest set bit of [v] > 0. Stepped shifts rather than a
+   loop with a [ref]: a ref cell would allocate. *)
+let msb v =
+  let k1 = if v lsr 32 <> 0 then 32 else 0 in
+  let v1 = v lsr k1 in
+  let k2 = if v1 lsr 16 <> 0 then 16 else 0 in
+  let v2 = v1 lsr k2 in
+  let k3 = if v2 lsr 8 <> 0 then 8 else 0 in
+  let v3 = v2 lsr k3 in
+  let k4 = if v3 lsr 4 <> 0 then 4 else 0 in
+  let v4 = v3 lsr k4 in
+  let k5 = if v4 lsr 2 <> 0 then 2 else 0 in
+  let v5 = v4 lsr k5 in
+  let k6 = if v5 lsr 1 <> 0 then 1 else 0 in
+  k1 + k2 + k3 + k4 + k5 + k6
+
+let bucket_index v =
+  let v = if v < 0 then 0 else v in
+  if v < first_log then v
+  else
+    let k = msb v in
+    (((k - sub_bits + 1) * 16) + ((v lsr (k - sub_bits)) land 15))
+
+let bucket_lower idx =
+  if idx < first_log then idx
+  else (16 + (idx land 15)) lsl ((idx lsr sub_bits) - 1)
 
 (* Percentile over merged buckets: the lower bound of the bucket where the
    cumulative count crosses the rank, except p100 which reports the exact
@@ -159,24 +177,26 @@ let to_prometheus t =
   let type_line name kind =
     if not (Hashtbl.mem typed name) then begin
       Hashtbl.add typed name ();
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+      Printf.bprintf buf "# TYPE %s %s\n" name kind
     end
   in
   List.iter
     (fun m ->
+      let labels = render_labels m.labels in
       match m.value with
       | Counter v ->
           type_line m.name "counter";
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %d\n" m.name (render_labels m.labels) v)
+          Printf.bprintf buf "%s%s %d\n" m.name labels v
       | Gauge { last; _ } ->
           type_line m.name "gauge";
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" m.name
-               (render_labels m.labels)
-               (float_str last))
+          Printf.bprintf buf "%s%s %s\n" m.name labels (float_str last)
       | Histogram { count; sum; max_v = _; buckets } ->
           type_line m.name "histogram";
+          let bucket le n =
+            Printf.bprintf buf "%s_bucket%s %d\n" m.name
+              (render_labels (m.labels @ [ ("le", le) ]))
+              n
+          in
           let cum = ref 0 in
           List.iter
             (fun (lower, n) ->
@@ -184,24 +204,11 @@ let to_prometheus t =
               (* our buckets are [lower, next_lower); Prometheus "le" is an
                  inclusive upper bound, so emit the last value the bucket
                  can hold *)
-              let le =
-                let idx = Registry.bucket_index lower in
-                Registry.bucket_lower (idx + 1) - 1
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" m.name
-                   (render_labels (m.labels @ [ ("le", string_of_int le) ]))
-                   !cum))
+              let le = bucket_lower (bucket_index lower + 1) - 1 in
+              bucket (string_of_int le) !cum)
             buckets;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" m.name
-               (render_labels (m.labels @ [ ("le", "+Inf") ]))
-               count);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %d\n" m.name (render_labels m.labels) sum);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" m.name
-               (render_labels m.labels)
-               count))
+          bucket "+Inf" count;
+          Printf.bprintf buf "%s_sum%s %d\n" m.name labels sum;
+          Printf.bprintf buf "%s_count%s %d\n" m.name labels count)
     t.metrics;
   Buffer.contents buf

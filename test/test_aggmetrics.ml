@@ -7,19 +7,29 @@ module Snapshot = Bamboo_metrics.Snapshot
 module Pool = Bamboo_util.Pool
 module Json = Bamboo_util.Json
 
+(* The registry's metrics, read through its one read-out. *)
+let read reg = (Registry.snapshot reg).Snapshot.metrics
+
+(* The value of the counter (name, labels) in a snapshot of [reg]. *)
+let counter_value reg ?labels name =
+  match Snapshot.find (Registry.snapshot reg) ?labels name with
+  | Some { Snapshot.value = Snapshot.Counter v; _ } -> v
+  | Some _ | None -> Alcotest.failf "no counter %s" name
+
 (* --- counters --- *)
 
 let test_counter_basics () =
   let reg = Registry.create () in
   let c = Registry.counter reg "reqs_total" in
-  Alcotest.(check int) "fresh" 0 (Registry.Counter.value c);
+  Alcotest.(check int) "fresh" 0 (counter_value reg "reqs_total");
   Registry.Counter.incr c;
   Registry.Counter.add c 41;
-  Alcotest.(check int) "incr + add" 42 (Registry.Counter.value c);
+  Alcotest.(check int) "incr + add" 42 (counter_value reg "reqs_total");
   (* idempotent registration: same handle target *)
   let c' = Registry.counter reg "reqs_total" in
   Registry.Counter.incr c';
-  Alcotest.(check int) "second handle, same cell" 43 (Registry.Counter.value c)
+  Alcotest.(check int) "second handle, same cell" 43
+    (counter_value reg "reqs_total")
 
 let test_counter_labels_distinct () =
   let reg = Registry.create () in
@@ -27,22 +37,24 @@ let test_counter_labels_distinct () =
   let b = Registry.counter reg ~labels:[ ("node", "1") ] "commits" in
   Registry.Counter.add a 5;
   Registry.Counter.add b 7;
-  Alcotest.(check int) "a" 5 (Registry.Counter.value a);
-  Alcotest.(check int) "b" 7 (Registry.Counter.value b);
+  Alcotest.(check int) "a" 5 (counter_value reg ~labels:[ ("node", "0") ] "commits");
+  Alcotest.(check int) "b" 7 (counter_value reg ~labels:[ ("node", "1") ] "commits");
   (* label order is canonicalised *)
   let a' =
     Registry.counter reg ~labels:[ ("node", "0") ] "commits"
   in
   Registry.Counter.incr a';
-  Alcotest.(check int) "canonical labels alias" 6 (Registry.Counter.value a)
+  Alcotest.(check int) "canonical labels alias" 6
+    (counter_value reg ~labels:[ ("node", "0") ] "commits")
 
 let test_disabled_registry_inert () =
   let c = Registry.counter Registry.null "inert_counter" in
   Registry.Counter.incr c;
   Registry.Counter.add c 100;
-  Alcotest.(check int) "no-op counter" 0 (Registry.Counter.value c);
+  Alcotest.(check int) "no-op counter" 0
+    (Snapshot.counter_value (Registry.snapshot Registry.null) "inert_counter");
   Alcotest.(check bool) "null disabled" false (Registry.enabled Registry.null);
-  Alcotest.(check bool) "read empty" true (Registry.read Registry.null = [])
+  Alcotest.(check bool) "read empty" true (read Registry.null = [])
 
 (* --- registration validation --- *)
 
@@ -77,14 +89,18 @@ let test_gauge_stats () =
   let reg = Registry.create () in
   let g = Registry.gauge reg "depth" in
   List.iter (Registry.Gauge.set g) [ 2.0; 8.0; 4.0 ];
-  Alcotest.(check int) "samples" 3 (Registry.Gauge.samples g);
-  match Registry.read reg with
-  | [ ("depth", [], Registry.M_gauge { last; min_v; max_v; sum; samples }) ]
-    ->
+  match read reg with
+  | [
+   {
+     name = "depth";
+     labels = [];
+     value = Gauge { last; min_v; max_v; mean; samples };
+   };
+  ] ->
       Alcotest.(check (float 0.0)) "last" 4.0 last;
       Alcotest.(check (float 0.0)) "min" 2.0 min_v;
       Alcotest.(check (float 0.0)) "max" 8.0 max_v;
-      Alcotest.(check (float 0.0)) "sum" 14.0 sum;
+      Alcotest.(check (float 0.0)) "mean" (14.0 /. 3.0) mean;
       Alcotest.(check int) "samples" 3 samples
   | _ -> Alcotest.fail "unexpected read shape"
 
@@ -94,11 +110,11 @@ let test_bucket_exact_below_32 () =
   for v = 0 to 31 do
     Alcotest.(check int)
       (Printf.sprintf "index of %d" v)
-      v (Registry.bucket_index v);
+      v (Snapshot.bucket_index v);
     Alcotest.(check int)
       (Printf.sprintf "lower of %d" v)
       v
-      (Registry.bucket_lower (Registry.bucket_index v))
+      (Snapshot.bucket_lower (Snapshot.bucket_index v))
   done
 
 let test_bucket_boundaries () =
@@ -108,28 +124,28 @@ let test_bucket_boundaries () =
   in
   List.iter
     (fun v ->
-      let idx = Registry.bucket_index v in
-      let lower = Registry.bucket_lower idx in
-      let next = Registry.bucket_lower (idx + 1) in
+      let idx = Snapshot.bucket_index v in
+      let lower = Snapshot.bucket_lower idx in
+      let next = Snapshot.bucket_lower (idx + 1) in
       if not (lower <= v) then
         Alcotest.failf "bucket_lower %d = %d > value %d" idx lower v;
       if not (v < next) then
         Alcotest.failf "value %d >= next bucket lower %d" v next)
     probes;
   (* first sub-bucketed octave starts exactly where exactness ends *)
-  Alcotest.(check int) "index of 32" 32 (Registry.bucket_index 32);
-  Alcotest.(check int) "lower of 48" 64 (Registry.bucket_lower 48)
+  Alcotest.(check int) "index of 32" 32 (Snapshot.bucket_index 32);
+  Alcotest.(check int) "lower of 48" 64 (Snapshot.bucket_lower 48)
 
 let test_bucket_monotone () =
   let last = ref (-1) in
   for v = 0 to 100_000 do
-    let idx = Registry.bucket_index v in
+    let idx = Snapshot.bucket_index v in
     if idx < !last then Alcotest.failf "bucket_index not monotone at %d" v;
     last := idx
   done;
   let prev = ref (-1) in
   for idx = 0 to 200 do
-    let l = Registry.bucket_lower idx in
+    let l = Snapshot.bucket_lower idx in
     if l <= !prev then Alcotest.failf "bucket_lower not increasing at %d" idx;
     prev := l
   done
@@ -141,9 +157,10 @@ let test_histogram_observe () =
   Registry.Histogram.observe h 10;
   Registry.Histogram.observe h 100;
   Registry.Histogram.observe h (-5) (* clamps to 0 *);
-  Alcotest.(check int) "count" 4 (Registry.Histogram.count h);
-  match Registry.read reg with
-  | [ ("lat_ns", [], Registry.M_hist { count; sum; max_v; buckets }) ] ->
+  match read reg with
+  | [
+   { name = "lat_ns"; labels = []; value = Histogram { count; sum; max_v; buckets } };
+  ] ->
       Alcotest.(check int) "count" 4 count;
       Alcotest.(check int) "sum" 120 sum;
       Alcotest.(check int) "max" 100 max_v;
@@ -155,8 +172,9 @@ let test_histogram_observe_s () =
   let reg = Registry.create () in
   let h = Registry.histogram reg "lat_s_ns" in
   Registry.Histogram.observe_s h 1e-6 (* 1000 ns *);
-  match Registry.read reg with
-  | [ ("lat_s_ns", [], Registry.M_hist { count = 1; max_v; _ }) ] ->
+  match read reg with
+  | [ { name = "lat_s_ns"; labels = []; value = Histogram { count = 1; max_v; _ } } ]
+    ->
       Alcotest.(check int) "nanoseconds" 1000 max_v
   | _ -> Alcotest.fail "unexpected read shape"
 
@@ -186,7 +204,7 @@ let pool_read ~jobs =
       (List.init 64 Fun.id)
   in
   Alcotest.(check (list int)) "pool order" (List.init 64 Fun.id) results;
-  Registry.read reg
+  read reg
 
 let test_merge_determinism () =
   (* counters and histograms accumulate commutatively, so the read is
@@ -195,8 +213,8 @@ let test_merge_determinism () =
   Alcotest.(check bool) "jobs 1 == jobs 4" true (r1 = r4);
   match r1 with
   | [
-   ("task_cost_ns", [], Registry.M_hist { count = 64; _ });
-   ("tasks_done", [], Registry.M_counter 64);
+   { name = "task_cost_ns"; labels = []; value = Histogram { count = 64; _ } };
+   { name = "tasks_done"; labels = []; value = Counter 64 };
   ] ->
       ()
   | _ -> Alcotest.fail "unexpected merged shape"
@@ -219,10 +237,10 @@ let test_systhreads_exact () =
           ())
   in
   List.iter Thread.join threads;
-  match Registry.read reg with
+  match read reg with
   | [
-   ("thread_incrs", [], Registry.M_counter n);
-   ("thread_obs", [], Registry.M_hist { count; buckets; _ });
+   { name = "thread_incrs"; labels = []; value = Counter n };
+   { name = "thread_obs"; labels = []; value = Histogram { count; buckets; _ } };
   ] ->
       Alcotest.(check int) "counter exact" 40_000 n;
       Alcotest.(check int) "histogram count exact" 40_000 count;
@@ -242,7 +260,7 @@ let golden_snapshot () =
   let h = Registry.histogram reg "latency_ns" in
   Registry.Histogram.observe h 10;
   Registry.Histogram.observe h 100;
-  Snapshot.of_registry reg
+  Registry.snapshot reg
 
 let test_prometheus_golden () =
   let expected =
@@ -399,24 +417,24 @@ let test_runtime_identity () =
     (Snapshot.counter_value snap "net_sends" > 0)
 
 let test_probe_registry_consistency () =
-  (* the probe records its samples only in the registry: the probe
-     summary and the metrics export must report one consistent number *)
+  (* the probe records its samples only in the registry: the run's probe
+     gauges and the metrics export must report one consistent number *)
   let config = { run_config with probe_interval = 0.05 } in
   let reg = Registry.create () in
   let r = Bamboo.Runtime.run ~config ~workload:run_workload ~metrics:reg () in
-  let p =
+  let p_samples, p_mean, p_max =
     match
-      Bamboo_obs.Probe.find_summary r.Bamboo.Runtime.probe ~node:(-1)
-        ~name:"event_heap"
+      Snapshot.find { metrics = r.Bamboo.Runtime.probe } "event_heap"
     with
-    | Some p -> p
-    | None -> Alcotest.fail "no event_heap probe summary"
+    | Some { value = Gauge { samples; mean; max_v; _ }; _ } ->
+        (samples, mean, max_v)
+    | Some _ | None -> Alcotest.fail "no event_heap probe gauge"
   in
   match Snapshot.find r.Bamboo.Runtime.metrics "event_heap" with
   | Some { Snapshot.value = Snapshot.Gauge { mean; max_v; samples; _ }; _ } ->
-      Alcotest.(check int) "samples agree" p.Bamboo_obs.Probe.samples samples;
-      Alcotest.(check (float 1e-9)) "mean agrees" p.Bamboo_obs.Probe.mean mean;
-      Alcotest.(check (float 1e-9)) "max agrees" p.Bamboo_obs.Probe.max max_v
+      Alcotest.(check int) "samples agree" p_samples samples;
+      Alcotest.(check (float 1e-9)) "mean agrees" p_mean mean;
+      Alcotest.(check (float 1e-9)) "max agrees" p_max max_v
   | _ -> Alcotest.fail "event_heap gauge missing from metrics export"
 
 let suite =

@@ -15,11 +15,12 @@ let config =
 let with_host ?(config = config) f =
   let ring = Ring.create_cluster ~n:4 () in
   let host =
-    Host.start ~config ~owned:[| 0; 1; 2; 3 |]
+    Host.start ~publish:(Ring.publish_metrics ring) ~config
+      ~owned:[| 0; 1; 2; 3 |]
       ~endpoints:(Array.init 4 (Ring.endpoint ring))
       ()
   in
-  let stop () = Host.stop host ~transport:(fun () -> Json.Null) in
+  let stop () = Host.stop host in
   match f host with
   | () -> stop ()
   | exception e ->
@@ -34,17 +35,27 @@ let check_status label expected (r : Http.response) =
     Alcotest.failf "%s: status %d (%s), expected %d" label r.status r.body
       expected
 
-(* The value of the counter [name] in a [/metrics?format=json] body. *)
-let counter host name =
+(* The counter [name] in a snapshot's JSON, summed over its label sets;
+   [None] when the snapshot has no such metric. *)
+let json_counter snapshot name =
+  let named =
+    List.filter
+      (fun m -> String.equal (Json.get_string (Json.member "name" m)) name)
+      (Json.to_list (Json.member "metrics" snapshot))
+  in
+  if named = [] then None
+  else
+    Some (List.fold_left (fun acc m -> acc + Json.to_int (Json.member "value" m)) 0 named)
+
+let metrics_json host =
   let r = call host "GET" "/metrics?format=json" in
   check_status "metrics" 200 r;
-  let metrics = Json.to_list (Json.member "metrics" (Json.of_string r.body)) in
-  match
-    List.find_opt
-      (fun m -> String.equal (Json.get_string (Json.member "name" m)) name)
-      metrics
-  with
-  | Some m -> Json.to_int (Json.member "value" m)
+  Json.of_string r.body
+
+(* The value of the counter [name] in a [/metrics?format=json] body. *)
+let counter host name =
+  match json_counter (metrics_json host) name with
+  | Some v -> v
   | None -> Alcotest.failf "no %s in /metrics" name
 
 (* A put to replica 1 with [wait=true] commits, and reads back from
@@ -146,10 +157,30 @@ let test_burst_is_shed () =
     (Json.to_int (Json.member "ingest_shed" summary)
     + Json.to_int (Json.member "ingest_accepted" summary))
 
+(* The summary's transport tallies are the ring's, as [/metrics] serves
+   them: both name [ring_transport_recv_msgs] once a tx has committed. *)
+let test_transport_tallies () =
+  let live = ref None in
+  let summary =
+    with_host (fun host ->
+        let r = call ~body:"P1:kv" host "POST" "/tx?replica=0&wait=true" in
+        check_status "put" 200 r;
+        if not (String.ends_with ~suffix:{|"committed": true}|} r.body) then
+          Alcotest.failf "put did not commit: %s" r.body;
+        live := json_counter (metrics_json host) "ring_transport_recv_msgs")
+  in
+  let received = function Some n -> n > 0 | None -> false in
+  Alcotest.(check bool) "/metrics counts ring receives" true (received !live);
+  Alcotest.(check bool) "summary counts ring receives" true
+    (received
+       (json_counter (Json.member "transport" summary) "ring_transport_recv_msgs"))
+
 let suite =
   [
     Alcotest.test_case "put commits and reads back" `Slow
       test_put_commits_and_reads_back;
     Alcotest.test_case "malformed ids are 400" `Slow test_malformed_ids_are_400;
     Alcotest.test_case "burst is shed with 503" `Slow test_burst_is_shed;
+    Alcotest.test_case "summary and /metrics report transport tallies" `Slow
+      test_transport_tallies;
   ]

@@ -156,7 +156,7 @@ let test_ring_cluster_progress () =
   Alcotest.(check bool) "consistent" true report.consistent;
   let reg = Bamboo_metrics.Registry.create () in
   Ring.publish_metrics cluster reg;
-  let count = Bamboo_metrics.Snapshot.(counter_value (of_registry reg)) in
+  let count = Bamboo_metrics.(Snapshot.counter_value (Registry.snapshot reg)) in
   let msgs = count "ring_transport_recv_msgs"
   and batches = count "ring_transport_recv_batches" in
   Alcotest.(check bool) "messages received" true (msgs > 0);

@@ -2,7 +2,8 @@
    latency decomposition, and the zero-perturbation guarantee of tracing. *)
 
 module Trace = Bamboo_obs.Trace
-module Probe = Bamboo_obs.Probe
+module Registry = Bamboo_metrics.Registry
+module Snapshot = Bamboo_metrics.Snapshot
 module Json = Bamboo_util.Json
 module Runtime = Bamboo.Runtime
 module Workload = Bamboo.Workload
@@ -198,59 +199,79 @@ let test_tracing_does_not_perturb () =
 
 (* --- probe --- *)
 
+(* The probe gauge (name, node) of a run and its samples, mean and max;
+   [node = -1] is cluster-level. *)
+let probe_gauge (r : Runtime.result) ~node name =
+  let labels = if node >= 0 then [ ("node", string_of_int node) ] else [] in
+  match Snapshot.find { metrics = r.probe } ~labels name with
+  | Some ({ value = Gauge { samples; mean; max_v; _ }; _ } as m) ->
+      (m, samples, mean, max_v)
+  | Some _ | None -> Alcotest.failf "no %s gauge for node %d" name node
+
 let test_probe_gauges () =
-  let g = ref 1.0 in
-  let p = Probe.create () in
-  Probe.add_gauge p ~node:0 ~name:"g" (fun () -> !g);
-  Probe.sample p ~now:0.01;
-  g := 3.0;
-  Probe.sample p ~now:0.02;
-  match Probe.find_summary (Probe.summaries p) ~node:0 ~name:"g" with
-  | None -> Alcotest.fail "gauge not found"
-  | Some s ->
-      Alcotest.(check int) "two samples" 2 s.samples;
-      Alcotest.(check (float 1e-9)) "mean" 2.0 s.mean;
-      Alcotest.(check (float 1e-9)) "max" 3.0 s.max
+  let config = { base with probe_interval = 0.05 } in
+  let r = run ~config 2000.0 in
+  let per_node =
+    [ "cpu_queue_depth"; "nic_out_queue_depth"; "nic_in_queue_depth";
+      "cpu_utilization"; "nic_out_utilization" ]
+  in
+  Alcotest.(check (list string))
+    "registration order"
+    (List.concat (List.init config.n (fun _ -> per_node)) @ [ "event_heap" ])
+    (List.map (fun (m : Snapshot.metric) -> m.name) r.probe);
+  List.iter
+    (fun (m : Snapshot.metric) ->
+      match m.value with
+      | Gauge { samples; mean; max_v; _ } ->
+          Alcotest.(check int) (m.name ^ " samples") 29 samples;
+          if not (mean <= max_v) then
+            Alcotest.failf "%s: mean %g above max %g" m.name mean max_v
+      | Counter _ | Histogram _ -> Alcotest.failf "%s is not a gauge" m.name)
+    r.probe;
+  let m, samples, mean, max_v = probe_gauge r ~node:(-1) "event_heap" in
+  (* 29 ticks: the one at 1.5 s is skipped, as the accumulated tick time
+     lands a hair past the horizon. *)
+  Alcotest.(check int) "event_heap samples" 29 samples;
+  Alcotest.(check (float 1e-9)) "event_heap mean" (6094.0 /. 29.0) mean;
+  Alcotest.(check (float 0.0)) "event_heap max" 221.0 max_v;
+  Alcotest.(check string) "printed"
+    "node -1 event_heap           mean    210.138  max    221.000  (29 samples)"
+    (Format.asprintf "%a" Runtime.pp_probe m)
 
 let test_probe_memory_flat () =
-  (* samples live in the registry's running aggregates, so a probe's
-     footprint does not depend on how many samples it took *)
-  let p = Probe.create () in
-  List.iteri
-    (fun i name -> Probe.add_gauge p ~node:i ~name (fun () -> float_of_int i))
-    [ "g_a"; "g_b"; "g_c" ];
-  let sample_times n =
+  (* a gauge keeps running aggregates, so the registry's footprint does
+     not depend on how many samples it took *)
+  let reg = Registry.create () in
+  let g = Registry.gauge reg ~labels:[ ("node", "2") ] "g_c" in
+  let set n =
     for i = 1 to n do
-      Probe.sample p ~now:(float_of_int i)
+      Registry.Gauge.set g (float_of_int i)
     done
   in
-  sample_times 100;
-  let short = Obj.reachable_words (Obj.repr p) in
-  sample_times 19_900;
-  Alcotest.(check int) "reachable words after 20,000 samples" short
-    (Obj.reachable_words (Obj.repr p));
-  Alcotest.(check (option int)) "samples counted" (Some 20_000)
-    (Option.map
-       (fun (s : Probe.summary) -> s.samples)
-       (Probe.find_summary (Probe.summaries p) ~node:2 ~name:"g_c"))
+  set 100;
+  let short = Obj.reachable_words (Obj.repr reg) in
+  set 19_900;
+  Alcotest.(check int) "reachable words after 20,000 sets" short
+    (Obj.reachable_words (Obj.repr reg));
+  match Snapshot.find (Registry.snapshot reg) ~labels:[ ("node", "2") ] "g_c" with
+  | Some { value = Gauge { samples; _ }; _ } ->
+      Alcotest.(check int) "samples counted" 20_000 samples
+  | Some _ | None -> Alcotest.fail "no g_c gauge"
 
 let test_probe_saturated_run () =
   (* Drive 4-node HotStuff near saturation and require the probes to see a
      busy CPU: mean utilization well above zero on every replica. *)
   let config = { base with probe_interval = 0.01 } in
   let r = run ~config 60000.0 in
-  Alcotest.(check bool) "probe summaries present" true (r.probe <> []);
+  Alcotest.(check bool) "probe gauges present" true (r.probe <> []);
   for node = 0 to config.n - 1 do
-    match Probe.find_summary r.probe ~node ~name:"cpu_utilization" with
-    | None -> Alcotest.failf "no cpu_utilization gauge for node %d" node
-    | Some s ->
-        Alcotest.(check bool)
-          (Printf.sprintf "node %d cpu busy (%.3f)" node s.mean)
-          true (s.mean > 0.05)
+    let _, _, mean, _ = probe_gauge r ~node "cpu_utilization" in
+    Alcotest.(check bool)
+      (Printf.sprintf "node %d cpu busy (%.3f)" node mean)
+      true (mean > 0.05)
   done;
-  match Probe.find_summary r.probe ~node:(-1) ~name:"event_heap" with
-  | None -> Alcotest.fail "no event_heap gauge"
-  | Some s -> Alcotest.(check bool) "heap nonempty" true (s.mean > 0.0)
+  let _, _, mean, _ = probe_gauge r ~node:(-1) "event_heap" in
+  Alcotest.(check bool) "heap nonempty" true (mean > 0.0)
 
 (* --- latency decomposition --- *)
 
