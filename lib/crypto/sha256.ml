@@ -1,7 +1,19 @@
 (* FIPS 180-4 SHA-256 on native ints. Each 32-bit word is held as an int
    in [0, 2^32) and every sum is masked back into that range, so a block is
    compressed without boxing an int32. The message schedule array is reused
-   across blocks. *)
+   across blocks.
+
+   A block is compressed by the CPU's SHA-256 instructions when it has
+   them (x86-64 SHA extensions, read once from CPUID at start-up), else by
+   [compress] below. Both give the same digest; a context from
+   [init_portable] always takes [compress]. *)
+
+external hw_available : unit -> bool = "bamboo_sha256_hw_available" [@@noalloc]
+
+external compress_hw : int array -> Bytes.t -> unit = "bamboo_sha256_compress_hw"
+  [@@noalloc]
+
+let accelerated = hw_available ()
 
 let mask = 0xffffffff
 
@@ -22,26 +34,34 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+(* [block] holds the pending 64-byte block and 64 bytes of slack past
+   it, so [feed_fields] can write a short record at [fill] (always below
+   64 between calls) and carry what overflows into the next block. *)
 type ctx = {
   h : int array; (* 8 working hash values *)
-  block : Bytes.t; (* 64-byte input buffer *)
+  block : Bytes.t; (* 64-byte input block, then 64 bytes of slack *)
   mutable fill : int; (* bytes buffered in [block] *)
   mutable total : int; (* total message bytes absorbed *)
   w : int array; (* 64-entry message schedule, reused *)
+  hw : bool; (* compress with the CPU's SHA-256 instructions *)
 }
 
-let init () =
+let make hw =
   {
     h =
       [|
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
-    block = Bytes.create 64;
+    block = Bytes.create 128;
     fill = 0;
     total = 0;
     w = Array.make 64 0;
+    hw;
   }
+
+let init () = make accelerated
+let init_portable () = make false
 
 (* The schedule is scratch space, so the copy gets its own: a context
    that is only ever copied (an absorbed HMAC pad) is only ever read, and
@@ -53,6 +73,7 @@ let copy ctx =
     fill = ctx.fill;
     total = ctx.total;
     w = Array.make 64 0;
+    hw = ctx.hw;
   }
 
 (* Rotations use the doubled word [xx = x lor (x lsl 32)]: for n <= 31,
@@ -109,6 +130,9 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
+let[@inline] compress_block ctx =
+  if ctx.hw then compress_hw ctx.h ctx.block else compress ctx
+
 let feed_sub ctx s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Sha256.feed_sub: range out of bounds";
@@ -121,7 +145,7 @@ let feed_sub ctx s ~pos ~len =
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_block ctx;
       ctx.fill <- 0
     end
   done
@@ -133,7 +157,7 @@ let feed_char ctx c =
   ctx.total <- ctx.total + 1;
   ctx.fill <- ctx.fill + 1;
   if ctx.fill = 64 then begin
-    compress ctx;
+    compress_block ctx;
     ctx.fill <- 0
   end
 
@@ -145,37 +169,71 @@ let pow10 =
   done;
   p
 
-(* The bytes of [string_of_int n], without the string. Digits come from
-   the non-positive [m] (the magnitude negated), so [min_int] needs no
+(* Writes the bytes of [string_of_int n] at [pos] of [blk], at most 20,
+   and returns the position after them. Digits come from the
+   non-positive [m] (the magnitude negated), so [min_int] needs no
    special case: [m mod 10] lies in (-10, 0]. The digit count comes from
    comparisons against [pow10], not from repeated division. *)
-let feed_int ctx n =
-  if n < 0 then feed_char ctx '-';
+let write_int blk pos n =
+  let pos =
+    if n < 0 then begin
+      Bytes.unsafe_set blk pos '-';
+      pos + 1
+    end
+    else pos
+  in
   let m = if n < 0 then n else -n in
   let d = ref 1 in
-  while !d < 19 && m <= -pow10.(!d) do
+  while !d < 19 && m <= -Array.unsafe_get pow10 !d do
     incr d
   done;
-  let d = !d in
-  if ctx.fill + d <= 64 then begin
-    (* The digits fit in the block: write them last to first. *)
-    let m = ref m in
-    for i = ctx.fill + d - 1 downto ctx.fill do
-      Bytes.unsafe_set ctx.block i (Char.unsafe_chr (48 - (!m mod 10)));
-      m := !m / 10
-    done;
-    ctx.total <- ctx.total + d;
-    ctx.fill <- ctx.fill + d;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
-    end
+  let stop = pos + !d in
+  let m = ref m in
+  for i = stop - 1 downto pos do
+    Bytes.unsafe_set blk i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  stop
+
+(* Ends a write of [p - ctx.fill] bytes at [ctx.fill], [p < 128]. A full
+   block is compressed and the bytes past it, fewer than 64, move to the
+   front, so [fill] stays below 64. *)
+let advance ctx p =
+  ctx.total <- ctx.total + (p - ctx.fill);
+  if p >= 64 then begin
+    compress_block ctx;
+    if p > 64 then Bytes.unsafe_blit ctx.block 64 ctx.block 0 (p - 64);
+    ctx.fill <- p - 64
   end
-  else
-    (* They straddle a block boundary: feed them first to last. *)
-    for i = d - 1 downto 0 do
-      feed_char ctx (Char.unsafe_chr (48 - (m / pow10.(i) mod 10)))
-    done
+  else ctx.fill <- p
+
+let feed_int ctx n = advance ctx (write_int ctx.block ctx.fill n)
+
+(* Two ints of at most 20 bytes, three separators and [s] fit in the 64
+   bytes of slack when [s] has at most 21. *)
+let max_inline = 64 - 20 - 20 - 3
+
+let feed_fields ctx a c b d s e =
+  let len = String.length s in
+  if len <= max_inline then begin
+    let blk = ctx.block in
+    let p = write_int blk ctx.fill a in
+    Bytes.unsafe_set blk p c;
+    let p = write_int blk (p + 1) b in
+    Bytes.unsafe_set blk p d;
+    if len > 0 then Bytes.unsafe_blit_string s 0 blk (p + 1) len;
+    let p = p + 1 + len in
+    Bytes.unsafe_set blk p e;
+    advance ctx (p + 1)
+  end
+  else begin
+    feed_int ctx a;
+    feed_char ctx c;
+    feed_int ctx b;
+    feed_char ctx d;
+    feed ctx s;
+    feed_char ctx e
+  end
 
 let finalize ctx =
   let bitlen = Int64.mul (Int64.of_int ctx.total) 8L in
@@ -184,12 +242,12 @@ let finalize ctx =
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > 56 then begin
     Bytes.fill ctx.block ctx.fill (64 - ctx.fill) '\x00';
-    compress ctx;
+    compress_block ctx;
     ctx.fill <- 0
   end;
   Bytes.fill ctx.block ctx.fill (56 - ctx.fill) '\x00';
   Bytes.set_int64_be ctx.block 56 bitlen;
-  compress ctx;
+  compress_block ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))

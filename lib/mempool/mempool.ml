@@ -13,9 +13,12 @@ type status = Queued | In_flight
    from its home slot than the entry it would pass over, so a lookup
    stops at the first entry closer to home than itself, and a deletion
    shifts the entries after it back by one until an empty slot or an
-   entry at home. Robin Hood placement keeps probe runs short up to a
-   load of 7/8, where the table doubles; the initial 256 slots then hold
-   a block of 224 txs without growing. *)
+   entry at home. The table doubles at a load of 1/2: every committed tx
+   is removed from all n pools, and at n = 4 three of every four
+   removals are misses, which walk a probe run to its end, so short runs
+   are worth more than densely packed slots. The initial 256 slots hold 128 txs; a full
+   pool at a capacity of 100,000 takes 262,144 slots, about 4.5 MB (two
+   int arrays and one status byte a slot). *)
 module Live = struct
   type t = {
     mutable clients : int array;
@@ -104,7 +107,7 @@ module Live = struct
 
   (* The id must be absent. *)
   let add t ~client ~seq status =
-    if 8 * (t.size + 1) > 7 * Array.length t.seqs then grow t;
+    if 2 * (t.size + 1) > Array.length t.seqs then grow t;
     insert t ~client ~seq (code status);
     t.size <- t.size + 1
 

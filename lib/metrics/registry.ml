@@ -103,19 +103,22 @@ end
 module Histogram = struct
   type nonrec t = { reg : t; cell : hcell }
 
-  let observe h v =
-    if h.reg.enabled then begin
+  let observe_many h v ~count =
+    if count < 0 then invalid_arg "Registry.Histogram.observe_many: negative count";
+    if h.reg.enabled && count > 0 then begin
       let v = if v < 0 then 0 else v in
       let i = Snapshot.bucket_index v in
       Mutex.lock h.reg.lock;
       let c = h.cell in
-      c.h_sum <- c.h_sum + v;
-      c.h_count <- c.h_count + 1;
+      c.h_sum <- c.h_sum + (v * count);
+      c.h_count <- c.h_count + count;
       if v > c.h_max then c.h_max <- v;
       let b = c.h_buckets in
-      Array.unsafe_set b i (Array.unsafe_get b i + 1);
+      Array.unsafe_set b i (Array.unsafe_get b i + count);
       Mutex.unlock h.reg.lock
     end
+
+  let observe h v = observe_many h v ~count:1
 
   (* Seconds -> nanoseconds, the unit every *_ns histogram records. *)
   let observe_s h secs = observe h (int_of_float (secs *. 1e9))

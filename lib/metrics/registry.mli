@@ -56,6 +56,11 @@ module Histogram : sig
       is the caller's contract — by convention [*_ns] metrics record
       nanoseconds. *)
 
+  val observe_many : t -> int -> count:int -> unit
+  (** [observe_many h v ~count] records [count] observations of [v] under
+      one lock: the same snapshot as [count] calls of [observe h v], in
+      constant time. Raises [Invalid_argument] if [count] is negative. *)
+
   val observe_s : t -> float -> unit
   (** [observe_s h secs] records [secs] converted to nanoseconds. *)
 end

@@ -60,9 +60,6 @@ let publish_metrics cluster reg =
           (float_of_int s.peak_depth);
         let h = Registry.histogram reg ~labels "ring_transport_recv_batch_size" in
         Array.iteri
-          (fun b count ->
-            for _ = 1 to count do
-              Registry.Histogram.observe h (1 lsl b)
-            done)
+          (fun b count -> Registry.Histogram.observe_many h (1 lsl b) ~count)
           s.batch_hist)
       cluster.inboxes

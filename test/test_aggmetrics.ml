@@ -168,6 +168,43 @@ let test_histogram_observe () =
         "buckets" [ (0, 1); (10, 2); (100, 1) ] buckets
   | _ -> Alcotest.fail "unexpected read shape"
 
+(* A bulk observe is [count] single observes under one lock: the same
+   snapshot, whatever the counts (zero, one, several) and values
+   (negative, in different buckets). *)
+let test_histogram_observe_many () =
+  let obs = [ (10, 3); (0, 1); (-5, 2); (100, 0); (1 lsl 20, 4); (7, 1) ] in
+  let single = Registry.create () and bulk = Registry.create () in
+  let hs = Registry.histogram single "batch_size" in
+  let hb = Registry.histogram bulk "batch_size" in
+  List.iter
+    (fun (v, count) ->
+      for _ = 1 to count do
+        Registry.Histogram.observe hs v
+      done;
+      Registry.Histogram.observe_many hb v ~count)
+    obs;
+  Alcotest.(check bool) "same snapshot" true (read single = read bulk);
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Registry.Histogram.observe_many: negative count") (fun () ->
+      Registry.Histogram.observe_many hb 1 ~count:(-1))
+
+(* A billion observations cost one call: a scrape of a long-running
+   transport's batch-size histogram must not grow with its uptime. *)
+let test_histogram_observe_many_constant () =
+  let reg = Registry.create () in
+  let h = Registry.histogram reg "batch_size" in
+  let t0 = Unix.gettimeofday () in
+  Registry.Histogram.observe_many h 64 ~count:1_000_000_000;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.1 then Alcotest.failf "observe_many took %.3f s" dt;
+  match read reg with
+  | [ { value = Histogram { count; sum; max_v; buckets }; _ } ] ->
+      Alcotest.(check int) "count" 1_000_000_000 count;
+      Alcotest.(check int) "sum" 64_000_000_000 sum;
+      Alcotest.(check int) "max" 64 max_v;
+      Alcotest.(check (list (pair int int))) "buckets" [ (64, 1_000_000_000) ] buckets
+  | _ -> Alcotest.fail "unexpected read shape"
+
 let test_histogram_observe_s () =
   let reg = Registry.create () in
   let h = Registry.histogram reg "lat_s_ns" in
@@ -451,6 +488,9 @@ let suite =
     Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
     Alcotest.test_case "bucket monotone" `Quick test_bucket_monotone;
     Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
+    Alcotest.test_case "histogram bulk observe" `Quick test_histogram_observe_many;
+    Alcotest.test_case "histogram bulk observe is constant-time" `Quick
+      test_histogram_observe_many_constant;
     Alcotest.test_case "histogram observe_s" `Quick test_histogram_observe_s;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "parallel merge determinism" `Quick

@@ -393,17 +393,47 @@ let growth_prop =
   Test.make ~name:"pool agrees with the reference through table growth" ~count:150
     (make ~print:print_ops gen) agrees
 
-(* Client-broadcast pools hold dense windows of seqs. Two runs exactly
-   one table size (4,096 slots at this occupancy) apart must not pile onto
-   the same home slots: that made every probe walk the whole cluster. *)
-let test_dense_runs_displacement () =
-  let m = Mempool.create ~capacity:4096 () in
-  let add seq = ignore (Mempool.add m (Tx.make ~client:1 ~seq ~payload_len:0) : bool) in
-  for seq = 0 to 1399 do add seq done;
-  for seq = 4096 to 5495 do add seq done;
-  Alcotest.(check int) "all queued" 2800 (Mempool.length m);
+let check_displacement name m ~bound =
   let d = Mempool.max_displacement m in
-  if d > 16 then Alcotest.failf "longest displacement %d slots (bound 16)" d
+  if d > bound then
+    Alcotest.failf "%s: longest displacement %d slots (bound %d)" name d bound
+
+(* Client-broadcast pools hold dense windows of seqs. Two runs exactly
+   one table size (8,192 slots at this occupancy) apart, or half of one,
+   must not pile onto the same home slots: that made every probe walk
+   the whole cluster.
+
+   Table II's pools hold an interleaving instead: each of the 4 replicas
+   holds every 4th seq of one client, and every committed block is
+   forgotten by all 4, so three of every four removals are of seqs the
+   pool never held. *)
+let test_dense_runs_displacement () =
+  List.iter
+    (fun apart ->
+      let m = Mempool.create ~capacity:4096 () in
+      let add seq = ignore (Mempool.add m (Tx.make ~client:1 ~seq ~payload_len:0) : bool) in
+      for seq = 0 to 1399 do add seq done;
+      for seq = apart to apart + 1399 do add seq done;
+      Alcotest.(check int) "all queued" 2800 (Mempool.length m);
+      check_displacement (Printf.sprintf "runs %d apart" apart) m ~bound:16)
+    [ 4096; 8192 ];
+  let m = Mempool.create ~capacity:100_000 () in
+  let block = 400 in
+  for b = 0 to 199 do
+    for seq = b * block to ((b + 1) * block) - 1 do
+      if seq mod 4 = 0 then
+        ignore (Mempool.add m (Tx.make ~client:0 ~seq ~payload_len:0) : bool)
+    done;
+    (* Blocks commit 20 behind the arrivals. *)
+    if b >= 20 then
+      Mempool.forget m
+        (Body.of_list
+           (List.init block (fun i ->
+                Tx.make ~client:0 ~seq:(((b - 20) * block) + i) ~payload_len:0)))
+  done;
+  Alcotest.(check bool) "forgotten" false (Mempool.contains m { client = 0; seq = 0 });
+  Alcotest.(check bool) "live" true (Mempool.contains m { client = 0; seq = 199 * block });
+  check_displacement "every 4th seq, with misses" m ~bound:8
 
 let suite =
   [

@@ -324,6 +324,82 @@ let test_feed_int_and_char () =
       done)
     [ 0; 9; 10; -1; -10; max_int; min_int ]
 
+(* [feed_fields] must absorb exactly the record's bytes at every fill:
+   records that end inside the block, that cross into the next one, that
+   fill it exactly, and payloads too long to write at once. *)
+let test_feed_fields () =
+  List.iter
+    (fun (a, b, s) ->
+      for fill = 0 to 63 do
+        let prefix = pattern fill in
+        let ctx = Sha256.init () in
+        Sha256.feed ctx prefix;
+        Sha256.feed_fields ctx a ':' b '|' s ',';
+        Sha256.feed_fields ctx b '/' a '=' s ';';
+        let expected =
+          Printf.sprintf "%s%d:%d|%s,%d/%d=%s;" prefix a b s b a s
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%d %d %d-byte payload at fill %d" a b
+             (String.length s) fill)
+          (Sha256.digest_hex expected)
+          (Sha256.hex (Sha256.finalize ctx))
+      done)
+    [
+      (0, 0, "");
+      (3, 123456, "");
+      (-1, max_int, "");
+      (min_int, min_int, "");
+      (max_int, min_int, String.make 21 'x');
+      (min_int, -7, String.make 22 'y');
+      (42, 7, pattern 64);
+      (-5, 0, pattern 130);
+    ]
+
+(* The portable compression is the reference: it must reproduce the FIPS
+   180-4 vectors and the golden digests whatever the CPU. *)
+let portable_digest s =
+  let ctx = Sha256.init_portable () in
+  Sha256.feed ctx s;
+  Sha256.finalize ctx
+
+let test_portable_vectors () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "portable digest of %d bytes" (String.length input))
+        expected
+        (Sha256.hex (portable_digest input)))
+    vectors;
+  Array.iteri
+    (fun len expected ->
+      Alcotest.(check string)
+        (Printf.sprintf "portable digest of pattern %d" len)
+        expected
+        (Sha256.hex (portable_digest (pattern len))))
+    golden_by_length
+
+(* On a CPU with SHA-256 instructions, [init]'s contexts compress with
+   them; they must agree with the portable compression on random
+   messages of every length from 0 to 300 bytes (every padding case and
+   up to five blocks) and on the FIPS vectors. *)
+let test_instructions_agree () =
+  if not Sha256.accelerated then Alcotest.skip ();
+  let rng = Random.State.make [| 180; 4 |] in
+  for len = 0 to 300 do
+    let msg = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    Alcotest.(check string)
+      (Printf.sprintf "random %d bytes" len)
+      (Sha256.hex (portable_digest msg))
+      (Sha256.digest_hex msg)
+  done;
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "instruction digest of %d bytes" (String.length input))
+        expected (Sha256.digest_hex input))
+    vectors
+
 (* Absorbing must not allocate: every flat tx root feeds each tx through
    these. *)
 let test_no_alloc () =
@@ -334,7 +410,11 @@ let test_no_alloc () =
       Sha256.feed_int ctx ((i * 7919) - 400_000));
   Helpers.check_no_alloc "Sha256.feed_int max_int" (fun _ ->
       Sha256.feed_int ctx max_int);
-  Helpers.check_no_alloc "Sha256.feed_char" (fun _ -> Sha256.feed_char ctx 'c')
+  Helpers.check_no_alloc "Sha256.feed_char" (fun _ -> Sha256.feed_char ctx 'c');
+  Helpers.check_no_alloc "Sha256.feed_fields" (fun i ->
+      Sha256.feed_fields ctx (i mod 7) ':' (1000 + i) '|' "" ',');
+  Helpers.check_no_alloc "Sha256.feed_fields, long payload" (fun i ->
+      Sha256.feed_fields ctx i ':' max_int '|' block ',')
 
 let incremental_prop =
   let open QCheck in
@@ -372,6 +452,10 @@ let suite =
     Alcotest.test_case "digest size" `Quick test_digest_size;
     Alcotest.test_case "hex" `Quick test_hex;
     Alcotest.test_case "feed_int/feed_char = feed" `Quick test_feed_int_and_char;
+    Alcotest.test_case "feed_fields = feed" `Quick test_feed_fields;
+    Alcotest.test_case "portable compression vectors" `Quick test_portable_vectors;
+    Alcotest.test_case "instruction and portable compressions agree" `Quick
+      test_instructions_agree;
     Alcotest.test_case "absorbing allocates nothing" `Quick test_no_alloc;
     QCheck_alcotest.to_alcotest incremental_prop;
     QCheck_alcotest.to_alcotest collision_resistance_smoke;

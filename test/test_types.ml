@@ -209,6 +209,49 @@ let test_flat_matches_reference () =
         (Sha256.hex b.tx_root))
     (reference_inputs ())
 
+(* The flat root fed one leaf at a time, each leaf's preimage built as a
+   string: a reference for the record writes [Block.flat_root] makes
+   straight into the hash's block. *)
+let per_leaf_flat_root txs =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun (t : Tx.t) ->
+      Sha256.feed ctx
+        (Printf.sprintf "%d:%d|%s," t.id.client t.id.seq t.data))
+    txs;
+  Sha256.finalize ctx
+
+(* Ids at the ends of the int range, payloads of 0, 1, 21, 22, 64 and 100
+   bytes, and prefixes of 0 to 63 short leaves before them, so that each
+   kind of leaf starts at every offset of a 64-byte block and some
+   straddle its end. *)
+let test_flat_matches_per_leaf () =
+  let odd =
+    [
+      Tx.make ~client:0 ~seq:0 ~payload_len:0;
+      Tx.make ~client:(-1) ~seq:(-12345) ~payload_len:0;
+      Tx.make ~client:max_int ~seq:max_int ~payload_len:0;
+      Tx.make ~client:min_int ~seq:0 ~payload_len:0;
+      Tx.make_with_data ~client:7 ~seq:(-3) ~data:"p";
+      Tx.make_with_data ~client:(-8) ~seq:max_int ~data:(String.make 21 'a');
+      Tx.make_with_data ~client:max_int ~seq:min_int ~data:(String.make 22 'b');
+      Tx.make_with_data ~client:0 ~seq:99 ~data:(String.make 64 'c');
+      Tx.make_with_data ~client:5 ~seq:0 ~data:(String.init 100 Char.chr);
+      Tx.make ~client:3 ~seq:123456 ~payload_len:0;
+    ]
+  in
+  for k = 0 to 63 do
+    let txs = List.init k (fun i -> Tx.make ~client:(i mod 3) ~seq:i ~payload_len:0) @ odd in
+    let b =
+      Block.of_body ~root:`Flat ~view:1 ~parent:Block.genesis
+        ~justify:(Helpers.qc_for reg Block.genesis) ~proposer:0 (Body.of_list txs)
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%d short leaves first" k)
+      (Sha256.hex (per_leaf_flat_root txs))
+      (Sha256.hex b.tx_root)
+  done
+
 let test_merkle_order_sensitive () =
   let a = Helpers.txs 4 in
   let b = List.rev a in
@@ -539,6 +582,7 @@ let suite =
       test_merkle_matches_reference;
     Alcotest.test_case "flat = concatenating reference" `Quick
       test_flat_matches_reference;
+    Alcotest.test_case "flat = per-leaf reference" `Quick test_flat_matches_per_leaf;
     Alcotest.test_case "flat root allocation is constant" `Quick test_flat_root_alloc;
     Alcotest.test_case "genesis" `Quick test_genesis;
     Alcotest.test_case "block create" `Quick test_block_create;
